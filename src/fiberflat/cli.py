@@ -323,7 +323,7 @@ def _cmd_badprimes(args) -> tuple[str, int]:
 
 def _cmd_check_theorem(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
-    rep = check_main_theorem(cx, max_workers=args.parallel)
+    rep = check_main_theorem(cx)
     primes = _sorted_primes(rep.checked_primes)
     fibers = [{"prime": _prime_label(q),
                "dims": [[i, rep.fiber_dims[q][i]] for i in sorted(rep.fiber_dims[q], reverse=True)]}
@@ -553,10 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_input(sub.add_parser("fibers", help="fiber homology profile per prime"))
     p.add_argument("--primes", help="comma-separated prime literals (default: computed set)")
     with_input(sub.add_parser("badprimes", help="primes where a boundary drops rank"))
-    p = with_input(sub.add_parser("check-theorem",
-                                  help="fiberwise-acyclicity hypothesis and conclusions"))
-    p.add_argument("--parallel", type=int, default=None, metavar="N",
-                   help="fan per-prime fiber checks across N threads")
+    with_input(sub.add_parser("check-theorem",
+                              help="fiberwise-acyclicity hypothesis and conclusions"))
     with_input(sub.add_parser("check-map", help="three-way purity criterion for a map"))
     with_input(sub.add_parser("check-universal", help="universal exactness, three routes"))
     for name in ("tor", "ext"):

@@ -13,7 +13,6 @@ the checker raises ContradictionError instead of picking a side.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import (
@@ -24,7 +23,7 @@ from .errors import ContradictionError, InputError
 from .linalg import Matrix, hstack
 from .modules import (
     FpModule, ModuleMap, PurityReport, matrix_bad_primes, purity_report,
-    map_prime_set, module_prime_set, tor_fiber, ext_fiber,
+    map_prime_set, module_prime_set, relevant_primes, tor_fiber, ext_fiber,
 )
 from .rings import BaseRing, GENERIC, Prime, factor_trial
 
@@ -68,20 +67,15 @@ def bad_primes(cx: BoundedComplex) -> BadPrimeSet:
 
 def complex_prime_set(cx: BoundedComplex) -> list[Prime]:
     """Primes sufficient to decide fiberwise statements about cx: the
-    generic point plus rank-drop primes (Z, Z_(p)), or the full finite
-    spectrum (Z/n), or just the generic point (fields)."""
-    ring = cx.ring
-    if ring.kind in ("Z", "Zloc"):
-        bad: set[int] = set()
-        for i in range(cx.lo + 1, cx.hi + 1):
-            f = cx.boundary(i).matrix
-            a_below = cx.term(i - 1).relations
-            bad |= matrix_bad_primes(f)
-            bad |= matrix_bad_primes(hstack([f, a_below]))
-        for i in cx.degrees():
-            bad |= matrix_bad_primes(cx.term(i).relations)
-        return [GENERIC] + [Prime.at(p) for p in sorted(bad)]
-    return list(ring.spectrum().primes)
+    generic point plus rank-drop primes (Z, Z_(p)) of every boundary, every
+    boundary beside the relations of the term below it, and every term's
+    relations; the full finite spectrum (Z/n); the generic point (fields)."""
+    matrices = []
+    for i in range(cx.lo + 1, cx.hi + 1):
+        f = cx.boundary(i).matrix
+        matrices += [f, hstack([f, cx.term(i - 1).relations])]
+    matrices += [cx.term(i).relations for i in cx.degrees()]
+    return relevant_primes(cx.ring, matrices)
 
 
 def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -> list[FpModule]:
@@ -125,12 +119,7 @@ def standard_complex_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) 
     return family
 
 
-def _fiber_profiles(cx: BoundedComplex, primes: list[Prime],
-                    max_workers: int | None = None) -> dict[Prime, dict[int, int]]:
-    if max_workers and max_workers > 1 and len(primes) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            profiles = list(pool.map(lambda q: cx.fiber_profile(q).dims, primes))
-        return dict(zip(primes, profiles))
+def _fiber_profiles(cx: BoundedComplex, primes: list[Prime]) -> dict[Prime, dict[int, int]]:
     return {q: cx.fiber_profile(q).dims for q in primes}
 
 
@@ -159,8 +148,7 @@ class TheoremReport:
 
 
 def check_main_theorem(cx: BoundedComplex,
-                       family: list[FpModule] | None = None,
-                       max_workers: int | None = None) -> TheoremReport:
+                       family: list[FpModule] | None = None) -> TheoremReport:
     """Check the central criterion on a nonnegative complex of flat terms.
 
     Hypothesis: every fiber has zero homology in degrees > 0.  When it
@@ -179,7 +167,7 @@ def check_main_theorem(cx: BoundedComplex,
         if not cx.term(i).is_flat():
             raise InputError(f"term in degree {i} is not flat")
     primes = complex_prime_set(cx)
-    dims = _fiber_profiles(cx, primes, max_workers)
+    dims = _fiber_profiles(cx, primes)
     hypothesis = all(d == 0 for prof in dims.values()
                      for deg, d in prof.items() if deg > 0)
     conclusion_acyclic = all(cx.homology(i).is_zero() for i in cx.degrees() if i > 0)

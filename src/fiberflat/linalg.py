@@ -5,11 +5,11 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 
 * ``snf(A)`` returns U, D, V with A = U @ D @ V, det(U) and det(V) units,
   and the diagonal of D a divisibility chain with trailing zeros.
-* Pivot selection takes the smallest-size nonzero entry of the working
-  submatrix (absolute value over Z, p-adic valuation over Z_(p), first
-  nonzero over fields), ties broken by lowest (row, col).
-* Z/n decompositions lift canonical representatives to Z, run the integer
-  kernel, and reduce everything mod n.
+* One integer kernel serves every ring.  Its pivot is the nonzero entry of
+  least absolute value in the working submatrix, ties broken by lowest
+  (row, col).  Z/n and F_p lift canonical representatives to Z and reduce
+  the result; Z_(p) and Q first clear denominators with their lcm, a unit.
+  The unit part of each divisor is then folded into V (see _snf_full).
 * Diagonal entries are canonical: non-negative over Z, representatives in
   [0, n) over Z/n, pure powers of p over Z_(p), 0 or 1 over fields.
 * Zero-dimension matrices are legal everywhere and behave as zero maps.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -294,8 +294,8 @@ class _SnfFull:
         self.divisors = tuple(D[i, i] for i in range(min(D.rows, D.cols)))
 
 
-def _eye(n: int, one: Scalar, zero: Scalar) -> list[list[Scalar]]:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def _eye(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
@@ -306,8 +306,8 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
     operations mirror this on V / Vi.
     """
     D = [list(r) for r in a_rows]
-    U, Ui = _eye(m, 1, 0), _eye(m, 1, 0)
-    V, Vi = _eye(n, 1, 0), _eye(n, 1, 0)
+    U, Ui = _eye(m), _eye(m)
+    V, Vi = _eye(n), _eye(n)
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
@@ -417,186 +417,48 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
     return U, D, V, Ui, Vi
 
 
-def _snf_valuation(a_rows, m: int, n: int, p: int):
-    """DVR kernel for Z_(p): sizes are p-adic valuations, divisions exact."""
-    D = [[Fraction(x) for x in r] for r in a_rows]
-    one, zero = Fraction(1), Fraction(0)
-    U, Ui = _eye(m, one, zero), _eye(m, one, zero)
-    V, Vi = _eye(n, one, zero), _eye(n, one, zero)
-
-    def vp(x: Fraction) -> int:
-        # Denominators are coprime to p by the ring invariant.
-        num, v = x.numerator, 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        return v
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        Ui[i], Ui[j] = Ui[j], Ui[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in Vi:
-            r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
-
-    def row_scale(i, u: Fraction):
-        ui = 1 / u
-        D[i] = [x * u for x in D[i]]
-        Ui[i] = [x * u for x in Ui[i]]
-        for r in U:
-            r[i] *= ui
-
-    def row_addmul(dst, src, q: Fraction):
-        Dd, Ds = D[dst], D[src]
-        for k in range(n):
-            Dd[k] += q * Ds[k]
-        Ud, Us = Ui[dst], Ui[src]
-        for k in range(m):
-            Ud[k] += q * Us[k]
-        for r in U:
-            r[src] -= q * r[dst]
-
-    def col_addmul(dst, src, q: Fraction):
-        for r in D:
-            r[dst] += q * r[src]
-        for r in Vi:
-            r[dst] += q * r[src]
-        Vd, Vs = V[dst], V[src]
-        for k in range(n):
-            Vs[k] -= q * Vd[k]
-
-    t = 0
-    while t < m and t < n:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = D[i][j]
-                if x:
-                    v = vp(x)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            break
-        val, i, j = best
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        # Normalize the pivot to the pure power p^val.
-        row_scale(t, Fraction(p) ** val / D[t][t])
-        b = D[t][t]
-        for i in range(t + 1, m):
-            if D[i][t]:
-                row_addmul(i, t, -(D[i][t] / b))
-        for j in range(t + 1, n):
-            if D[t][j]:
-                col_addmul(j, t, -(D[t][j] / b))
-        # Everything left has valuation >= val, so divisibility is automatic.
-        t += 1
-    return U, D, V, Ui, Vi
-
-
-def _snf_field(a_rows, m: int, n: int, ring: BaseRing):
-    """Field kernel: rank normal form diag(1, ..., 1, 0, ...)."""
-    p = ring.param if ring.kind == "Fp" else None
-    D = [[x for x in r] for r in a_rows]
-    one, zero = ring.one, ring.zero
-    U, Ui = _eye(m, one, zero), _eye(m, one, zero)
-    V, Vi = _eye(n, one, zero), _eye(n, one, zero)
-
-    def inv(x):
-        return pow(x, -1, p) if p is not None else 1 / x
-
-    def red(x):
-        return x % p if p is not None else x
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        Ui[i], Ui[j] = Ui[j], Ui[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in Vi:
-            r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
-
-    def row_scale(i, u):
-        ui = inv(u)
-        D[i] = [red(x * u) for x in D[i]]
-        Ui[i] = [red(x * u) for x in Ui[i]]
-        for r in U:
-            r[i] = red(r[i] * ui)
-
-    def row_addmul(dst, src, q):
-        Dd, Ds = D[dst], D[src]
-        for k in range(n):
-            Dd[k] = red(Dd[k] + q * Ds[k])
-        Ud, Us = Ui[dst], Ui[src]
-        for k in range(m):
-            Ud[k] = red(Ud[k] + q * Us[k])
-        for r in U:
-            r[src] = red(r[src] - q * r[dst])
-
-    def col_addmul(dst, src, q):
-        for r in D:
-            r[dst] = red(r[dst] + q * r[src])
-        for r in Vi:
-            r[dst] = red(r[dst] + q * r[src])
-        Vd, Vs = V[dst], V[src]
-        for k in range(n):
-            Vs[k] = red(Vs[k] - q * Vd[k])
-
-    t = 0
-    while t < m and t < n:
-        found = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j = found
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        row_scale(t, inv(D[t][t]))
-        for i in range(t + 1, m):
-            if D[i][t]:
-                row_addmul(i, t, -D[i][t] if p is None else (-D[i][t]) % p)
-        for j in range(t + 1, n):
-            if D[t][j]:
-                col_addmul(j, t, -D[t][j] if p is None else (-D[t][j]) % p)
-        t += 1
-    return U, D, V, Ui, Vi
-
-
 def _snf_full(a: Matrix) -> _SnfFull:
+    """Every ring runs through the integer kernel on an integral lift.
+
+    Over Z_(p) and Q the lift is A times the lcm of its denominators, a unit
+    in both rings; over Z/n and F_p it is the canonical representatives.
+    Each nonzero integer divisor d splits as c*u with c canonical (p^v over
+    Z_(p), 1 over fields) and u a unit; u/lcm moves into row i of V and its
+    inverse into column i of Vi.  Over F_p a divisor divisible by p becomes
+    0, and such zeros trail because the integer divisors form a chain.
+    """
     if a._snf is not None:
         return a._snf
     ring, m, n = a.ring, a.rows, a.cols
-    if ring.kind == "Z":
-        U, D, V, Ui, Vi = _snf_int(a._data, m, n)
-    elif ring.kind == "Zmod":
-        mod = ring.param
-        U, D, V, Ui, Vi = _snf_int(a._data, m, n)
-        U, D, V, Ui, Vi = ([[x % mod for x in r] for r in M] for M in (U, D, V, Ui, Vi))
-    elif ring.kind == "Zloc":
-        U, D, V, Ui, Vi = _snf_valuation(a._data, m, n, ring.param)
-    else:
-        U, D, V, Ui, Vi = _snf_field(a._data, m, n, ring)
+    kind, p = ring.kind, ring.param
+    scale, lift = 1, a._data
+    if ring.uses_fractions:
+        scale = lcm(1, *(x.denominator for r in a._data for x in r))
+        lift = [[x.numerator * (scale // x.denominator) for x in r] for r in a._data]
+    U, D, V, Ui, Vi = _snf_int(lift, m, n)
+    if kind in ("Zloc", "Q", "Fp"):
+        for i in range(min(m, n)):
+            d = D[i][i]
+            if d == 0 or (kind == "Fp" and d % p == 0):
+                continue
+            c = 1
+            while kind == "Zloc" and d % (c * p) == 0:
+                c *= p
+            u = d // c
+            if kind == "Fp":
+                u_row, u_col = u, pow(u, -1, p)
+            else:
+                u_row, u_col = Fraction(u, scale), Fraction(scale, u)
+            D[i][i] = c
+            V[i] = [x * u_row for x in V[i]]
+            for r in Vi:
+                r[i] *= u_col
+    mats = (U, D, V, Ui, Vi)
+    if kind in ("Zmod", "Fp"):
+        mats = ([[x % p for x in r] for r in M] for M in mats)
+    elif ring.uses_fractions:
+        mats = ([[Fraction(x) for x in r] for r in M] for M in mats)
+    U, D, V, Ui, Vi = mats
     full = _SnfFull(
         Matrix._make(ring, U, m), Matrix._make(ring, D, n), Matrix._make(ring, V, n),
         Matrix._make(ring, Ui, m), Matrix._make(ring, Vi, n))

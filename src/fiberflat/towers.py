@@ -139,6 +139,12 @@ def _classify(rank: int, dim_a: int, dim_b: int) -> str:
     return "other"
 
 
+def _require_window(window: int) -> None:
+    # A run of zero isomorphisms would "stabilize" at whatever came last.
+    if window < 1:
+        raise InputError(f"window must be >= 1, got {window}")
+
+
 def _conclude(quantity: str, values: list[int], kinds: list[str],
               window: int) -> StabilizationReport:
     iso_run = 0
@@ -171,6 +177,7 @@ def tower_fiber(t: TowerModule, q: Prime, max_stage: int = DEFAULT_MAX_STAGE,
     change commutes with directed colimits, and an eventually constant
     (resp. eventually vanishing) system has the evident colimit.
     """
+    _require_window(window)
     t.ring.residue_field(q)
     values = [t.stage(n).fiber_dim(q) for n in range(max_stage + 1)]
     kinds = [_classify(t.transition(n).fiber_rank(q), values[n], values[n + 1])
@@ -201,6 +208,7 @@ def tower_tor(t: TowerModule, q: Prime, i: int,
     """
     if i < 0:
         raise InputError("Tor degree must be >= 0")
+    _require_window(window)
     t.ring.residue_field(q)
     values: list[int] = []
     kinds: list[str] = []
@@ -270,6 +278,7 @@ def tower_complex_homology_fiber(tc: TowerComplex, q: Prime, degree: int,
     Restricted to free-term stages: the induced map is then plain matrix
     algebra over the residue field.
     """
+    _require_window(window)
     tc.ring.residue_field(q)
     values: list[int] = []
     kinds: list[str] = []
@@ -379,7 +388,11 @@ def gallery(name: str, p: int = 2, max_prime: int = 100,
 
     Names: "sum-inverse-primes" (parameter max_prime),
     "injective-hull" (parameter p), "dvr-fraction-field" (parameter p).
+    Requires 1 <= window <= max_stage.
     """
+    _require_window(window)
+    if max_stage < window:
+        raise InputError(f"max_stage must be >= window ({window}), got {max_stage}")
     if name == "sum-inverse-primes":
         t = sum_inverse_primes_tower()
         rows = []

@@ -199,10 +199,13 @@ def test_check_theorem_command(capsys):
     assert payload["verdict"] == "consistent"
     assert payload["h0"] == {"free_rank": 1, "torsion": []}
 
-    payload = run_json(capsys, "check-theorem", "--parallel", "3", TIMES_TWO_CX)
+    payload = run_json(capsys, "check-theorem", TIMES_TWO_CX)
     assert payload["hypothesis_holds"] is False
     assert payload["verdict"] == "consistent"
     assert payload["checked_primes"] == ["0", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(["check-theorem", "--parallel", "3", TIMES_TWO_CX])
+    assert exc.value.code == 2
 
 
 def test_check_map_command(capsys):
@@ -293,6 +296,13 @@ def test_gallery_command(capsys):
     payload = run_json(capsys, "gallery", "injective-hull", "-p", "3")
     assert payload["ok"] is True and payload["parameters"] == {"p": 3}
     assert run(capsys, "gallery", "mystery")[0] == 2
+
+
+def test_gallery_rejects_bounds_that_prove_nothing(capsys):
+    # a window of 0 used to "stabilize" H_0 at maximal at 1, not 0
+    assert run(capsys, "gallery", "dvr-fraction-field", "--window", "0")[0] == 2
+    assert run(capsys, "gallery", "dvr-fraction-field", "--max-stage", "-3")[0] == 2
+    assert run(capsys, "gallery", "dvr-fraction-field", "--max-stage", "2")[0] == 2
 
 
 # -- contradiction exit path ---------------------------------------------------

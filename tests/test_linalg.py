@@ -68,23 +68,37 @@ def test_snf_contract_over_zmod(a, n):
     assert_snf_contract(b)
 
 
-@given(int_matrix(max_dim=4), st.sampled_from([2, 3]))
-def test_snf_contract_over_zloc(a, p):
-    ring = localized_at(p)
-    b = Matrix(ring, [[Fraction(x) for x in row] for row in a.to_rows()],
-               cols=a.cols)
+@st.composite
+def fraction_matrix(draw, ring, max_dim=4):
+    """Entries a/b with b coprime to p over Z_(p), any b != 0 over Q."""
+    p = ring.param
+    den = st.integers(min_value=-12, max_value=12).filter(
+        lambda b: b != 0 and (p is None or b % p != 0))
+    m = draw(st.integers(min_value=0, max_value=max_dim))
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    return Matrix(ring, [[Fraction(draw(entry), draw(den)) for _ in range(n)]
+                         for _ in range(m)], cols=n)
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda p: fraction_matrix(localized_at(p))))
+def test_snf_contract_over_zloc(b):
+    ring, p = b.ring, b.ring.param
     assert_snf_contract(b)
-    for d in snf(b).elementary_divisors:
+    divisors = snf(b).elementary_divisors
+    for d in divisors:
         if d != 0:
             # canonical form is a pure power of p
             assert d == p ** ring.valuation(d)
+    # independent route: the k-th determinantal divisor is e_1 * ... * e_k
+    for k, dk in enumerate(determinantal_divisors(b), start=1):
+        assert prod(divisors[:k]) == dk
 
 
-@given(int_matrix(max_dim=4), st.sampled_from([QQ, prime_field(5)]))
-def test_snf_contract_over_fields(a, ring):
-    body = [[Fraction(x) if ring.uses_fractions else x % 5 for x in row]
-            for row in a.to_rows()]
-    b = Matrix(ring, body, cols=a.cols)
+@given(st.one_of(
+    fraction_matrix(QQ),
+    int_matrix(max_dim=4).map(lambda a: Matrix(prime_field(5), a.to_rows(), cols=a.cols))))
+def test_snf_contract_over_fields(b):
+    ring = b.ring
     assert_snf_contract(b)
     for d in snf(b).elementary_divisors:
         assert d == ring.one or d == ring.zero

@@ -303,6 +303,26 @@ def test_gallery_dvr_fraction_field():
     assert expected == {"H_0 at maximal": 0, "H_0 at (0)": 1}
 
 
+def test_gallery_rejects_bounds_that_prove_nothing():
+    with pytest.raises(InputError, match="window"):
+        gallery("dvr-fraction-field", window=0)
+    with pytest.raises(InputError, match="max_stage"):
+        gallery("dvr-fraction-field", max_stage=-3)
+    with pytest.raises(InputError, match="max_stage"):
+        gallery("sum-inverse-primes", max_stage=2, window=3)
+    assert gallery("dvr-fraction-field", max_stage=3, window=3).ok
+
+
+def test_tower_reports_reject_empty_window():
+    with pytest.raises(InputError, match="window"):
+        tower_complex_homology_fiber(dvr_fraction_field_tower(3), Prime.at(3), 0,
+                                     max_stage=6, window=0)
+    with pytest.raises(InputError, match="window"):
+        tower_tor(injective_hull_tower(2), Prime.at(2), 0, window=0)
+    with pytest.raises(InputError, match="window"):
+        tower_fiber(sum_inverse_primes_tower(), GENERIC, window=-1)
+
+
 def test_gallery_unknown_name():
     with pytest.raises(InputError):
         gallery("mystery-tower")

@@ -9,8 +9,7 @@ stabilization reports.  See the README for the CLI surface.
 from .errors import ContradictionError, InputError
 from .rings import (
     GENERIC, BaseRing, Prime, ResidueField, SpectrumDescription, ZZ, QQ,
-    integers, integers_mod, localized_at, parse_prime, parse_ring,
-    prime_field, rationals,
+    integers_mod, localized_at, parse_prime, parse_ring, prime_field,
 )
 from .linalg import (
     Matrix, SnfDecomposition, determinantal_divisors, det, field_nullspace,
@@ -19,10 +18,9 @@ from .linalg import (
 )
 from .modules import (
     FpModule, InvariantFactors, ModuleMap, PrimeFiltration, PurityReport,
-    Resolution, cokernel, ext_fiber, fiber_module, free_resolution, image,
-    is_flat, kernel, lift_to_resolutions, map_prime_set, matrix_bad_primes,
-    module_prime_set, prime_filtration, purity_report, tensor_modules,
-    tor_fiber,
+    Resolution, ext_fiber, free_resolution, lift_to_resolutions,
+    map_prime_set, matrix_bad_primes, module_prime_set, prime_filtration,
+    purity_report, tor_fiber,
 )
 from .complexes import (
     BoundedComplex, ChainMap, FiberProfile, HomotopyCertificate, cone, dual,
@@ -32,7 +30,7 @@ from .complexes import (
 from .criteria import (
     BadPrimeSet, FlatnessVerdict, TheoremReport, UniversalExactnessReport,
     bad_primes, certify_projective_corollary, check_isom_criterion,
-    check_main_theorem, check_map_criterion, check_zero_criterion,
+    check_main_theorem, check_zero_criterion,
     complex_prime_set, ext_flatness_criterion, is_universally_exact,
     standard_complex_family, standard_module_family, tor_flatness_criterion,
 )

@@ -37,15 +37,14 @@ from .complexes import (
     BoundedComplex, koszul_complex, koszul_selfduality, null_homotopy,
 )
 from .criteria import (
-    BadPrimeSet, bad_primes, check_main_theorem, check_map_criterion,
-    complex_prime_set, ext_flatness_criterion, is_universally_exact,
-    tor_flatness_criterion,
+    BadPrimeSet, bad_primes, check_main_theorem, complex_prime_set,
+    ext_flatness_criterion, is_universally_exact, tor_flatness_criterion,
 )
 from .errors import ContradictionError, InputError
 from .linalg import Matrix, snf
 from .modules import (
     FpModule, ModuleMap, ext_fiber, free_resolution, module_prime_set,
-    prime_filtration, tor_fiber,
+    prime_filtration, purity_report, tor_fiber,
 )
 from .rings import (
     BaseRing, Prime, parse_prime, parse_ring, parse_scalar, render_scalar,
@@ -68,17 +67,35 @@ def _load_json(source: str) -> Any:
             raise InputError(f"cannot read {source}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers past the
+        # int-conversion digit limit; RecursionError, nesting too deep.
         raise InputError(f"not valid JSON: {exc}") from exc
+
+
+def _json_int(obj: Any, what: str, minimum: int | None = None) -> int:
+    """obj as a JSON integer; true and false are rejected, not read as 1 and 0."""
+    if type(obj) is not int or (minimum is not None and obj < minimum):
+        raise InputError(f"bad {what} {obj!r}")
+    return obj
+
+
+def _json_list(obj: Any, what: str) -> list:
+    if not isinstance(obj, list):
+        raise InputError(f"'{what}' must be a list, got {obj!r}")
+    return obj
 
 
 def _doc_ring(obj: Any) -> BaseRing:
     if not isinstance(obj, dict):
         raise InputError("document must be a JSON object")
-    if obj.get("version", 1) != 1:
-        raise InputError(f"unsupported document version {obj.get('version')!r}")
+    version = obj.get("version", 1)
+    if type(version) is not int or version != 1:
+        raise InputError(f"unsupported document version {version!r}")
     if "ring" not in obj:
         raise InputError("document is missing the ring literal")
+    if not isinstance(obj["ring"], str):
+        raise InputError(f"ring literal must be a string, got {obj['ring']!r}")
     return parse_ring(obj["ring"])
 
 
@@ -96,12 +113,8 @@ def _parse_matrix(ring: BaseRing, rows: Any, cols: int | None = None) -> Matrix:
 def parse_module_payload(ring: BaseRing, obj: Any) -> FpModule:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise InputError("module payload needs 'generators' and 'relations'")
-    g = obj["generators"]
-    if not isinstance(g, int) or g < 0:
-        raise InputError(f"bad generator count {g!r}")
-    columns = obj.get("relations", [])
-    if not isinstance(columns, list):
-        raise InputError("'relations' must be a list of columns")
+    g = _json_int(obj["generators"], "generator count", 0)
+    columns = _json_list(obj.get("relations", []), "relations")
     for c in columns:
         if not isinstance(c, list) or len(c) != g:
             raise InputError(f"each relation column must have length {g}")
@@ -121,11 +134,11 @@ def parse_map_payload(ring: BaseRing, obj: Any) -> ModuleMap:
 def parse_complex_payload(ring: BaseRing, obj: Any) -> BoundedComplex:
     if not isinstance(obj, dict) or not {"lo", "hi", "ranks_or_terms"} <= set(obj):
         raise InputError("complex payload needs 'lo', 'hi', 'ranks_or_terms', 'boundaries'")
-    lo, hi = obj["lo"], obj["hi"]
-    if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
-        raise InputError(f"bad degree range [{lo!r}, {hi!r}]")
-    entries = obj["ranks_or_terms"]
-    bodies = obj.get("boundaries", [])
+    lo, hi = _json_int(obj["lo"], "lo"), _json_int(obj["hi"], "hi")
+    if lo > hi:
+        raise InputError(f"bad degree range [{lo}, {hi}]")
+    entries = _json_list(obj["ranks_or_terms"], "ranks_or_terms")
+    bodies = _json_list(obj.get("boundaries", []), "boundaries")
     if len(entries) != hi - lo + 1:
         raise InputError(f"expected {hi - lo + 1} terms from degree {hi} down to {lo}")
     if len(bodies) != hi - lo:
@@ -133,12 +146,10 @@ def parse_complex_payload(ring: BaseRing, obj: Any) -> BoundedComplex:
     terms: dict[int, FpModule] = {}
     for off, entry in enumerate(entries):
         deg = hi - off
-        if isinstance(entry, int):
-            if entry < 0:
-                raise InputError(f"negative rank at degree {deg}")
-            terms[deg] = FpModule.free(ring, entry)
-        else:
+        if isinstance(entry, dict):
             terms[deg] = parse_module_payload(ring, entry)
+        else:
+            terms[deg] = FpModule.free(ring, _json_int(entry, f"rank at degree {deg}", 0))
     bmaps: dict[int, ModuleMap] = {}
     for off, body in enumerate(bodies):
         deg = hi - off
@@ -153,7 +164,10 @@ def parse_complex_payload(ring: BaseRing, obj: Any) -> BoundedComplex:
 def parse_matrix_payload(ring: BaseRing, obj: Any) -> Matrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise InputError("matrix payload needs 'entries'")
-    return _parse_matrix(ring, obj["entries"], obj.get("cols"))
+    cols = obj.get("cols")
+    if cols is not None:
+        cols = _json_int(cols, "column count", 0)
+    return _parse_matrix(ring, obj["entries"], cols)
 
 
 _PAYLOAD_PARSERS = {
@@ -229,10 +243,6 @@ def _module_json(m: FpModule) -> dict[str, Any]:
             "torsion": [render_scalar(d) for d in inv.torsion]}
 
 
-def _prime_label(q: Prime) -> str:
-    return q.literal()
-
-
 def _sorted_primes(primes) -> list[Prime]:
     return sorted(primes, key=lambda q: q.sort_key())
 
@@ -301,7 +311,7 @@ def _cmd_fibers(args) -> tuple[str, int]:
     for q in primes:
         prof = cx.fiber_profile(q)
         dims = [[i, prof.dims[i]] for i in range(cx.hi, cx.lo - 1, -1)]
-        rows.append({"prime": _prime_label(q), "dims": dims})
+        rows.append({"prime": q.literal(), "dims": dims})
         rendered = ", ".join(f"h_{i}={d}" for i, d in dims)
         lines.append(f"fiber at ({q.literal()}): {rendered}")
     payload = {"command": "fibers", "ring": ring.literal(), "profiles": rows}
@@ -325,13 +335,13 @@ def _cmd_check_theorem(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
     rep = check_main_theorem(cx)
     primes = _sorted_primes(rep.checked_primes)
-    fibers = [{"prime": _prime_label(q),
+    fibers = [{"prime": q.literal(),
                "dims": [[i, rep.fiber_dims[q][i]] for i in sorted(rep.fiber_dims[q], reverse=True)]}
               for q in primes]
     payload = {
         "command": "check-theorem", "ring": ring.literal(),
         "hypothesis_holds": rep.hypothesis_holds,
-        "checked_primes": [_prime_label(q) for q in primes],
+        "checked_primes": [q.literal() for q in primes],
         "fibers": fibers,
         "conclusion_acyclic": rep.conclusion_acyclic,
         "conclusion_h0_flat": rep.conclusion_h0_flat,
@@ -340,7 +350,7 @@ def _cmd_check_theorem(args) -> tuple[str, int]:
         "verdict": rep.verdict,
     }
     lines = [f"ring: {ring.literal()}",
-             f"checked primes: {', '.join('(' + _prime_label(q) + ')' for q in primes)}",
+             f"checked primes: {', '.join('(' + q.literal() + ')' for q in primes)}",
              f"hypothesis (all fibers acyclic in degrees > 0): {'holds' if rep.hypothesis_holds else 'fails'}",
              f"conclusion: complex acyclic in degrees > 0: {rep.conclusion_acyclic}",
              f"conclusion: H_0 flat: {rep.conclusion_h0_flat}   [H_0 = {_module_text(rep.h0)}]",
@@ -351,13 +361,13 @@ def _cmd_check_theorem(args) -> tuple[str, int]:
 
 def _cmd_check_map(args) -> tuple[str, int]:
     ring, f = load_document(args.input, "map")
-    rep = check_map_criterion(f)
+    rep = purity_report(f)
     payload = {
         "command": "check-map", "ring": ring.literal(),
         "injective_with_flat_cokernel": rep.injective_with_flat_cokernel,
         "pure": rep.pure,
         "fiberwise_injective": rep.fiberwise_injective,
-        "checked_primes": [_prime_label(q) for q in _sorted_primes(rep.checked_primes)],
+        "checked_primes": [q.literal() for q in _sorted_primes(rep.checked_primes)],
         "verdict": rep.verdict,
     }
     lines = [f"ring: {ring.literal()}",
@@ -375,7 +385,7 @@ def _cmd_check_universal(args) -> tuple[str, int]:
         "command": "check-universal", "ring": ring.literal(),
         "direct": rep.direct, "fiberwise": rep.fiberwise,
         "tensor_sampled": rep.tensor_sampled,
-        "checked_primes": [_prime_label(q) for q in _sorted_primes(rep.checked_primes)],
+        "checked_primes": [q.literal() for q in _sorted_primes(rep.checked_primes)],
         "verdict": rep.verdict,
     }
     lines = [f"ring: {ring.literal()}",
@@ -396,7 +406,7 @@ def _tor_ext_command(args, functor: str) -> tuple[str, int]:
     lines = [f"ring: {ring.literal()}", f"module: {_module_text(m)}"]
     for q in primes:
         dims = [[i, fiber_fn(m, q, i, depth + 1)] for i in range(depth, -1, -1)]
-        table.append({"prime": _prime_label(q), "dims": dims})
+        table.append({"prime": q.literal(), "dims": dims})
         rendered = ", ".join(f"{functor}_{i}={d}" for i, d in dims)
         lines.append(f"at ({q.literal()}): {rendered}")
     verdict = criterion(m, depth)
@@ -493,7 +503,7 @@ def _cmd_filtration(args) -> tuple[str, int]:
         raise ContradictionError("filtration failed re-verification")
     if pf.steps and not pf.steps[-1][0].is_isomorphic_to(m):
         raise ContradictionError("filtration does not end at the module")
-    steps = [{"stage": _module_json(stage), "quotient": _prime_label(q)}
+    steps = [{"stage": _module_json(stage), "quotient": q.literal()}
              for stage, q in pf.steps]
     payload = {"command": "filtration", "ring": ring.literal(),
                "module": _module_json(m), "steps": steps, "verified": True}

@@ -22,8 +22,8 @@ from .complexes import (
 from .errors import ContradictionError, InputError
 from .linalg import Matrix, hstack
 from .modules import (
-    FpModule, ModuleMap, PurityReport, matrix_bad_primes, purity_report,
-    map_prime_set, module_prime_set, relevant_primes, tor_fiber, ext_fiber,
+    FpModule, ModuleMap, matrix_bad_primes, map_prime_set, module_prime_set,
+    relevant_primes, tor_fiber, ext_fiber,
 )
 from .rings import BaseRing, GENERIC, Prime, factor_trial
 
@@ -235,11 +235,6 @@ def is_universally_exact(cx: BoundedComplex) -> UniversalExactnessReport:
             f"universal exactness routes disagree: direct={direct}, "
             f"fiberwise={fiberwise}, tensor-sampled={sampled}")
     return UniversalExactnessReport(direct, fiberwise, sampled, tuple(primes))
-
-
-def check_map_criterion(f: ModuleMap) -> PurityReport:
-    """The three-way purity equivalence as a verdict; see purity_report."""
-    return purity_report(f)
 
 
 def check_zero_criterion(m: FpModule) -> bool:

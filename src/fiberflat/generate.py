@@ -25,7 +25,7 @@ from .complexes import BoundedComplex
 from .errors import InputError
 from .linalg import Matrix
 from .modules import FpModule
-from .rings import BaseRing, integers
+from .rings import BaseRing, ZZ
 
 _POPULATIONS = ("contractible", "hypothesis-true", "hypothesis-false")
 
@@ -127,7 +127,7 @@ def random_complex(rng: Random, ring: BaseRing | None = None,
     """
     if population not in _POPULATIONS:
         raise InputError(f"unknown population {population!r}")
-    ring = ring if ring is not None else integers()
+    ring = ring if ring is not None else ZZ
     if max_len < 2 or max_rank < 1:
         raise InputError("need max_len >= 2 and max_rank >= 1")
     top = max_len - 1
@@ -220,7 +220,7 @@ def random_fp_module(rng: Random, ring: BaseRing | None = None,
                      max_gens: int = 4, max_rels: int = 4,
                      entry_bound: int = 9) -> FpModule:
     """A random finitely presented module: unconstrained relation matrix."""
-    ring = ring if ring is not None else integers()
+    ring = ring if ring is not None else ZZ
     g = rng.randrange(0, max_gens + 1)
     r = rng.randrange(0, max_rels + 1)
     body = [[rng.randrange(-entry_bound, entry_bound + 1) for _ in range(r)]

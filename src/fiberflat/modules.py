@@ -127,6 +127,10 @@ class FpModule:
     def is_zero(self) -> bool:
         return self.invariant_factors().is_trivial
 
+    def vanishes(self, x: Matrix) -> bool:
+        """Whether every column of x, a vector on the generators, is zero in M."""
+        return x.is_zero() or solve_integral(self.relations, x) is not None
+
     def is_isomorphic_to(self, other: "FpModule") -> bool:
         if self.ring != other.ring:
             raise InputError("cannot compare modules over different rings")
@@ -184,14 +188,6 @@ class FpModule:
         return FpModule(self.ring, self.gens * other.gens, rels)
 
 
-def tensor_modules(m: FpModule, n: FpModule) -> FpModule:
-    return m.tensor(n)
-
-
-def fiber_module(m: FpModule, q: Prime) -> int:
-    return m.fiber_dim(q)
-
-
 def _drop_zero_columns(a: Matrix) -> Matrix:
     keep = [j for j in range(a.cols) if any(a[i, j] != 0 for i in range(a.rows))]
     if len(keep) == a.cols:
@@ -224,10 +220,8 @@ class ModuleMap:
         if matrix.rows != target.gens or matrix.cols != source.gens:
             raise InputError(
                 f"map matrix must be {target.gens}x{source.gens}, got {matrix.rows}x{matrix.cols}")
-        if source.relations.cols:
-            carried = matrix @ source.relations
-            if solve_integral(target.relations, carried) is None:
-                raise InputError("matrix does not carry source relations into target relations")
+        if source.relations.cols and not target.vanishes(matrix @ source.relations):
+            raise InputError("matrix does not carry source relations into target relations")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -252,18 +246,12 @@ class ModuleMap:
     # -- exactness primitives ---------------------------------------------
 
     def is_zero_map(self) -> bool:
-        if self.matrix.is_zero():
-            return True
-        return solve_integral(self.target.relations, self.matrix) is not None
+        return self.target.vanishes(self.matrix)
 
     def equals(self, other: "ModuleMap") -> bool:
         """Equality as maps of quotient modules, not of matrices."""
-        if self.source != other.source or self.target != other.target:
-            return False
-        diff = self.matrix - other.matrix
-        if diff.is_zero():
-            return True
-        return solve_integral(self.target.relations, diff) is not None
+        return (self.source == other.source and self.target == other.target
+                and self.target.vanishes(self.matrix - other.matrix))
 
     def kernel(self) -> tuple[FpModule, "ModuleMap"]:
         """The kernel and its inclusion into the source."""
@@ -300,18 +288,6 @@ class ModuleMap:
     def fiber_is_isomorphism(self, q: Prime) -> bool:
         r = self.fiber_rank(q)
         return r == self.source.fiber_dim(q) == self.target.fiber_dim(q)
-
-
-def kernel(f: ModuleMap) -> tuple[FpModule, ModuleMap]:
-    return f.kernel()
-
-
-def image(f: ModuleMap) -> FpModule:
-    return f.image()
-
-
-def cokernel(f: ModuleMap) -> FpModule:
-    return f.cokernel()
 
 
 # -- bad primes of matrices and modules --------------------------------------
@@ -615,12 +591,6 @@ def lift_to_resolutions(f: ModuleMap, depth: int) -> tuple[Resolution, Resolutio
             raise ContradictionError("chain lift obstructed; resolution bug")
         phis.append(lifted)
     return res_m, res_n, phis
-
-
-# -- Tor/Ext-style flatness wrappers ------------------------------------------
-
-def is_flat(m: FpModule) -> bool:
-    return m.is_flat()
 
 
 # -- prime filtrations ---------------------------------------------------------

@@ -205,15 +205,6 @@ class BaseRing:
             return s % self.param  # type: ignore[operator]
         return s
 
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.add(a, -b)
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        m = a * b
-        if self.kind in ("Zmod", "Fp"):
-            return m % self.param  # type: ignore[operator]
-        return m
-
     def neg(self, a: Scalar) -> Scalar:
         if self.kind in ("Zmod", "Fp"):
             return (-a) % self.param  # type: ignore[operator]
@@ -262,13 +253,6 @@ class BaseRing:
         if self.kind == "Zloc":
             return q if q.denominator % self.param != 0 else None  # type: ignore[operator]
         return self.canon(q)
-
-    def invert_unit(self, a: Scalar) -> Scalar:
-        if not self.is_unit(a):
-            raise InputError(f"{a} is not a unit in {self}")
-        out = self.try_divide(self.one, a)
-        assert out is not None
-        return out
 
     def valuation(self, x: Scalar, p: int | None = None) -> int | None:
         """p-adic valuation of x; None for x = 0.  Defaults to this ring's p."""
@@ -377,14 +361,6 @@ class ResidueField:
 
 ZZ = BaseRing("Z")
 QQ = BaseRing("Q")
-
-
-def integers() -> BaseRing:
-    return ZZ
-
-
-def rationals() -> BaseRing:
-    return QQ
 
 
 def integers_mod(n: int) -> BaseRing:

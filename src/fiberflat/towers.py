@@ -388,12 +388,15 @@ def gallery(name: str, p: int = 2, max_prime: int = 100,
 
     Names: "sum-inverse-primes" (parameter max_prime),
     "injective-hull" (parameter p), "dvr-fraction-field" (parameter p).
-    Requires 1 <= window <= max_stage.
+    Requires 1 <= window <= max_stage, and max_prime >= 2 for
+    "sum-inverse-primes", so that some finite prime is checked.
     """
     _require_window(window)
     if max_stage < window:
         raise InputError(f"max_stage must be >= window ({window}), got {max_stage}")
     if name == "sum-inverse-primes":
+        if max_prime < 2:
+            raise InputError(f"max_prime must be >= 2, got {max_prime}")
         t = sum_inverse_primes_tower()
         rows = []
         targets = [GENERIC] + [Prime.at(q) for q in _primes_upto(max_prime)]

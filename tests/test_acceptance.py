@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from fiberflat.complexes import dual, koszul_complex, koszul_selfduality, null_homotopy
-from fiberflat.criteria import certify_projective_corollary, check_main_theorem, check_map_criterion
+from fiberflat.criteria import certify_projective_corollary, check_main_theorem
 from fiberflat.generate import random_complex, random_fp_module
 from fiberflat.linalg import (
     Matrix,
@@ -26,6 +26,7 @@ from fiberflat.modules import (
     ext_fiber,
     matrix_bad_primes,
     module_prime_set,
+    purity_report,
     tor_fiber,
 )
 from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, is_prime
@@ -87,7 +88,7 @@ def test_criterion_02_purity_equivalence_exhaustive_2x2():
                 for c in range(-2, 3):
                     for d in range(-2, 3):
                         f = ModuleMap(free2, free2, Matrix(ZZ, [[a, b], [c, d]]))
-                        rep = check_map_criterion(f)  # raises on disagreement
+                        rep = purity_report(f)  # raises on disagreement
                         assert rep.injective_with_flat_cokernel == rep.pure \
                             == rep.fiberwise_injective
                         checked += 1

@@ -2,9 +2,11 @@
 
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberflat.cli import load_document, main, render_document
 
@@ -112,6 +114,35 @@ def test_document_validation_errors(capsys):
     doc = dict(DOCS["matrix"])
     doc["version"] = 2
     assert run(capsys, "snf", json.dumps(doc))[0] == 2
+
+
+def _doc(ring, kind, payload):
+    return json.dumps({"version": 1, "ring": ring, kind: payload})
+
+
+@pytest.mark.parametrize("command, text", [
+    ("snf", _doc(5, "matrix", {"entries": [[1]]})),
+    ("homology", _doc("Z", "complex", {"lo": 0, "hi": 0, "ranks_or_terms": 7,
+                                       "boundaries": []})),
+    ("homology", _doc("Z", "complex", {"lo": 0, "hi": 1, "ranks_or_terms": [1, 1],
+                                       "boundaries": 7})),
+    ("homology", _doc("Z", "complex", {"lo": 0, "hi": 1, "ranks_or_terms": [True, 1],
+                                       "boundaries": [[[1]]]})),
+    ("homology", _doc("Z", "complex", {"lo": True, "hi": 1, "ranks_or_terms": [1],
+                                       "boundaries": []})),
+    ("homology", _doc("Z", "complex", {"lo": 0, "hi": True, "ranks_or_terms": [1, 1],
+                                       "boundaries": [[[1]]]})),
+    ("tor", _doc("Z", "module", {"generators": True, "relations": [[2]]})),
+    ("snf", _doc("Z", "matrix", {"entries": [], "cols": True})),
+    ("snf", '{"version": 1, "ring": "Z", "matrix": {"entries": [[' + "9" * 4301 + "]]}}"),
+    ("snf", '{"version": 1, "ring": "Z", "matrix": {"entries": '
+            + "[" * 100000 + "]" * 100000 + "}}"),
+], ids=["ring-int", "ranks-int", "boundaries-int", "rank-true", "lo-true", "hi-true",
+        "generators-true", "cols-true", "int-past-digit-limit", "nesting-too-deep"])
+def test_malformed_fields_exit_2(capsys, command, text):
+    code, out, err = run(capsys, command, text)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
 
 
 def test_input_error_paths(capsys):
@@ -303,6 +334,8 @@ def test_gallery_rejects_bounds_that_prove_nothing(capsys):
     assert run(capsys, "gallery", "dvr-fraction-field", "--window", "0")[0] == 2
     assert run(capsys, "gallery", "dvr-fraction-field", "--max-stage", "-3")[0] == 2
     assert run(capsys, "gallery", "dvr-fraction-field", "--max-stage", "2")[0] == 2
+    # a max prime below 2 used to check only the generic point and report ok
+    assert run(capsys, "gallery", "sum-inverse-primes", "--max-prime", "-5")[0] == 2
 
 
 # -- contradiction exit path ---------------------------------------------------
@@ -316,3 +349,75 @@ def test_failed_reverification_exits_3(capsys, monkeypatch):
     cert = SimpleNamespace(verify=lambda: False)
     monkeypatch.setattr("fiberflat.cli.null_homotopy", lambda cx: cert)
     assert run(capsys, "nullhomotopy", IDENTITY_CX)[0] == 3
+
+
+# -- document fuzzing ------------------------------------------------------------
+
+SMALL = st.integers(-3, 4)
+JUNK = st.one_of(
+    st.none(), st.booleans(), SMALL, st.sampled_from(["", "Z", "1/2", "x"]),
+    st.lists(SMALL, max_size=3), st.lists(st.lists(SMALL, max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["generators", "relations"]), SMALL, max_size=2))
+
+
+def _grid(rows, cols):
+    return st.lists(st.lists(SMALL, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def _module_payloads(draw):
+    g = draw(st.integers(0, 2))
+    return {"generators": g, "relations": draw(st.lists(st.lists(
+        SMALL, min_size=g, max_size=g), max_size=2))}
+
+
+@st.composite
+def _matrix_payloads(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return {"entries": draw(_grid(rows, cols)), "cols": cols}
+
+
+@st.composite
+def _complex_payloads(draw):
+    lo, n = draw(st.integers(-1, 1)), draw(st.integers(1, 3))
+    # terms from degree hi down to lo, mostly free ranks
+    terms = [draw(st.one_of(st.integers(0, 2), st.integers(0, 2), _module_payloads()))
+             for _ in range(n)]
+    gens = [t if isinstance(t, int) else t["generators"] for t in terms]
+    bounds = [draw(_grid(gens[k + 1], gens[k])) for k in range(n - 1)]
+    return {"lo": lo, "hi": lo + n - 1, "ranks_or_terms": terms, "boundaries": bounds}
+
+
+_PAYLOADS = {"matrix": _matrix_payloads(), "module": _module_payloads(),
+             "complex": _complex_payloads()}
+_FUZZ_COMMANDS = {"snf": ("matrix", []), "homology": ("complex", []),
+                  "check-theorem": ("complex", []), "tor": ("module", ["--depth", "1"])}
+
+
+@st.composite
+def _fuzz_cases(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    kind, flags = _FUZZ_COMMANDS[command]
+    payload = draw(_PAYLOADS[kind])
+    doc = {"version": 1, "ring": draw(st.sampled_from(["Z", "Q", "Z/4", "Z/6", "Zloc/3", "F5"])),
+           kind: payload}
+    # perturb at most one field of the document or of its payload
+    target = draw(st.sampled_from([None, doc, payload]))
+    if target is not None:
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JUNK)
+    return [command, *flags, json.dumps(doc)]
+
+
+@settings(max_examples=150, deadline=5000)
+@given(_fuzz_cases())
+def test_fuzzed_documents_end_in_a_documented_exit(argv):
+    # deadline is the per-case time bound; any exception other than the
+    # two handled by main escapes and fails the test
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["--format", "json", *argv])
+    assert code in (0, 2, 3), err.getvalue()

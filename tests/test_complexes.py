@@ -30,6 +30,18 @@ def test_d_squared_is_enforced():
         BoundedComplex.free_complex(
             ZZ, 0, [1, 1, 1],
             [Matrix(ZZ, [[1]]), Matrix(ZZ, [[1]])])
+    # Z --x--> Z --1--> Z/2: d.d = [[x]] is a nonzero matrix, and it is the
+    # zero map exactly when x lies in the relation span 2Z of Z/2
+    z, z2 = FpModule.free(ZZ, 1), FpModule.cyclic(ZZ, 2)
+
+    def over_z2(x):
+        return BoundedComplex(ZZ, 0, 2, {0: z2, 1: z, 2: z},
+                              {1: ModuleMap(z, z2, Matrix(ZZ, [[1]])),
+                               2: ModuleMap(z, z, Matrix(ZZ, [[x]]))})
+
+    assert over_z2(2).is_exact()
+    with pytest.raises(InputError, match="d.d"):
+        over_z2(3)
 
 
 def test_homology_of_multiplication_complex():
@@ -114,6 +126,20 @@ def test_chain_map_validation_and_iso():
                         1: ModuleMap(c.term(1), d.term(1), Matrix(ZZ, [[-1]]))})
     ident = ChainMap(c, c, {i: ModuleMap.identity(c.term(i)) for i in c.degrees()})
     assert ident.is_isomorphism()
+    # into Z --1--> Z/2 the square d.f_1 - f_0.d = 1 - x is a nonzero
+    # matrix; it commutes exactly when 1 - x vanishes in Z/2
+    one = two_term(ZZ, [[1]], [1, 1])
+    z2 = FpModule.cyclic(ZZ, 2)
+    e = BoundedComplex(ZZ, 0, 1, {0: z2, 1: one.term(1)},
+                       {1: ModuleMap(one.term(1), z2, Matrix(ZZ, [[1]]))})
+
+    def into_e(x):
+        return ChainMap(one, e, {0: ModuleMap(one.term(0), z2, Matrix(ZZ, [[x]])),
+                                 1: ModuleMap.identity(one.term(1))})
+
+    into_e(3)
+    with pytest.raises(InputError, match="commute"):
+        into_e(2)
 
 
 def test_shift_conventions():

@@ -15,7 +15,6 @@ from fiberflat.criteria import (
     certify_projective_corollary,
     check_isom_criterion,
     check_main_theorem,
-    check_map_criterion,
     check_zero_criterion,
     complex_prime_set,
     ext_flatness_criterion,
@@ -27,8 +26,8 @@ from fiberflat.criteria import (
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex
 from fiberflat.linalg import Matrix
-from fiberflat.modules import FpModule, ModuleMap
-from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, localized_at, prime_field, rationals
+from fiberflat.modules import FpModule, ModuleMap, purity_report
+from fiberflat.rings import GENERIC, Prime, ZZ, QQ, integers_mod, localized_at, prime_field
 
 Z12 = integers_mod(12)
 
@@ -186,7 +185,7 @@ def test_bad_primes_over_localization():
 
 
 def test_bad_primes_rejects_other_rings():
-    for ring in (Z12, prime_field(5), rationals()):
+    for ring in (Z12, prime_field(5), QQ):
         with pytest.raises(InputError):
             bad_primes(times(ring, 1))
     with pytest.raises(InputError):
@@ -216,7 +215,7 @@ def test_complex_prime_set_contents():
     lits = [p.literal()
             for p in complex_prime_set(BoundedComplex.single(FpModule.cyclic(ZZ, 4)))]
     assert lits == ["0", "2"]
-    assert [p.literal() for p in complex_prime_set(times(rationals(), 1))] == ["0"]
+    assert [p.literal() for p in complex_prime_set(times(QQ, 1))] == ["0"]
     assert [p.literal() for p in complex_prime_set(times(Z12, 5))] == ["2", "3"]
 
 
@@ -224,11 +223,11 @@ def test_complex_prime_set_contents():
 
 def test_map_criterion_identity_and_doubling():
     one = FpModule.free(ZZ, 1)
-    rep = check_map_criterion(ModuleMap(one, one, Matrix(ZZ, [[1]])))
+    rep = purity_report(ModuleMap(one, one, Matrix(ZZ, [[1]])))
     assert rep.verdict
     assert rep.injective_with_flat_cokernel and rep.pure and rep.fiberwise_injective
 
-    rep = check_map_criterion(ModuleMap(one, one, Matrix(ZZ, [[2]])))
+    rep = purity_report(ModuleMap(one, one, Matrix(ZZ, [[2]])))
     assert not rep.verdict
     assert not rep.injective_with_flat_cokernel
     assert not rep.pure and not rep.fiberwise_injective
@@ -320,7 +319,7 @@ def test_standard_module_family_shapes():
     zl = standard_module_family(localized_at(3))
     assert [m.invariant_factors().torsion for m in zl] == [(3,), (9,), ()]
     assert len(standard_module_family(Z12)) == 3
-    assert len(standard_module_family(rationals())) == 1
+    assert len(standard_module_family(QQ)) == 1
 
 
 def test_standard_complex_family_shapes():
@@ -331,4 +330,4 @@ def test_standard_complex_family_shapes():
     assert scalars == [2, 3]
     assert len(standard_complex_family(ZZ, extra_primes=(7,))) == 4
     assert len(standard_complex_family(Z12)) == 3  # 12 = 2^2 * 3
-    assert len(standard_complex_family(rationals())) == 1
+    assert len(standard_complex_family(QQ)) == 1

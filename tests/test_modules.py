@@ -11,9 +11,9 @@ from fiberflat.errors import ContradictionError, InputError
 from fiberflat.generate import random_fp_module
 from fiberflat.linalg import Matrix, reduce_matrix
 from fiberflat.modules import (
-    FpModule, ModuleMap, ext_fiber, fiber_module, free_resolution,
+    FpModule, ModuleMap, ext_fiber, free_resolution,
     lift_to_resolutions, map_prime_set, matrix_bad_primes, module_prime_set,
-    prime_filtration, purity_report, tensor_modules, tor_fiber,
+    prime_filtration, purity_report, tor_fiber,
 )
 from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, localized_at
 
@@ -65,7 +65,7 @@ def test_flatness_by_classification():
 def test_tensor_matches_gcd_formula_exhaustively():
     for a in range(1, 31):
         for b in range(1, 31):
-            t = tensor_modules(FpModule.cyclic(ZZ, a), FpModule.cyclic(ZZ, b))
+            t = FpModule.cyclic(ZZ, a).tensor(FpModule.cyclic(ZZ, b))
             assert t.is_isomorphic_to(FpModule.cyclic(ZZ, gcd(a, b))), (a, b)
 
 
@@ -82,7 +82,7 @@ def test_fiber_dimensions():
     assert m.fiber_dim(Prime.at(3)) == 0
     assert m.fiber_dim(GENERIC) == 0
     assert FpModule.free(ZZ, 3).fiber_dim(Prime.at(7)) == 3
-    assert fiber_module(FpModule.free(ZZ, 3), GENERIC) == 3
+    assert FpModule.free(ZZ, 3).fiber_dim(GENERIC) == 3
 
 
 def seeded_modules(ring, count, seed):

@@ -310,6 +310,8 @@ def test_gallery_rejects_bounds_that_prove_nothing():
         gallery("dvr-fraction-field", max_stage=-3)
     with pytest.raises(InputError, match="max_stage"):
         gallery("sum-inverse-primes", max_stage=2, window=3)
+    with pytest.raises(InputError, match="max_prime"):
+        gallery("sum-inverse-primes", max_prime=-5)
     assert gallery("dvr-fraction-field", max_stage=3, window=3).ok
 
 

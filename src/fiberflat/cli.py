@@ -17,12 +17,16 @@ where the payload is exactly one of
 Scalars are JSON integers or "a/b" strings.  Ring literals: Z, Q, Z/<n>,
 Zloc/<p>, F<p>.
 
+Every size the CLI accepts is capped (see the MAX_* constants below); a
+value above its cap is malformed input.
+
 Machine output (--format json) is canonical: sorted keys, no spaces, so
 identical inputs yield byte-identical reports.  Primes are listed with
 the generic point "0" first, then ascending; degrees descend.  Exit
 codes: 0 = verdict computed (whatever it is), 2 = malformed input,
-3 = fatal contradiction (a provably-equivalent check disagreed, or a
-verified hypothesis with a failed conclusion).
+3 = fatal contradiction (a provably-equivalent check disagreed, a
+verified hypothesis with a failed conclusion, or a gallery value that
+differs from its closed form).
 """
 
 from __future__ import annotations
@@ -51,6 +55,13 @@ from .rings import (
 )
 from .towers import DEFAULT_MAX_STAGE, DEFAULT_WINDOW, gallery
 
+# Caps on every size the CLI accepts, so that each run ends in bounded time.
+MAX_RANK = 256               # term rank; generator, relation, row and column counts
+MAX_DEPTH = 64               # tor / ext --depth
+MAX_KOSZUL_ELEMENTS = 8      # koszul --elements
+MAX_PRIME_BOUND = 1000       # gallery --max-prime
+MAX_STAGE = 256              # gallery --max-stage
+
 
 # -- document handling -------------------------------------------------------
 
@@ -73,11 +84,18 @@ def _load_json(source: str) -> Any:
         raise InputError(f"not valid JSON: {exc}") from exc
 
 
-def _json_int(obj: Any, what: str, minimum: int | None = None) -> int:
+def _capped(value: int, what: str, cap: int) -> int:
+    if value > cap:
+        raise InputError(f"{what} {value} is above the cap of {cap}")
+    return value
+
+
+def _json_int(obj: Any, what: str, minimum: int | None = None,
+              cap: int | None = None) -> int:
     """obj as a JSON integer; true and false are rejected, not read as 1 and 0."""
     if type(obj) is not int or (minimum is not None and obj < minimum):
         raise InputError(f"bad {what} {obj!r}")
-    return obj
+    return obj if cap is None else _capped(obj, what, cap)
 
 
 def _json_list(obj: Any, what: str) -> list:
@@ -102,6 +120,8 @@ def _doc_ring(obj: Any) -> BaseRing:
 def _parse_matrix(ring: BaseRing, rows: Any, cols: int | None = None) -> Matrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise InputError("matrix must be a list of rows")
+    _capped(len(rows), "matrix row count", MAX_RANK)
+    _capped(max(map(len, rows), default=0), "matrix column count", MAX_RANK)
     body = [[parse_scalar(ring, x) for x in r] for r in rows]
     if cols is None:
         if not body:
@@ -113,8 +133,9 @@ def _parse_matrix(ring: BaseRing, rows: Any, cols: int | None = None) -> Matrix:
 def parse_module_payload(ring: BaseRing, obj: Any) -> FpModule:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise InputError("module payload needs 'generators' and 'relations'")
-    g = _json_int(obj["generators"], "generator count", 0)
+    g = _json_int(obj["generators"], "generator count", 0, MAX_RANK)
     columns = _json_list(obj.get("relations", []), "relations")
+    _capped(len(columns), "relation count", MAX_RANK)
     for c in columns:
         if not isinstance(c, list) or len(c) != g:
             raise InputError(f"each relation column must have length {g}")
@@ -149,7 +170,8 @@ def parse_complex_payload(ring: BaseRing, obj: Any) -> BoundedComplex:
         if isinstance(entry, dict):
             terms[deg] = parse_module_payload(ring, entry)
         else:
-            terms[deg] = FpModule.free(ring, _json_int(entry, f"rank at degree {deg}", 0))
+            terms[deg] = FpModule.free(
+                ring, _json_int(entry, f"rank at degree {deg}", 0, MAX_RANK))
     bmaps: dict[int, ModuleMap] = {}
     for off, body in enumerate(bodies):
         deg = hi - off
@@ -166,7 +188,7 @@ def parse_matrix_payload(ring: BaseRing, obj: Any) -> Matrix:
         raise InputError("matrix payload needs 'entries'")
     cols = obj.get("cols")
     if cols is not None:
-        cols = _json_int(cols, "column count", 0)
+        cols = _json_int(cols, "column count", 0, MAX_RANK)
     return _parse_matrix(ring, obj["entries"], cols)
 
 
@@ -397,8 +419,8 @@ def _cmd_check_universal(args) -> tuple[str, int]:
 
 
 def _tor_ext_command(args, functor: str) -> tuple[str, int]:
+    depth = _capped(args.depth, "--depth", MAX_DEPTH)
     ring, m = load_document(args.input, "module")
-    depth = args.depth
     fiber_fn = tor_fiber if functor == "tor" else ext_fiber
     criterion = tor_flatness_criterion if functor == "tor" else ext_flatness_criterion
     primes = _sorted_primes(_primes_for(args, module_prime_set(m), ring))
@@ -443,8 +465,9 @@ def _cmd_ext(args) -> tuple[str, int]:
 
 def _cmd_koszul(args) -> tuple[str, int]:
     ring = parse_ring(args.ring)
-    elements = [parse_scalar(ring, tok.strip())
-                for tok in args.elements.split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in args.elements.split(",") if tok.strip()]
+    _capped(len(tokens), "number of --elements", MAX_KOSZUL_ELEMENTS)
+    elements = [parse_scalar(ring, tok) for tok in tokens]
     if not elements:
         raise InputError("need at least one element")
     kx = koszul_complex(ring, elements)
@@ -516,6 +539,8 @@ def _cmd_filtration(args) -> tuple[str, int]:
 
 
 def _cmd_gallery(args) -> tuple[str, int]:
+    _capped(args.max_prime, "--max-prime", MAX_PRIME_BOUND)
+    _capped(args.max_stage, "--max-stage", MAX_STAGE)
     rep = gallery(args.name, p=args.p, max_prime=args.max_prime,
                   max_stage=args.max_stage, window=args.window)
     rows = []
@@ -538,7 +563,7 @@ def _cmd_gallery(args) -> tuple[str, int]:
     payload = {"command": "gallery", "name": rep.name, "ring": rep.ring.literal(),
                "parameters": rep.parameters, "rows": rows,
                "notes": list(rep.notes), "ok": rep.ok}
-    return _emit(args, payload, lines), 0
+    return _emit(args, payload, lines), 0 if rep.ok else 3
 
 
 # -- parser -------------------------------------------------------------------
@@ -570,18 +595,23 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("tor", "ext"):
         p = with_input(sub.add_parser(name, help=f"{name} dimensions against residue fields"))
         p.add_argument("--depth", type=int, default=1,
-                       help="largest homological degree to examine (default 1)")
+                       help=f"largest homological degree to examine (default 1, "
+                            f"at most {MAX_DEPTH})")
         p.add_argument("--primes", help="comma-separated prime literals")
     p = sub.add_parser("koszul", help="Koszul complex and its self-duality check")
     p.add_argument("--ring", default="Z", help="ring literal (default Z)")
-    p.add_argument("--elements", required=True, help="comma-separated ring elements")
+    p.add_argument("--elements", required=True,
+                   help=f"comma-separated ring elements (at most {MAX_KOSZUL_ELEMENTS})")
     with_input(sub.add_parser("nullhomotopy", help="explicit contraction or NONE"))
     with_input(sub.add_parser("filtration", help="prime filtration of a module"))
     p = sub.add_parser("gallery", help="prebuilt example towers with expected values")
     p.add_argument("name", help="sum-inverse-primes | injective-hull | dvr-fraction-field")
     p.add_argument("-p", type=int, default=2, help="prime parameter (default 2)")
-    p.add_argument("--max-prime", type=int, default=100, dest="max_prime")
-    p.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE, dest="max_stage")
+    p.add_argument("--max-prime", type=int, default=100, dest="max_prime",
+                   help=f"largest prime checked (default 100, at most {MAX_PRIME_BOUND})")
+    p.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE, dest="max_stage",
+                   help=f"last tower stage evaluated (default {DEFAULT_MAX_STAGE}, "
+                        f"at most {MAX_STAGE})")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     return parser
 

@@ -5,11 +5,15 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 
 * ``snf(A)`` returns U, D, V with A = U @ D @ V, det(U) and det(V) units,
   and the diagonal of D a divisibility chain with trailing zeros.
-* One integer kernel serves every ring.  Its pivot is the nonzero entry of
-  least absolute value in the working submatrix, ties broken by lowest
-  (row, col).  Z/n and F_p lift canonical representatives to Z and reduce
-  the result; Z_(p) and Q first clear denominators with their lcm, a unit.
-  The unit part of each divisor is then folded into V (see _snf_full).
+* SNF, det, determinantal divisors and matrix products run on integral
+  lifts (_integral_lift): canonical representatives over Z/n and F_p, the
+  matrix times the lcm of its denominators (a unit) over Z_(p) and Q.
+  field_rank alone eliminates over the field itself: it is the independent
+  Gaussian route that tests check the SNF against.
+* One integer kernel serves every ring's SNF.  Its pivot is the nonzero
+  entry of least absolute value in the working submatrix, ties broken by
+  lowest (row, col).  The unit part of each divisor is then folded into V
+  (see _snf_full).
 * Diagonal entries are canonical: non-negative over Z, representatives in
   [0, n) over Z/n, pure powers of p over Z_(p), 0 or 1 over fields.
 * Zero-dimension matrices are legal everywhere and behave as zero maps.
@@ -28,7 +32,7 @@ from .rings import BaseRing, Prime, Scalar, ZZ
 __all__ = [
     "Matrix", "SnfDecomposition", "snf", "rank", "rank_over_fiber",
     "determinantal_divisors", "solve_integral", "syzygy_matrix",
-    "reduce_matrix", "field_rank", "field_nullspace", "det",
+    "reduce_matrix", "field_rank", "det",
     "hstack", "vstack", "kron",
 ]
 
@@ -119,9 +123,6 @@ class Matrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self._data[i]
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self._data)
-
     def to_rows(self) -> list[list[Scalar]]:
         return [list(r) for r in self._data]
 
@@ -142,58 +143,42 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _mod(self) -> int | None:
-        return self.ring.param if self.ring.kind in ("Zmod", "Fp") else None
+    def _reduced(self, body: list[list[Scalar]], cols: int) -> "Matrix":
+        """A matrix over this ring from integer-combination entries: the one
+        place where results are reduced modulo n over Z/n and F_p."""
+        if self.ring.kind in ("Zmod", "Fp"):
+            mod = self.ring.param
+            body = [[x % mod for x in r] for r in body]
+        return Matrix._make(self.ring, body, cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        mod = self._mod()
-        if mod is None:
-            body = [[a + b for a, b in zip(r, s)] for r, s in zip(self._data, other._data)]
-        else:
-            body = [[(a + b) % mod for a, b in zip(r, s)] for r, s in zip(self._data, other._data)]
-        return Matrix._make(self.ring, body, self.cols)
+        return self._reduced([[a + b for a, b in zip(r, s)]
+                              for r, s in zip(self._data, other._data)], self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        mod = self._mod()
-        if mod is None:
-            body = [[a - b for a, b in zip(r, s)] for r, s in zip(self._data, other._data)]
-        else:
-            body = [[(a - b) % mod for a, b in zip(r, s)] for r, s in zip(self._data, other._data)]
-        return Matrix._make(self.ring, body, self.cols)
+        return self._reduced([[a - b for a, b in zip(r, s)]
+                              for r, s in zip(self._data, other._data)], self.cols)
 
     def __neg__(self) -> "Matrix":
-        mod = self._mod()
-        if mod is None:
-            body = [[-a for a in r] for r in self._data]
-        else:
-            body = [[(-a) % mod for a in r] for r in self._data]
-        return Matrix._make(self.ring, body, self.cols)
-
-    def scale(self, c: object) -> "Matrix":
-        c = self.ring.canon(c)
-        mod = self._mod()
-        if mod is None:
-            body = [[c * a for a in r] for r in self._data]
-        else:
-            body = [[(c * a) % mod for a in r] for r in self._data]
-        return Matrix._make(self.ring, body, self.cols)
+        return self._reduced([[-a for a in r] for r in self._data], self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
             raise InputError(f"ring mismatch: {self.ring} vs {other.ring}")
         if self.cols != other.rows:
             raise InputError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols_t = list(zip(*other._data)) if other.rows else [()] * other.cols
-        mod = self._mod()
-        body = []
-        for r in self._data:
-            if mod is None:
-                body.append([sum(a * b for a, b in zip(r, c)) for c in cols_t])
-            else:
-                body.append([sum(a * b for a, b in zip(r, c)) % mod for c in cols_t])
-        return Matrix._make(self.ring, body, other.cols)
+        # Integer products on the integral lifts; over Z_(p) and Q the sums
+        # are divided by the two scales afterwards.
+        sa, lift_a = _integral_lift(self)
+        sb, lift_b = _integral_lift(other)
+        cols_t = list(zip(*lift_b)) if other.rows else [()] * other.cols
+        body = [[sum(a * b for a, b in zip(r, c)) for c in cols_t] for r in lift_a]
+        if self.ring.uses_fractions:
+            scale = sa * sb
+            body = [[Fraction(x, scale) for x in r] for r in body]
+        return self._reduced(body, other.cols)
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
@@ -212,12 +197,17 @@ class Matrix:
 
 
 def hstack(blocks: Sequence[Matrix]) -> Matrix:
+    """Blocks side by side.  A lone block of nonzero width is returned as
+    is (matrices are immutable), so its cached SNF is reused."""
     blocks = [b for b in blocks]
     if not blocks:
         raise InputError("hstack of nothing")
     ring, m = blocks[0].ring, blocks[0].rows
     if any(b.ring != ring or b.rows != m for b in blocks):
         raise InputError("hstack blocks must share ring and height")
+    wide = [b for b in blocks if b.cols]
+    if len(wide) == 1:
+        return wide[0]
     body = [[x for b in blocks for x in b._data[i]] for i in range(m)]
     return Matrix._make(ring, body, sum(b.cols for b in blocks))
 
@@ -237,17 +227,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with row-major index (i, k) -> i * b.rows + k."""
     if a.ring != b.ring:
         raise InputError("ring mismatch in kron")
-    mod = a._mod()
-    body = []
-    for i in range(a.rows):
-        arow = a._data[i]
-        for k in range(b.rows):
-            brow = b._data[k]
-            if mod is None:
-                body.append([x * y for x in arow for y in brow])
-            else:
-                body.append([(x * y) % mod for x in arow for y in brow])
-    return Matrix._make(a.ring, body, a.cols * b.cols)
+    body = [[x * y for x in arow for y in brow] for arow in a._data for brow in b._data]
+    return a._reduced(body, a.cols * b.cols)
 
 
 # -- Smith normal form ------------------------------------------------------
@@ -417,24 +398,32 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
     return U, D, V, Ui, Vi
 
 
-def _snf_full(a: Matrix) -> _SnfFull:
-    """Every ring runs through the integer kernel on an integral lift.
+def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
+    """(scale, rows): integer rows equal to scale * A entrywise.
 
-    Over Z_(p) and Q the lift is A times the lcm of its denominators, a unit
-    in both rings; over Z/n and F_p it is the canonical representatives.
+    The only place denominators are cleared.  Over Z_(p) and Q the scale is
+    the lcm of the denominators, a unit in both rings; over Z, Z/n and F_p
+    it is 1 and the rows are A's own canonical representatives, not a copy.
+    """
+    if not a.ring.uses_fractions:
+        return 1, a._data
+    scale = lcm(1, *(x.denominator for r in a._data for x in r))
+    return scale, [[x.numerator * (scale // x.denominator) for x in r] for r in a._data]
+
+
+def _snf_full(a: Matrix) -> _SnfFull:
+    """Every ring runs through the integer kernel on its integral lift.
+
     Each nonzero integer divisor d splits as c*u with c canonical (p^v over
-    Z_(p), 1 over fields) and u a unit; u/lcm moves into row i of V and its
-    inverse into column i of Vi.  Over F_p a divisor divisible by p becomes
+    Z_(p), 1 over fields) and u a unit; u/scale moves into row i of V and
+    its inverse into column i of Vi.  Over F_p a divisor divisible by p becomes
     0, and such zeros trail because the integer divisors form a chain.
     """
     if a._snf is not None:
         return a._snf
     ring, m, n = a.ring, a.rows, a.cols
     kind, p = ring.kind, ring.param
-    scale, lift = 1, a._data
-    if ring.uses_fractions:
-        scale = lcm(1, *(x.denominator for r in a._data for x in r))
-        lift = [[x.numerator * (scale // x.denominator) for x in r] for r in a._data]
+    scale, lift = _integral_lift(a)
     U, D, V, Ui, Vi = _snf_int(lift, m, n)
     if kind in ("Zloc", "Q", "Fp"):
         for i in range(min(m, n)):
@@ -512,10 +501,12 @@ def rank_over_fiber(a: Matrix, q: Prime) -> int:
 def determinantal_divisors(a: Matrix) -> list[Scalar]:
     """k-th entry: gcd of all k x k minors, computed by direct enumeration.
 
-    Minors are shared across subset levels with a Laplace-expansion DP.
-    Only rings with meaningful gcds are supported (Z and Z_(p)); the k-th
-    divisor equals the product of the first k elementary divisors up to
-    units, which tests assert against snf().
+    Minors of the integral lift are shared across subset levels with a
+    Laplace-expansion DP.  Only rings with meaningful gcds are supported
+    (Z and Z_(p)); over Z_(p) the lift scales each k-minor by a unit, so the
+    gcd is p to the least valuation of the integer minors.  The k-th divisor
+    equals the product of the first k elementary divisors up to units,
+    which tests assert against snf().
 
     >>> from fiberflat.rings import ZZ
     >>> determinantal_divisors(Matrix(ZZ, [[2, 0], [0, 3]]))
@@ -527,98 +518,58 @@ def determinantal_divisors(a: Matrix) -> list[Scalar]:
     m, n = a.rows, a.cols
     kmax = min(m, n)
     out: list[Scalar] = []
-    if kmax == 0:
-        return out
     from itertools import combinations
 
-    data = a._data
-    if ring.kind == "Z":
-        level: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
-        for k in range(1, kmax + 1):
-            nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-            g = 0
-            for rows_sel in combinations(range(m), k):
-                r0, rest = rows_sel[0], rows_sel[1:]
-                row = data[r0]
-                for cols_sel in combinations(range(n), k):
-                    acc = 0
-                    sign = 1
-                    for t, c in enumerate(cols_sel):
-                        acc += sign * row[c] * level[(rest, cols_sel[:t] + cols_sel[t + 1:])]
-                        sign = -sign
-                    nxt[(rows_sel, cols_sel)] = acc
-                    if acc:
-                        g = gcd(g, acc)
-            out.append(g)
-            if g == 0:
-                # All k-minors vanish, so all larger minors vanish too.
-                out.extend([0] * (kmax - k))
-                break
-            level = nxt
-        return out
-
-    # Z_(p): the gcd of a set of elements is p^(minimal valuation).
-    p = ring.param
-    flevel: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {((), ()): Fraction(1)}
+    _, data = _integral_lift(a)
+    level: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
     for k in range(1, kmax + 1):
-        nxt_f: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-        minval: int | None = None
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        g = 0
         for rows_sel in combinations(range(m), k):
             r0, rest = rows_sel[0], rows_sel[1:]
             row = data[r0]
             for cols_sel in combinations(range(n), k):
-                acc = Fraction(0)
+                acc = 0
                 sign = 1
                 for t, c in enumerate(cols_sel):
-                    acc += sign * row[c] * flevel[(rest, cols_sel[:t] + cols_sel[t + 1:])]
+                    acc += sign * row[c] * level[(rest, cols_sel[:t] + cols_sel[t + 1:])]
                     sign = -sign
-                nxt_f[(rows_sel, cols_sel)] = acc
+                nxt[(rows_sel, cols_sel)] = acc
                 if acc:
-                    v = ring.valuation(acc)
-                    if minval is None or v < minval:
-                        minval = v
-        if minval is None:
-            out.extend([Fraction(0)] * (kmax - k + 1))
+                    g = gcd(g, acc)
+        out.append(g)
+        if g == 0:
+            # All k-minors vanish, so all larger minors vanish too.
+            out.extend([0] * (kmax - k))
             break
-        out.append(Fraction(p) ** minval)
-        flevel = nxt_f
+        level = nxt
+    if ring.kind == "Zloc":
+        p = ring.param
+        out = [ring.canon(p ** ring.valuation(g) if g else 0) for g in out]
     return out
 
 
 def det(a: Matrix) -> Scalar:
-    """Exact determinant (Bareiss over the integer rings, fractions elsewhere)."""
+    """Exact determinant: integer Bareiss on the integral lift.
+
+    Over Z/n and F_p the integer determinant of the canonical lift is
+    reduced; over Z_(p) and Q the lift is scale * A, so det(A) is the
+    integer determinant divided by scale**n.
+    """
     if a.rows != a.cols:
         raise InputError(f"determinant of non-square {a.rows}x{a.cols}")
     ring, n = a.ring, a.rows
     if n == 0:
         return ring.one
-    if ring.uses_fractions:
-        mat = [[Fraction(x) for x in r] for r in a._data]
-        sign = 1
-        dd = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if mat[i][k]), None)
-            if piv is None:
-                return ring.canon(0)
-            if piv != k:
-                mat[k], mat[piv] = mat[piv], mat[k]
-                sign = -sign
-            dd *= mat[k][k]
-            inv = 1 / mat[k][k]
-            for i in range(k + 1, n):
-                f = mat[i][k] * inv
-                if f:
-                    mat[i] = [x - f * y for x, y in zip(mat[i], mat[k])]
-        return ring.canon(sign * dd)
-    # Integer Bareiss on the canonical lift; quotients are exact.
-    mat = [list(r) for r in a._data]
+    scale, lift = _integral_lift(a)
+    mat = [list(r) for r in lift]
     sign = 1
     prev = 1
     for k in range(n - 1):
         if mat[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if mat[i][k]), None)
             if piv is None:
-                return ring.canon(0)
+                return ring.zero
             mat[k], mat[piv] = mat[piv], mat[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -626,7 +577,7 @@ def det(a: Matrix) -> Scalar:
                 mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
             mat[i][k] = 0
         prev = mat[k][k]
-    return ring.canon(sign * mat[n - 1][n - 1])
+    return ring.canon(Fraction(sign * mat[n - 1][n - 1], scale ** n))
 
 
 def solve_integral(a: Matrix, b: Matrix) -> Matrix | None:
@@ -728,43 +679,3 @@ def field_rank(a: Matrix) -> int:
         if rk == a.rows:
             break
     return rk
-
-
-def field_nullspace(a: Matrix) -> Matrix:
-    """Columns forming a basis of the kernel over Q or F_p."""
-    ring = a.ring
-    if not ring.is_field:
-        raise InputError(f"field_nullspace needs a field, got {ring}")
-    p = ring.param if ring.kind == "Fp" else None
-    rows = [[Fraction(x) for x in r] for r in a._data] if p is None \
-        else [list(r) for r in a._data]
-    pivots: list[int] = []
-    rk = 0
-    for j in range(a.cols):
-        piv = next((i for i in range(rk, a.rows) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = pow(rows[rk][j], -1, p) if p is not None else 1 / rows[rk][j]
-        rows[rk] = [(x * inv) % p if p is not None else x * inv for x in rows[rk]]
-        for i in range(a.rows):
-            if i != rk and rows[i][j]:
-                f = rows[i][j]
-                if p is not None:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rk])]
-                else:
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        pivots.append(j)
-        rk += 1
-        if rk == a.rows:
-            break
-    free = [j for j in range(a.cols) if j not in pivots]
-    columns = []
-    for j in free:
-        vec = [ring.zero] * a.cols
-        vec[j] = ring.one
-        for i, pj in enumerate(pivots):
-            val = rows[i][j]
-            vec[pj] = (-val) % p if p is not None else -val
-        columns.append(vec)
-    return Matrix.from_columns(ring, columns, rows=a.cols)

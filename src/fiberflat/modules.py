@@ -269,7 +269,8 @@ class ModuleMap:
                         hstack([self.target.relations, self.matrix]))
 
     def is_injective(self) -> bool:
-        return self.kernel()[0].is_zero()
+        # the kernel's generators, as vectors on the source generators
+        return self.source.vanishes(_pullback(self.matrix, self.target.relations))
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_zero()

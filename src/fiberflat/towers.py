@@ -24,7 +24,7 @@ from typing import Callable
 
 from .complexes import BoundedComplex, ChainMap
 from .errors import InputError
-from .linalg import Matrix, field_nullspace, field_rank, hstack, reduce_matrix
+from .linalg import Matrix, field_rank, hstack, reduce_matrix, syzygy_matrix
 from .modules import FpModule, ModuleMap, lift_to_resolutions, tor_fiber
 from .rings import GENERIC, BaseRing, Prime, ZZ, is_prime, localized_at
 
@@ -191,7 +191,7 @@ def _reduced_homology_data(res_boundary_in: Matrix, res_boundary_out: Matrix,
     homology dimension) for one homological degree over kappa(q)."""
     d_in = reduce_matrix(res_boundary_in, q)
     d_out = reduce_matrix(res_boundary_out, q)
-    ker = field_nullspace(d_in)
+    ker = syzygy_matrix(d_in)
     dim = ker.cols - field_rank(d_out)
     return ker, d_out, dim
 

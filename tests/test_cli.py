@@ -1,14 +1,20 @@
 """End-to-end command-line checks, run in process through main()."""
 
+import dataclasses
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberflat.cli import load_document, main, render_document
+from fiberflat import cli
+from fiberflat.cli import (
+    MAX_DEPTH, MAX_KOSZUL_ELEMENTS, MAX_PRIME_BOUND, MAX_RANK, MAX_STAGE,
+    load_document, main, render_document,
+)
 
 # -- document corpus -----------------------------------------------------------
 
@@ -338,6 +344,58 @@ def test_gallery_rejects_bounds_that_prove_nothing(capsys):
     assert run(capsys, "gallery", "sum-inverse-primes", "--max-prime", "-5")[0] == 2
 
 
+def test_gallery_mismatch_exits_3(capsys, monkeypatch):
+    real = cli.gallery
+    monkeypatch.setattr(cli, "gallery",
+                        lambda *a, **kw: dataclasses.replace(real(*a, **kw), ok=False))
+    code, out, _ = run(capsys, "--format", "json", "gallery", "dvr-fraction-field")
+    assert code == 3 and json.loads(out)["ok"] is False
+
+
+# -- size caps -------------------------------------------------------------------
+
+def _single_term(ring, rank):
+    return _doc(ring, "complex", {"lo": 0, "hi": 0, "ranks_or_terms": [rank],
+                                  "boundaries": []})
+
+
+Z4_MODULE = _doc("Z/4", "module", {"generators": 1, "relations": [[2]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", _single_term("Z", MAX_RANK + 1)],
+    ["homology", _single_term("Z", 10 ** 8)],
+    ["tor", _doc("Z", "module", {"generators": MAX_RANK + 1, "relations": []})],
+    ["tor", _doc("Z", "module", {"generators": 1, "relations": [[2]] * (MAX_RANK + 1)})],
+    ["snf", _doc("Z", "matrix", {"entries": [], "cols": MAX_RANK + 1})],
+    ["snf", _doc("Z", "matrix", {"entries": [[]] * (MAX_RANK + 1), "cols": 0})],
+    ["snf", _doc("Z", "matrix", {"entries": [[0] * (MAX_RANK + 1)]})],
+    ["tor", "--depth", str(MAX_DEPTH + 1), Z4_MODULE],
+    ["ext", "--depth", str(10 ** 30), Z4_MODULE],
+    ["koszul", "--elements", ",".join(["2"] * (MAX_KOSZUL_ELEMENTS + 1))],
+    ["gallery", "sum-inverse-primes", "--max-prime", str(MAX_PRIME_BOUND + 1)],
+    ["gallery", "dvr-fraction-field", "--max-stage", str(MAX_STAGE + 1)],
+], ids=["rank", "rank-1e8", "generators", "relations", "cols", "rows", "row-length",
+        "depth", "depth-1e30", "koszul-elements", "max-prime", "max-stage"])
+def test_values_above_their_cap_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", _single_term("Zloc/3", MAX_RANK)],
+    ["tor", "--depth", str(MAX_DEPTH), Z4_MODULE],
+    ["koszul", "--ring", "Q", "--elements", ",".join(map(str, range(1, MAX_KOSZUL_ELEMENTS + 1)))],
+    ["gallery", "sum-inverse-primes", "--max-prime", str(MAX_PRIME_BOUND),
+     "--max-stage", str(MAX_STAGE), "--window", str(MAX_STAGE)],
+], ids=["rank", "depth", "koszul-elements", "gallery"])
+def test_values_at_their_cap_finish(capsys, argv):
+    start = time.perf_counter()
+    assert run(capsys, "--format", "json", *argv)[0] == 0
+    assert time.perf_counter() - start < 5.0
+
+
 # -- contradiction exit path ---------------------------------------------------
 
 def test_failed_reverification_exits_3(capsys, monkeypatch):
@@ -420,4 +478,45 @@ def test_fuzzed_documents_end_in_a_documented_exit(argv):
     # two handled by main escapes and fails the test
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(["--format", "json", *argv])
+    assert code in (0, 2, 3), err.getvalue()
+
+
+# -- flag fuzzing ------------------------------------------------------------------
+
+def _flag(lo, hi):
+    """A flag value: an integer around the allowed range, or text argparse rejects."""
+    return st.one_of(st.integers(lo, hi).map(str),
+                     st.sampled_from(["x", "1.5", "", "1" + "0" * 30, "9" * 5000]))
+
+
+@st.composite
+def _flag_cases(draw):
+    command = draw(st.sampled_from(["tor", "ext", "koszul", "gallery"]))
+    if command in ("tor", "ext"):
+        return [command, "--depth", draw(_flag(-2, MAX_DEPTH + 2)), Z4_MODULE]
+    if command == "koszul":
+        n = draw(st.integers(0, MAX_KOSZUL_ELEMENTS + 2))
+        elements = draw(st.lists(st.sampled_from(["0", "1", "2", "3", "-6", "1/2", "x"]),
+                                 min_size=n, max_size=n))
+        ring = draw(st.sampled_from(["Z", "Q", "Z/12", "Zloc/3", "F5"]))
+        return ["koszul", "--ring", ring, "--elements", ",".join(elements)]
+    name = draw(st.sampled_from(["sum-inverse-primes", "injective-hull",
+                                 "dvr-fraction-field", "mystery"]))
+    argv = ["gallery", name]
+    for flag, lo, hi in (("-p", -3, 12), ("--max-prime", -3, MAX_PRIME_BOUND + 2),
+                         ("--max-stage", -3, MAX_STAGE + 2), ("--window", -1, MAX_STAGE + 2)):
+        if draw(st.booleans()):
+            argv += [flag, draw(_flag(lo, hi))]
+    return argv
+
+
+@settings(max_examples=60, deadline=5000)
+@given(_flag_cases())
+def test_fuzzed_flags_end_in_a_documented_exit(argv):
+    # argparse rejects text that is not an integer by raising SystemExit(2)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(["--format", "json", *argv])
+        except SystemExit as exc:
+            code = exc.code
     assert code in (0, 2, 3), err.getvalue()

@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from fiberflat.errors import InputError
 from fiberflat.linalg import (
-    Matrix, det, determinantal_divisors, field_nullspace, field_rank, hstack,
-    rank, rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix,
-    vstack,
+    Matrix, det, determinantal_divisors, field_rank, hstack, rank,
+    rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix, vstack,
 )
 from fiberflat.rings import (
     GENERIC, Prime, QQ, ZZ, integers_mod, localized_at, prime_field,
 )
 
-from _oracles import box_kernel, box_solve, fraction_rank, minor_gcd, modp_rank
+from _oracles import (
+    box_kernel, box_solve, fraction_rank, minor_gcd, modp_rank, naive_det,
+)
 
 entry = st.integers(min_value=-9, max_value=9)
 
@@ -102,6 +103,15 @@ def test_snf_contract_over_fields(b):
     assert_snf_contract(b)
     for d in snf(b).elementary_divisors:
         assert d == ring.one or d == ring.zero
+
+
+@given(st.sampled_from([QQ, localized_at(3)]).flatmap(fraction_matrix))
+def test_product_over_fraction_rings_matches_fraction_arithmetic(a):
+    rows = a.to_rows()
+    product = (a @ a.transpose()).to_rows()
+    assert product == [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in rows]
+                       for r in rows]
+    assert all(isinstance(x, Fraction) for r in product for x in r)
 
 
 def test_pinned_snf_example():
@@ -224,10 +234,10 @@ def test_syzygy_over_zmod():
 
 
 @given(int_matrix(max_dim=3))
-def test_field_nullspace_spans_kernel(a):
+def test_field_syzygies_span_kernel(a):
     for q in (GENERIC, Prime.at(2)):
         reduced = reduce_matrix(a, q)
-        ns = field_nullspace(reduced)
+        ns = syzygy_matrix(reduced)
         assert (reduced @ ns).is_zero()
         assert ns.cols == a.cols - field_rank(reduced)
         assert field_rank(ns) == ns.cols
@@ -243,6 +253,29 @@ def test_det_is_multiplicative(pair):
     a = Matrix(ZZ, a_rows, cols=n)
     b = Matrix(ZZ, b_rows, cols=n)
     assert det(a @ b) == det(a) * det(b)
+
+
+fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@pytest.mark.parametrize("ring", [QQ, localized_at(3)], ids=["QQ", "Zloc3"])
+@settings(max_examples=60)
+@given(rows=st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(fraction, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_with_fractional_entries_matches_laplace(ring, rows):
+    # over Z_(3) denominators divisible by 3 are not ring elements
+    if ring.kind == "Zloc":
+        rows = [[x if x.denominator % 3 else x * 3 for x in r] for r in rows]
+    d = det(Matrix(ring, rows, cols=len(rows)))
+    assert d == naive_det(rows) and isinstance(d, Fraction)
+
+
+def test_hstack_returns_a_lone_wide_block_itself():
+    a = Matrix(ZZ, [[1, 2], [3, 4]])
+    assert hstack([a, Matrix.zeros(ZZ, a.rows, 0)]) is a
+    assert hstack([Matrix.zeros(ZZ, a.rows, 0), a]) is a
+    assert hstack([a]) is a
+    assert hstack([a, a]) == Matrix(ZZ, [[1, 2, 1, 2], [3, 4, 3, 4]])
 
 
 def test_empty_matrix_edge_cases():

@@ -15,7 +15,9 @@ from fiberflat.modules import (
     lift_to_resolutions, map_prime_set, matrix_bad_primes, module_prime_set,
     prime_filtration, purity_report, tor_fiber,
 )
-from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, localized_at
+from fiberflat.rings import (
+    GENERIC, Prime, ZZ, integers_mod, localized_at, prime_field,
+)
 
 
 Z12 = integers_mod(12)
@@ -125,6 +127,28 @@ def test_kernel_image_cokernel_on_multiplication_by_two():
     assert f.image().is_isomorphic_to(z)
     assert f.cokernel().is_isomorphic_to(FpModule.cyclic(ZZ, 2))
     assert f.is_injective() and not f.is_surjective()
+    # non-free sources: Z/2 --x2--> Z/4 is injective, Z/4 --x1--> Z/2 is not
+    z2, z4 = FpModule.cyclic(ZZ, 2), FpModule.cyclic(ZZ, 4)
+    assert ModuleMap(z2, z4, Matrix(ZZ, [[2]])).is_injective()
+    assert not ModuleMap(z4, z2, Matrix(ZZ, [[1]])).is_injective()
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z12, localized_at(3), prime_field(5)],
+                         ids=["Z", "Z12", "Zloc3", "F5"])
+def test_is_injective_agrees_with_the_kernel(ring):
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(200):
+        src, tgt = (random_fp_module(rng, ring, max_gens=2, max_rels=2, entry_bound=4) for _ in range(2))
+        mat = Matrix(ring, [[rng.randint(-3, 3) for _ in range(src.gens)]
+                            for _ in range(tgt.gens)], cols=src.gens)
+        try:
+            f = ModuleMap(src, tgt, mat)
+        except InputError:
+            continue
+        assert f.is_injective() == f.kernel()[0].is_zero()
+        checked += 1
+    assert checked >= 40
 
 
 def test_kernel_of_torsion_endomorphism():

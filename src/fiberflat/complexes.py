@@ -148,28 +148,30 @@ class BoundedComplex:
     # -- fibers ---------------------------------------------------------------
 
     def fiber_homology_dim(self, q: Prime, i: int) -> int:
-        """dim over kappa(q) of H_i(kappa(q) tensor C).
+        """dim over kappa(q) of H_i(kappa(q) tensor C)."""
+        if i < self.lo or i > self.hi:
+            return 0
+        return self._fiber_dims(q, i, i)[i]
+
+    def _fiber_dims(self, q: Prime, lo: int, hi: int) -> dict[int, int]:
+        """dim over kappa(q) of H_i(kappa(q) tensor C) for lo <= i <= hi.
 
         Works for arbitrary finitely presented terms: with A_j the reduced
         relations of term(j) and F_j the reduced boundary, the dimension is
           gens_i - rank[F_i | A_{i-1}] + rank A_{i-1} - rank[F_{i+1} | A_i],
-        each rank taken over the residue field.
+        each rank taken over the residue field, and each computed once.
         """
-        if i < self.lo or i > self.hi:
-            return 0
-        a_below = reduce_matrix(self.term(i - 1).relations, q)
-        a_here = reduce_matrix(self.term(i).relations, q)
-        f_in = reduce_matrix(self.boundary(i).matrix, q)
-        f_out = reduce_matrix(self.boundary(i + 1).matrix, q)
-        return (self.term(i).gens
-                - field_rank(hstack([f_in, a_below])) + field_rank(a_below)
-                - field_rank(hstack([f_out, a_here])))
+        below = {i: reduce_matrix(self.term(i - 1).relations, q) for i in range(lo, hi + 2)}
+        wall = {i: field_rank(hstack([reduce_matrix(self.boundary(i).matrix, q), a]))
+                for i, a in below.items()}
+        return {i: self.term(i).gens - wall[i] + field_rank(below[i]) - wall[i + 1]
+                for i in range(lo, hi + 1)}
 
     def fiber_profile(self, q: Prime) -> FiberProfile:
-        return FiberProfile(q, {i: self.fiber_homology_dim(q, i) for i in self.degrees()})
+        return FiberProfile(q, self._fiber_dims(q, self.lo, self.hi))
 
     def is_fiber_exact(self, q: Prime) -> bool:
-        return all(self.fiber_homology_dim(q, i) == 0 for i in self.degrees())
+        return self.fiber_profile(q).is_exact()
 
 
 def fiber_complex(cx: BoundedComplex, q: Prime) -> BoundedComplex:
@@ -283,7 +285,7 @@ def _block_matrix(ring: BaseRing, row_dims: Sequence[int], col_dims: Sequence[in
             row = body[r0 + i]
             for j in range(mat.cols):
                 row[c0 + j] = mat[i, j]
-    return Matrix(ring, body, cols=cols, _canon=False)
+    return Matrix._make(ring, body, cols)
 
 
 def cone(f: ChainMap) -> BoundedComplex:
@@ -413,7 +415,7 @@ def koszul_complex(ring: BaseRing, elements: Sequence[object]) -> BoundedComplex
                 reduced = s[:pos] + s[pos + 1:]
                 coeff = xs[t] if pos % 2 == 0 else ring.neg(xs[t])
                 body[pos_of[reduced]][j] = coeff
-        mats.append(Matrix(ring, body, cols=len(upper), _canon=False))
+        mats.append(Matrix._make(ring, body, len(upper)))
     return BoundedComplex.free_complex(ring, 0, ranks, mats)
 
 
@@ -449,7 +451,7 @@ def koszul_selfduality(ring: BaseRing, elements: Sequence[object]) -> ChainMap:
             comp = tuple(t for t in range(d) if t not in s)
             val = lams[i] * _merge_sign(s, d)
             body[comp_pos[comp]][j] = ring.canon(val)
-        mat = Matrix(ring, body, cols=len(subsets), _canon=False)
+        mat = Matrix._make(ring, body, len(subsets))
         maps[i] = ModuleMap(src.term(i), tgt.term(i), mat)
     return ChainMap(src, tgt, maps)
 
@@ -547,8 +549,8 @@ def _global_homotopy(cx: BoundedComplex) -> dict[int, Matrix] | None:
         rhs_rows.extend([[ident[a, b]] for a in range(gi) for b in range(gi)])
     if not rows:
         return {}
-    system = Matrix(ring, rows, cols=total, _canon=False)
-    rhs = Matrix(ring, rhs_rows, cols=1, _canon=False)
+    system = Matrix._make(ring, rows, total)
+    rhs = Matrix._make(ring, rhs_rows, 1)
     sol = solve_integral(system, rhs)
     if sol is None:
         return None
@@ -559,7 +561,7 @@ def _global_homotopy(cx: BoundedComplex) -> dict[int, Matrix] | None:
             continue
         base = offsets[("h", i)]
         body = [[sol[base + r * n + cc, 0] for cc in range(n)] for r in range(m)]
-        maps[i] = Matrix(ring, body, cols=n, _canon=False)
+        maps[i] = Matrix._make(ring, body, n)
     return maps
 
 

@@ -187,7 +187,7 @@ def random_complex(rng: Random, ring: BaseRing | None = None,
             for a in range(phi.rows):
                 for b in range(phi.cols):
                     body[r0 + a][c0 + b] = phi[a, b]
-        mats.append(Matrix(ring, body, cols=ranks[i], _canon=False))
+        mats.append(Matrix._make(ring, body, ranks[i]))
 
     mats = _twist(rng, ring, ranks, mats, entry_bound)
     cx = BoundedComplex.free_complex(ring, 0, ranks, mats)

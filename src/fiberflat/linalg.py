@@ -8,12 +8,15 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 * SNF, det, determinantal divisors and matrix products run on integral
   lifts (_integral_lift): canonical representatives over Z/n and F_p, the
   matrix times the lcm of its denominators (a unit) over Z_(p) and Q.
-  field_rank alone eliminates over the field itself: it is the independent
-  Gaussian route that tests check the SNF against.
+  field_rank alone eliminates over the field itself (fraction-free, row by
+  row over Q): it is the independent Gaussian route that tests check the
+  SNF against.
 * One integer kernel serves every ring's SNF.  Its pivot is the nonzero
   entry of least absolute value in the working submatrix, ties broken by
-  lowest (row, col).  The unit part of each divisor is then folded into V
-  (see _snf_full).
+  lowest (row, col).  It eliminates D alone and records its row and column
+  moves; U, V and their inverses are replayed from the moves when a caller
+  first reads them, so rank and divisor queries build no witness.  The
+  unit part of each divisor is folded into V (see _snf_full).
 * Diagonal entries are canonical: non-negative over Z, representatives in
   [0, n) over Z/n, pure powers of p over Z_(p), 0 or 1 over fields.
 * Zero-dimension matrices are legal everywhere and behave as zero maps.
@@ -22,8 +25,10 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -51,7 +56,7 @@ class Matrix:
     __slots__ = ("ring", "rows", "cols", "_data", "_snf", "_hash")
 
     def __init__(self, ring: BaseRing, data: Iterable[Iterable[object]],
-                 cols: int | None = None, _canon: bool = True):
+                 cols: int | None = None):
         body = [list(r) for r in data]
         self.ring = ring
         self.rows = len(body)
@@ -64,19 +69,22 @@ class Matrix:
             self.cols = width
         else:
             self.cols = 0 if cols is None else cols
-        if _canon:
-            canon = ring.canon
-            self._data = tuple(tuple(canon(x) for x in r) for r in body)
-        else:
-            self._data = tuple(tuple(r) for r in body)
+        canon = ring.canon
+        self._data = tuple(tuple(canon(x) for x in r) for r in body)
         self._snf = None
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, ring: BaseRing, body: Sequence[Sequence[Scalar]], cols: int) -> "Matrix":
-        return cls(ring, body, cols=cols, _canon=False)
+    def _make(cls, ring: BaseRing, body: Iterable[Sequence[Scalar]], cols: int) -> "Matrix":
+        """Trusted constructor: canonical entries, rows of width cols."""
+        self = cls.__new__(cls)
+        self.ring, self.cols = ring, cols
+        self._data = tuple(map(tuple, body))
+        self.rows = len(self._data)
+        self._snf = self._hash = None
+        return self
 
     @classmethod
     def zeros(cls, ring: BaseRing, m: int, n: int) -> "Matrix":
@@ -174,7 +182,7 @@ class Matrix:
         sa, lift_a = _integral_lift(self)
         sb, lift_b = _integral_lift(other)
         cols_t = list(zip(*lift_b)) if other.rows else [()] * other.cols
-        body = [[sum(a * b for a, b in zip(r, c)) for c in cols_t] for r in lift_a]
+        body = [[sum(map(mul, r, c)) for c in cols_t] for r in lift_a]
         if self.ring.uses_fractions:
             scale = sa * sb
             body = [[Fraction(x, scale) for x in r] for r in body]
@@ -219,8 +227,7 @@ def vstack(blocks: Sequence[Matrix]) -> Matrix:
     ring, n = blocks[0].ring, blocks[0].cols
     if any(b.ring != ring or b.cols != n for b in blocks):
         raise InputError("vstack blocks must share ring and width")
-    body = [list(r) for b in blocks for r in b._data]
-    return Matrix(ring, body, cols=n, _canon=False)
+    return Matrix._make(ring, [r for b in blocks for r in b._data], n)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -266,90 +273,118 @@ def _chain_ok(ring: BaseRing, divisors: Sequence[Scalar]) -> bool:
 
 
 class _SnfFull:
-    """Internal decomposition carrying the tracked inverses of U and V."""
+    """A cached SNF: the divisors at once, each witness on first read.
 
-    __slots__ = ("U", "D", "V", "Ui", "Vi", "divisors")
+    The kernel records its moves instead of updating witnesses; each of
+    U, Ui (= U^-1), V and Vi (= V^-1) is replayed from them, reduced into
+    the ring, and kept the first time a caller reads it.  Ui @ A @ Vi = D.
+    """
 
-    def __init__(self, U: Matrix, D: Matrix, V: Matrix, Ui: Matrix, Vi: Matrix):
-        self.U, self.D, self.V, self.Ui, self.Vi = U, D, V, Ui, Vi
-        self.divisors = tuple(D[i, i] for i in range(min(D.rows, D.cols)))
+    def __init__(self, ring: BaseRing, m: int, n: int, divisors: tuple[Scalar, ...],
+                 row_moves: list, col_moves: list, units: list):
+        self.ring, self._m, self._n, self.divisors = ring, m, n, divisors
+        self._row_moves, self._col_moves, self._units = row_moves, col_moves, units
+
+    def _lower(self, rows: list[list[int]], units: Iterable[tuple[int, Scalar]]) -> Matrix:
+        """Integer rows as a square matrix over the ring, row i times u for each (i, u)."""
+        ring = self.ring
+        if ring.kind in ("Zmod", "Fp"):
+            p = ring.param
+            body = [[x % p for x in r] for r in rows]
+            for i, u in units:
+                body[i] = [x * u % p for x in rows[i]]
+        elif ring.uses_fractions:
+            body = [[Fraction(x) for x in r] for r in rows]
+            for i, u in units:
+                body[i] = [x * u for x in rows[i]]
+        else:
+            body = rows
+        return Matrix._make(ring, body, len(rows))
+
+    @cached_property
+    def D(self) -> Matrix:
+        return Matrix.diagonal(self.ring, self.divisors, self._m, self._n)
+
+    @cached_property
+    def U(self) -> Matrix:
+        return self._lower(_replay(self._m, self._row_moves, True), ()).transpose()
+
+    @cached_property
+    def Ui(self) -> Matrix:
+        return self._lower(_replay(self._m, self._row_moves), ())
+
+    @cached_property
+    def V(self) -> Matrix:
+        units = [(i, u) for i, u, _ in self._units if u != 1]
+        return self._lower(_replay(self._n, self._col_moves, True), units)
+
+    @cached_property
+    def Vi(self) -> Matrix:
+        units = [(i, u) for i, _, u in self._units if u != 1]
+        return self._lower(_replay(self._n, self._col_moves), units).transpose()
 
 
-def _eye(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+# Kernel moves (op, i, j, q): _ADD adds q times line j to line i, _SWAP
+# swaps lines i and j, _NEG negates line i; rows of D or columns of D.
+_ADD, _SWAP, _NEG = 0, 1, 2
+
+
+def _replay(n: int, moves: Sequence[tuple[int, int, int, int]],
+            inverse: bool = False) -> list[list[int]]:
+    """The moves applied in order as row operations to I_n; with inverse,
+    each move E is applied as (E^-1)^T instead.
+
+    Replaying row moves E_1..E_k gives Ui = E_k...E_1, and with inverse the
+    transpose of U = E_1^-1...E_k^-1; for column moves F_1..F_l (D = D F)
+    the same calls give the transpose of Vi = F_1...F_l, and V = F_l^-1...F_1^-1.
+    """
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for op, i, j, q in moves:
+        if op == _ADD:
+            if inverse:
+                rows[j] = [x - q * y for x, y in zip(rows[j], rows[i])]
+            else:
+                rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        elif op == _SWAP:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return rows
 
 
 def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
-    """Integer kernel.  Returns (U, D, V, Ui, Vi) as lists of int lists.
+    """Integer kernel.  Returns (D, row_moves, col_moves).
 
-    Maintains A = U @ D @ V throughout: every elementary row operation E on
-    D multiplies U by E^-1 on the right and Ui by E on the left; column
-    operations mirror this on V / Vi.
+    Only D is eliminated.  Every elementary row or column operation on D is
+    appended to row_moves or col_moves, in order, as an (op, i, j, q) move;
+    the witnesses are replayed from them on first read (see _SnfFull).
     """
     D = [list(r) for r in a_rows]
-    U, Ui = _eye(m), _eye(m)
-    V, Vi = _eye(n), _eye(n)
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        Ui[i], Ui[j] = Ui[j], Ui[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in Vi:
-            r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
-
-    def row_negate(i):
-        D[i] = [-x for x in D[i]]
-        Ui[i] = [-x for x in Ui[i]]
-        for r in U:
-            r[i] = -r[i]
-
-    def row_addmul(dst, src, q):
-        # D: row_dst += q*row_src, so U: col_src -= q*col_dst.
-        Dd, Ds = D[dst], D[src]
-        for k in range(n):
-            Dd[k] += q * Ds[k]
-        Ud, Us = Ui[dst], Ui[src]
-        for k in range(m):
-            Ud[k] += q * Us[k]
-        for r in U:
-            r[src] -= q * r[dst]
-
-    def col_addmul(dst, src, q):
-        # D: col_dst += q*col_src, so V: row_src -= q*row_dst.
-        for r in D:
-            r[dst] += q * r[src]
-        for r in Vi:
-            r[dst] += q * r[src]
-        Vd, Vs = V[dst], V[src]
-        for k in range(n):
-            Vs[k] -= q * Vd[k]
+    row_moves: list[tuple[int, int, int, int]] = []
+    col_moves: list[tuple[int, int, int, int]] = []
 
     def place_pivot(t) -> bool:
         # Smallest |value| nonzero in D[t:, t:], ties by lowest (row, col).
-        best = None
+        best, bi = 0, t
         for i in range(t, m):
-            Di = D[i]
-            for j in range(t, n):
-                v = Di[j]
-                if v:
-                    av = v if v > 0 else -v
-                    if best is None or av < best[0]:
-                        best = (av, i, j)
-        if best is None:
+            av = min(map(abs, filter(None, D[i][t:])), default=0)
+            if av and (not best or av < best):
+                best, bi = av, i
+                if av == 1:
+                    break
+        if not best:
             return False
-        _, i, j = best
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
+        bj = next(j for j in range(t, n) if abs(D[bi][j]) == best)
+        if bi != t:
+            D[t], D[bi] = D[bi], D[t]
+            row_moves.append((_SWAP, t, bi, 0))
+        if bj != t:
+            for r in D:
+                r[t], r[bj] = r[bj], r[t]
+            col_moves.append((_SWAP, t, bj, 0))
         if D[t][t] < 0:
-            row_negate(t)
+            D[t] = [-x for x in D[t]]
+            row_moves.append((_NEG, t, t, 0))
         return True
 
     t = 0
@@ -357,51 +392,44 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
         if not place_pivot(t):
             break
         while True:
-            # Clear column t then row t; nonzero remainders shrink the pivot.
+            # Clear column t by row moves, then row t by column moves (each
+            # column's multiplier read off row t first); nonzero remainders
+            # shrink the pivot.
             while True:
-                b = D[t][t]
-                dirty = False
+                top = D[t]
+                b = top[t]
                 for i in range(t + 1, m):
-                    v = D[i][t]
-                    if v:
-                        q = (2 * v + b) // (2 * b)
-                        if q:
-                            row_addmul(i, t, -q)
-                        if D[i][t]:
-                            dirty = True
-                for j in range(t + 1, n):
-                    v = D[t][j]
-                    if v:
-                        q = (2 * v + b) // (2 * b)
-                        if q:
-                            col_addmul(j, t, -q)
-                        if D[t][j]:
-                            dirty = True
-                if not dirty:
+                    q = (2 * D[i][t] + b) // (2 * b)
+                    if q:
+                        D[i] = [x - q * y for x, y in zip(D[i], top)]
+                        row_moves.append((_ADD, i, t, -q))
+                qs = [(2 * v + b) // (2 * b) for v in top[t + 1:]]
+                if any(qs):
+                    col_moves.extend((_ADD, j, t, -q) for j, q in enumerate(qs, t + 1) if q)
+                    for r in D:
+                        rt = r[t]
+                        if rt:
+                            r[t + 1:] = [x - q * rt for x, q in zip(r[t + 1:], qs)]
+                if not (any(top[t + 1:]) or any(D[i][t] for i in range(t + 1, m))):
                     break
                 place_pivot(t)
             # Pivot must divide the remaining submatrix before t advances.
             b = D[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                Di = D[i]
-                for j in range(t + 1, n):
-                    if Di[j] % b:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = None if b == 1 else next(
+                (i for i in range(t + 1, m) if any(x % b for x in D[i][t + 1:])), None)
             if offender is None:
                 break
-            row_addmul(t, offender, 1)
+            D[t] = [x + y for x, y in zip(D[t], D[offender])]
+            row_moves.append((_ADD, t, offender, 1))
         t += 1
-    return U, D, V, Ui, Vi
+    return D, row_moves, col_moves
 
 
 def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
     """(scale, rows): integer rows equal to scale * A entrywise.
 
-    The only place denominators are cleared.  Over Z_(p) and Q the scale is
+    The only place a whole matrix is cleared of denominators (field_rank
+    clears them row by row).  Over Z_(p) and Q the scale is
     the lcm of the denominators, a unit in both rings; over Z, Z/n and F_p
     it is 1 and the rows are A's own canonical representatives, not a copy.
     """
@@ -415,42 +443,36 @@ def _snf_full(a: Matrix) -> _SnfFull:
     """Every ring runs through the integer kernel on its integral lift.
 
     Each nonzero integer divisor d splits as c*u with c canonical (p^v over
-    Z_(p), 1 over fields) and u a unit; u/scale moves into row i of V and
-    its inverse into column i of Vi.  Over F_p a divisor divisible by p becomes
-    0, and such zeros trail because the integer divisors form a chain.
+    Z_(p), 1 over fields) and u a unit; (i, u/scale, scale/u) is kept so
+    that V scales its row i by u/scale and Vi its column i by the inverse.
+    Over F_p a divisor divisible by p becomes 0, and such zeros trail
+    because the integer divisors form a chain.
     """
     if a._snf is not None:
         return a._snf
     ring, m, n = a.ring, a.rows, a.cols
     kind, p = ring.kind, ring.param
     scale, lift = _integral_lift(a)
-    U, D, V, Ui, Vi = _snf_int(lift, m, n)
-    if kind in ("Zloc", "Q", "Fp"):
-        for i in range(min(m, n)):
-            d = D[i][i]
-            if d == 0 or (kind == "Fp" and d % p == 0):
-                continue
+    D, row_moves, col_moves = _snf_int(lift, m, n)
+    divisors, units = [], []
+    for i in range(min(m, n)):
+        d = D[i][i]
+        if kind in ("Zloc", "Q", "Fp") and d and not (kind == "Fp" and d % p == 0):
             c = 1
             while kind == "Zloc" and d % (c * p) == 0:
                 c *= p
             u = d // c
             if kind == "Fp":
-                u_row, u_col = u, pow(u, -1, p)
+                units.append((i, u % p, pow(u, -1, p)))
             else:
-                u_row, u_col = Fraction(u, scale), Fraction(scale, u)
-            D[i][i] = c
-            V[i] = [x * u_row for x in V[i]]
-            for r in Vi:
-                r[i] *= u_col
-    mats = (U, D, V, Ui, Vi)
+                units.append((i, Fraction(u, scale), Fraction(scale, u)))
+            d = c
+        divisors.append(d)
     if kind in ("Zmod", "Fp"):
-        mats = ([[x % p for x in r] for r in M] for M in mats)
+        divisors = [d % p for d in divisors]
     elif ring.uses_fractions:
-        mats = ([[Fraction(x) for x in r] for r in M] for M in mats)
-    U, D, V, Ui, Vi = mats
-    full = _SnfFull(
-        Matrix._make(ring, U, m), Matrix._make(ring, D, n), Matrix._make(ring, V, n),
-        Matrix._make(ring, Ui, m), Matrix._make(ring, Vi, n))
+        divisors = [Fraction(d) for d in divisors]
+    full = _SnfFull(ring, m, n, tuple(divisors), row_moves, col_moves, units)
     a._snf = full
     return full
 
@@ -653,28 +675,41 @@ def field_rank(a: Matrix) -> int:
     """Gaussian-elimination rank over Q or F_p.
 
     An independent route from rank_over_fiber's divisor counting; the two
-    are cross-checked by the test suite.
+    are cross-checked by the test suite.  Over Q each row is scaled by the
+    lcm of its denominators and eliminated fraction-free (Bareiss 1968):
+    every update (b*x - f*y) // prev divides exactly by the previous pivot.
     """
     ring = a.ring
     if not ring.is_field:
         raise InputError(f"field_rank needs a field, got {ring}")
     p = ring.param if ring.kind == "Fp" else None
-    rows = [list(r) for r in a._data]
-    rk = 0
+    if p is None:
+        rows = []
+        for r in a._data:
+            s = lcm(1, *(x.denominator for x in r))
+            rows.append([x.numerator * (s // x.denominator) for x in r])
+    else:
+        rows = [list(r) for r in a._data]
+    rk, prev = 0, 1
     for j in range(a.cols):
         piv = next((i for i in range(rk, a.rows) if rows[i][j]), None)
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = pow(rows[rk][j], -1, p) if p is not None else 1 / Fraction(rows[rk][j])
-        for i in range(rk + 1, a.rows):
-            f = rows[i][j]
-            if f:
-                fac = (f * inv) % p if p is not None else f * inv
-                if p is not None:
-                    rows[i] = [(x - fac * y) % p for x, y in zip(rows[i], rows[rk])]
-                else:
-                    rows[i] = [x - fac * y for x, y in zip(rows[i], rows[rk])]
+        top = rows[rk]
+        b = top[j]
+        if p is not None:
+            inv = pow(b, -1, p)
+            for i in range(rk + 1, a.rows):
+                f = rows[i][j]
+                if f:
+                    fac = (f * inv) % p
+                    rows[i] = [(x - fac * y) % p for x, y in zip(rows[i], top)]
+        else:
+            for i in range(rk + 1, a.rows):
+                f = rows[i][j]
+                rows[i] = [(b * x - f * y) // prev for x, y in zip(rows[i], top)]
+            prev = b
         rk += 1
         if rk == a.rows:
             break

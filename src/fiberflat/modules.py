@@ -500,7 +500,7 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
     d1_body = [[ring.zero] * t for _ in range(g0)]
     for col, pos in enumerate(torsion_pos):
         d1_body[pos][col] = ring.canon(torsion_of[kept[pos]])
-    d1 = Matrix(ring, d1_body, cols=t, _canon=False)
+    d1 = Matrix._make(ring, d1_body, t)
 
     boundaries: list[Matrix] = []
     if t:

@@ -15,6 +15,7 @@ from fiberflat.cli import (
     MAX_DEPTH, MAX_KOSZUL_ELEMENTS, MAX_PRIME_BOUND, MAX_RANK, MAX_STAGE,
     load_document, main, render_document,
 )
+from fiberflat.rings import PRIMALITY_BOUND
 
 # -- document corpus -----------------------------------------------------------
 
@@ -394,6 +395,29 @@ def test_values_at_their_cap_finish(capsys, argv):
     start = time.perf_counter()
     assert run(capsys, "--format", "json", *argv)[0] == 0
     assert time.perf_counter() - start < 5.0
+
+
+BIG_PRIME = 10 ** 18 + 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["fibers", "--primes", str(BIG_PRIME), TIMES_TWO_CX],
+    ["gallery", "injective-hull", "-p", str(BIG_PRIME)],
+    ["homology", _single_term(f"Zloc/{BIG_PRIME}", 2)],
+], ids=["fibers", "gallery", "zloc-ring"])
+def test_big_prime_literals_finish_within_the_fuzz_deadline(capsys, argv):
+    start = time.perf_counter()
+    assert run(capsys, "--format", "json", *argv)[0] == 0
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["fibers", "--primes", str(PRIMALITY_BOUND), TIMES_TWO_CX],
+    ["homology", _single_term(f"Zloc/{PRIMALITY_BOUND + 2}", 2)],
+], ids=["fibers", "zloc-ring"])
+def test_prime_literals_past_the_primality_bound_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("input error:")
 
 
 # -- contradiction exit path ---------------------------------------------------

@@ -15,7 +15,7 @@ from fiberflat.complexes import (
 )
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex
-from fiberflat.linalg import Matrix
+from fiberflat.linalg import Matrix, field_rank, hstack, reduce_matrix
 from fiberflat.modules import FpModule, ModuleMap
 from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, localized_at
 
@@ -100,6 +100,31 @@ def test_fiber_dim_formula_on_module_terms():
     assert tensored.fiber_homology_dim(q, 0) == 1
     assert tensored.fiber_homology_dim(q, 1) == 1
     assert tensored.fiber_homology_dim(GENERIC, 0) == 0
+
+
+def test_fiber_profile_shares_ranks_across_degrees():
+    # fiber_profile computes each rank once for all degrees; every entry
+    # must still equal the single-degree dimension and the formula
+    # gens_i - rank[F_i | A_{i-1}] + rank A_{i-1} - rank[F_{i+1} | A_i]
+    rng = random.Random(107)
+    for _ in range(12):
+        base = random_complex(rng, max_len=4, max_rank=3,
+                              population=rng.choice(["contractible", "hypothesis-false"])).complex
+        cx = tensor_with_module(FpModule.cyclic(ZZ, rng.choice([2, 3, 6])), base)
+        assert not cx.is_free()
+        for p in (None, 2, 3, 5):
+            q = GENERIC if p is None else Prime.at(p)
+
+            def rk(*blocks):
+                return field_rank(hstack([reduce_matrix(b, q) for b in blocks]))
+
+            profile = cx.fiber_profile(q)
+            for i in cx.degrees():
+                rel_below, rel_here = cx.term(i - 1).relations, cx.term(i).relations
+                formula = (cx.term(i).gens - rk(cx.boundary(i).matrix, rel_below)
+                           + rk(rel_below) - rk(cx.boundary(i + 1).matrix, rel_here))
+                assert profile.dims[i] == cx.fiber_homology_dim(q, i) == formula, (p, i)
+            assert cx.is_fiber_exact(q) == profile.is_exact()
 
 
 def test_euler_characteristic_is_fiber_independent():

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from fiberflat.errors import InputError
 from fiberflat.linalg import (
-    Matrix, det, determinantal_divisors, field_rank, hstack, rank,
+    Matrix, _snf_full, det, determinantal_divisors, field_rank, hstack, rank,
     rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix, vstack,
 )
+from fiberflat.modules import FpModule, matrix_bad_primes
 from fiberflat.rings import (
     GENERIC, Prime, QQ, ZZ, integers_mod, localized_at, prime_field,
 )
@@ -170,6 +171,65 @@ def test_field_rank_routes_agree(a):
         reduced = reduce_matrix(a, Prime.at(p))
         assert field_rank(reduced) == modp_rank(a.to_rows(), a.cols, p)
         assert rank_over_fiber(a, Prime.at(p)) == field_rank(reduced)
+
+
+ALL_RINGS = [ZZ, integers_mod(12), integers_mod(360), localized_at(3), QQ,
+             prime_field(5), prime_field(2)]
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_witnesses_are_inverse_pairs(ring, data):
+    if ring.uses_fractions:
+        a = data.draw(fraction_matrix(ring, max_dim=5))
+    else:
+        z = data.draw(int_matrix())
+        a = Matrix(ring, z.to_rows(), cols=z.cols)
+    full = _snf_full(a)
+    eye_m, eye_n = Matrix.identity(ring, a.rows), Matrix.identity(ring, a.cols)
+    assert full.U @ full.Ui == eye_m and full.Ui @ full.U == eye_m
+    assert full.V @ full.Vi == eye_n and full.Vi @ full.V == eye_n
+    assert full.Ui @ a @ full.Vi == full.D
+
+
+def _built(a):
+    return {w for w in ("U", "D", "V", "Ui", "Vi") if w in vars(a._snf)}
+
+
+@pytest.mark.parametrize("ring", [ZZ, localized_at(3)], ids=str)
+def test_witnesses_are_built_only_when_read(ring):
+    def fresh():
+        return Matrix(ring, [[2, 4, 4], [-6, 6, 12], [10, 4, 16], [2, 0, 2]])
+
+    for read in (rank, lambda a: rank_over_fiber(a, Prime.at(3)), matrix_bad_primes,
+                 lambda a: FpModule(ring, a.rows, a).invariant_factors()):
+        a = fresh()
+        read(a)
+        assert _built(a) == set()
+    a = fresh()
+    syzygy_matrix(a)
+    assert _built(a) == {"Vi"}
+    a = fresh()
+    assert solve_integral(a, Matrix(ring, [[6], [0], [14], [2]])) is not None
+    assert _built(a) == {"Ui", "Vi"}
+
+
+@st.composite
+def low_rank_q_matrix(draw):
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    r = draw(st.integers(0, min(m, n)))
+    frac = st.builds(Fraction, entry, st.integers(1, 12))
+    left = [[draw(frac) for _ in range(r)] for _ in range(m)]
+    right_cols = list(zip(*[[draw(frac) for _ in range(n)] for _ in range(r)])) or [()] * n
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in right_cols]
+            for row in left], n
+
+
+@given(low_rank_q_matrix())
+def test_field_rank_over_q_matches_fraction_elimination(case):
+    rows, n = case
+    assert field_rank(Matrix(QQ, rows, cols=n)) == fraction_rank(rows, n)
 
 
 @st.composite

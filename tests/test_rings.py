@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from fiberflat.errors import InputError
 from fiberflat.linalg import Matrix, rank_over_fiber, reduce_matrix
 from fiberflat.rings import (
-    GENERIC, Prime, QQ, ZZ, integers_mod, localized_at, parse_prime,
-    parse_ring, parse_scalar, prime_field, render_scalar,
+    GENERIC, PRIMALITY_BOUND, Prime, QQ, ZZ, integers_mod, is_prime, localized_at,
+    parse_prime, parse_ring, parse_scalar, prime_field, render_scalar,
 )
 
 from _oracles import fraction_rank, modp_rank
@@ -109,6 +109,30 @@ def test_valuation():
     assert localized_at(2).valuation(Fraction(0)) is None
     assert ZZ.valuation(40, 2) == 3
     assert ZZ.valuation(40, 3) == 0
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10 ** 5
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for k in range(2, int(n ** 0.5) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = [False] * len(range(k * k, n, k))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+def test_is_prime_on_large_integers():
+    # strong pseudoprimes to bases 2..7 and to bases 2..23 respectively
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
+    assert not is_prime((10 ** 6 + 3) * (10 ** 6 + 33))
+    # no answer past the bound where the 13 bases are proven exact
+    is_prime(PRIMALITY_BOUND - 1)
+    with pytest.raises(InputError, match="primality"):
+        is_prime(PRIMALITY_BOUND)
+    with pytest.raises(InputError):
+        Prime.at(2 ** 89 - 1)
 
 
 def test_try_divide():

@@ -473,11 +473,16 @@ class HomotopyCertificate:
         return Matrix.zeros(cx.ring, cx.term(i + 1).gens, cx.term(i).gens)
 
     def verify(self) -> bool:
+        """d h + h d = id in every degree, and every h_i a map of modules:
+        it carries the relations of term(i) into those of term(i + 1)."""
         cx = self.complex
         for i in cx.degrees():
             lhs = (cx.boundary(i + 1).matrix @ self.h(i)
                    + self.h(i - 1) @ cx.boundary(i).matrix)
             if not cx.term(i).vanishes(lhs - Matrix.identity(cx.ring, cx.term(i).gens)):
+                return False
+            rel = cx.term(i).relations
+            if rel.cols and not cx.term(i + 1).vanishes(self.h(i) @ rel):
                 return False
         return True
 
@@ -503,65 +508,59 @@ def _greedy_homotopy(cx: BoundedComplex) -> dict[int, Matrix] | None:
 
 def _global_homotopy(cx: BoundedComplex) -> dict[int, Matrix] | None:
     """One linear system for all h_i at once, via Kronecker lifts of the
-    defining equations (row-major vectorization)."""
+    defining equations (row-major vectorization: vec(X @ Y @ Z) is
+    kron(X, Z^T) @ vec(Y)).  With A_i the relations of term(i), degree i
+    contributes d_{i+1} h_i + h_{i-1} d_i + A_i S_i = id and, so that h_i
+    is a map of modules, h_i A_i + A_{i+1} T_i = 0; S_i and T_i are free."""
     ring = cx.ring
-    degs = list(cx.degrees())
+    degs = cx.degrees()
     g = {i: cx.term(i).gens for i in range(cx.lo - 1, cx.hi + 2)}
-    g[cx.lo - 1] = 0
-    g[cx.hi + 1] = 0
-    var_shape = {i: (g[i + 1], g[i]) for i in degs}
-    slack_shape = {i: (cx.term(i).relations.cols, g[i]) for i in degs}
-    order = [("h", i) for i in degs] + [("s", i) for i in degs if slack_shape[i][0]]
-    sizes = {("h", i): var_shape[i][0] * var_shape[i][1] for i in degs}
-    sizes.update({("s", i): slack_shape[i][0] * slack_shape[i][1]
-                  for i in degs if slack_shape[i][0]})
+    a = {i: cx.term(i).relations for i in range(cx.lo - 1, cx.hi + 2)}
+    shapes = {("h", i): (g[i + 1], g[i]) for i in degs}
+    shapes.update({("s", i): (a[i].cols, g[i]) for i in degs})
+    shapes.update({("t", i): (a[i + 1].cols, a[i].cols) for i in degs})
     offsets: dict[tuple[str, int], int] = {}
     total = 0
-    for key in order:
+    for key, (m, n) in shapes.items():
         offsets[key] = total
-        total += sizes[key]
+        total += m * n
 
     rows: list[list[Scalar]] = []
     rhs_rows: list[list[Scalar]] = []
-    for i in degs:
-        gi = g[i]
-        if gi == 0:
-            continue
-        eq_rows = gi * gi
-        block = [[ring.zero] * total for _ in range(eq_rows)]
 
-        def put(key: tuple[str, int], mat: Matrix) -> None:
+    def equation(lhs: Sequence[tuple[tuple[str, int], Matrix]], rhs: Matrix) -> None:
+        block = [[ring.zero] * total for _ in range(rhs.rows * rhs.cols)]
+        for key, mat in lhs:
+            if not mat.cols:
+                continue
             base = offsets[key]
-            for r in range(mat.rows):
-                row = block[r]
-                for cc in range(mat.cols):
-                    row[base + cc] = ring.add(row[base + cc], mat[r, cc])
-
-        if g[i + 1]:
-            put(("h", i), kron(cx.boundary(i + 1).matrix, Matrix.identity(ring, gi)))
-        if g[i - 1]:
-            put(("h", i - 1), kron(Matrix.identity(ring, gi),
-                                   cx.boundary(i).matrix.transpose()))
-        if slack_shape[i][0]:
-            put(("s", i), kron(cx.term(i).relations, Matrix.identity(ring, gi)))
+            for row, coeffs in zip(block, mat.to_rows()):
+                row[base:base + mat.cols] = coeffs
         rows.extend(block)
-        ident = Matrix.identity(ring, gi)
-        rhs_rows.extend([[ident[a, b]] for a in range(gi) for b in range(gi)])
+        rhs_rows.extend([x] for r in rhs.to_rows() for x in r)
+
+    def eye(k: int) -> Matrix:
+        return Matrix.identity(ring, k)
+
+    for i in degs:
+        equation([(("h", i), kron(cx.boundary(i + 1).matrix, eye(g[i]))),
+                  (("h", i - 1), kron(eye(g[i]), cx.boundary(i).matrix.transpose())),
+                  (("s", i), kron(a[i], eye(g[i])))], eye(g[i]))
+        equation([(("h", i), kron(eye(g[i + 1]), a[i].transpose())),
+                  (("t", i), kron(a[i + 1], eye(a[i].cols)))],
+                 Matrix.zeros(ring, g[i + 1], a[i].cols))
     if not rows:
         return {}
-    system = Matrix._make(ring, rows, total)
-    rhs = Matrix._make(ring, rhs_rows, 1)
-    sol = solve_integral(system, rhs)
+    sol = solve_integral(Matrix._make(ring, rows, total), Matrix._make(ring, rhs_rows, 1))
     if sol is None:
         return None
     maps: dict[int, Matrix] = {}
     for i in degs:
-        m, n = var_shape[i]
-        if m == 0 or n == 0:
-            continue
-        base = offsets[("h", i)]
-        body = [[sol[base + r * n + cc, 0] for cc in range(n)] for r in range(m)]
-        maps[i] = Matrix._make(ring, body, n)
+        m, n = shapes["h", i]
+        if m and n:
+            base = offsets["h", i]
+            maps[i] = Matrix._make(ring, [[sol[base + r * n + c, 0] for c in range(n)]
+                                          for r in range(m)], n)
     return maps
 
 
@@ -569,16 +568,20 @@ def null_homotopy(cx: BoundedComplex) -> HomotopyCertificate | None:
     """An explicit contraction d h + h d = id, or None when none exists.
 
     Strategy: a homology precheck (nonzero homology rules a contraction
-    out), then a cheap degreewise greedy solve, then one global linear
-    system whose solvability is equivalent to contractibility.  Every
-    returned certificate verifies.
+    out), then a cheap degreewise greedy solve, kept only if it verifies
+    (on non-free terms its h_i need not be maps of modules), then one
+    global linear system whose solvability is equivalent to
+    contractibility.  Every returned certificate verifies.
     """
     for i in cx.degrees():
         if not cx.homology(i).is_zero():
             return None
     maps = _greedy_homotopy(cx)
-    if maps is None:
-        maps = _global_homotopy(cx)
+    if maps is not None:
+        cert = HomotopyCertificate(cx, maps)
+        if cert.verify():
+            return cert
+    maps = _global_homotopy(cx)
     if maps is None:
         return None
     cert = HomotopyCertificate(cx, maps)

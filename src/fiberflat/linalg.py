@@ -15,10 +15,11 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
   entry of least absolute value in the working submatrix, ties broken by
   lowest (row, col).  It eliminates D alone and records its row and column
   moves; U, V and their inverses are replayed from the moves when a caller
-  first reads them, so rank and divisor queries build no witness.  The
-  unit part of each divisor is folded into V (see _snf_full).
-* Diagonal entries are canonical: non-negative over Z, representatives in
-  [0, n) over Z/n, pure powers of p over Z_(p), 0 or 1 over fields.
+  first reads them, so rank and divisor queries build no witness.
+* Diagonal entries are canonical: non-negative over Z, gcd(e, n) over Z/n
+  for the kernel's integer divisor e (0 when n divides e), the convention
+  invariant factors use, pure powers of p over Z_(p), 0 or 1 over fields.
+  _snf_full folds the unit part of each divisor into V and Vi.
 * Zero-dimension matrices are legal everywhere and behave as zero maps.
 """
 
@@ -32,7 +33,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .rings import BaseRing, Prime, Scalar, ZZ
+from .rings import BaseRing, Prime, Scalar
 
 __all__ = [
     "Matrix", "SnfDecomposition", "snf", "rank", "rank_over_fiber",
@@ -442,11 +443,14 @@ def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
 def _snf_full(a: Matrix) -> _SnfFull:
     """Every ring runs through the integer kernel on its integral lift.
 
-    Each nonzero integer divisor d splits as c*u with c canonical (p^v over
-    Z_(p), 1 over fields) and u a unit; (i, u/scale, scale/u) is kept so
-    that V scales its row i by u/scale and Vi its column i by the inverse.
-    Over F_p a divisor divisible by p becomes 0, and such zeros trail
-    because the integer divisors form a chain.
+    Each integer divisor d that is nonzero in the ring splits as c*u with c
+    canonical (gcd(d, n) over Z/n and F_p, p^v over Z_(p), 1 over Q) and u
+    a unit; (i, u/scale, scale/u) is kept so that V scales its row i by
+    u/scale and Vi its column i by the inverse.  Over Z/n, u is d/c modulo
+    n/c, stepped by n/c until it is coprime to n (each prime of c that does
+    not divide n/c rules out one residue).  Over Z/n and F_p a divisor that
+    is 0 in the ring stays 0, and such zeros trail because the integer
+    divisors form a chain.
     """
     if a._snf is not None:
         return a._snf
@@ -457,15 +461,18 @@ def _snf_full(a: Matrix) -> _SnfFull:
     divisors, units = [], []
     for i in range(min(m, n)):
         d = D[i][i]
-        if kind in ("Zloc", "Q", "Fp") and d and not (kind == "Fp" and d % p == 0):
+        if kind in ("Zmod", "Fp") and d % p:
+            c = gcd(d, p)
+            u = d // c % (p // c)
+            while gcd(u, p) != 1:
+                u += p // c
+            units.append((i, u, pow(u, -1, p)))
+            d = c
+        elif ring.uses_fractions and d:
             c = 1
             while kind == "Zloc" and d % (c * p) == 0:
                 c *= p
-            u = d // c
-            if kind == "Fp":
-                units.append((i, u % p, pow(u, -1, p)))
-            else:
-                units.append((i, Fraction(u, scale), Fraction(scale, u)))
+            units.append((i, Fraction(d // c, scale), Fraction(scale, d // c)))
             d = c
         divisors.append(d)
     if kind in ("Zmod", "Fp"):
@@ -483,6 +490,9 @@ def snf(a: Matrix) -> SnfDecomposition:
     >>> from fiberflat.rings import ZZ
     >>> snf(Matrix(ZZ, [[2, 0], [0, 3]])).elementary_divisors
     (1, 6)
+    >>> from fiberflat.rings import integers_mod
+    >>> snf(Matrix(integers_mod(12), [[8]])).elementary_divisors
+    (4,)
     """
     full = _snf_full(a)
     return SnfDecomposition(full.U, full.D, full.V, full.divisors)
@@ -644,24 +654,21 @@ def solve_integral(a: Matrix, b: Matrix) -> Matrix | None:
 def syzygy_matrix(a: Matrix) -> Matrix:
     """Columns generating {x : A @ x = 0} over the ring.
 
-    Over Z, Z_(p), and fields these columns are a basis (part of a basis of
-    the free cover, read off the tracked inverse of V).  Over Z/n the
-    integer syzygies of [A | n*I] are projected and reduced; zero columns
-    are dropped.
+    With A = U @ D @ V, A @ x = 0 exactly when y = V @ x has d_i * y_i = 0
+    for each divisor d_i (d_i = 0 past the diagonal), so the kernel is
+    generated by column i of Vi times a generator of ann(d_i), for each i
+    where that generator is nonzero.  Over Z, Z_(p) and fields these
+    columns are the free columns of Vi, part of a basis of the free cover.
     """
-    ring = a.ring
-    if ring.kind == "Zmod":
-        n_mod = ring.param
-        lift = Matrix(ZZ, a._data, cols=a.cols)
-        aug = hstack([lift, Matrix.diagonal(ZZ, [n_mod] * a.rows, a.rows, a.rows)])
-        s = syzygy_matrix(aug)
-        body = [[x % n_mod for x in s._data[i]] for i in range(a.cols)]
-        cols = [j for j in range(s.cols) if any(body[i][j] for i in range(a.cols))]
-        return Matrix._make(ring, [[row[j] for j in cols] for row in body], len(cols))
     full = _snf_full(a)
-    free = [i for i in range(a.cols)
-            if i >= len(full.divisors) or full.divisors[i] == 0]
-    return full.Vi.submatrix(range(a.cols), free)
+    ring = a.ring
+    ann = [ring.annihilator(d) for d in full.divisors]
+    ann += [ring.one] * (a.cols - len(ann))
+    keep = [i for i, g in enumerate(ann) if g != 0]
+    syz = full.Vi.submatrix(range(a.cols), keep)
+    if all(ann[i] == 1 for i in keep):
+        return syz
+    return syz._reduced([[x * ann[i] for x, i in zip(r, keep)] for r in syz._data], len(keep))
 
 
 def reduce_matrix(a: Matrix, q: Prime) -> Matrix:

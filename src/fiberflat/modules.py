@@ -33,9 +33,9 @@ if TYPE_CHECKING:
 class InvariantFactors:
     """Canonical decomposition data: M ~ R^free_rank + sum of R/(d) factors.
 
-    The torsion entries form a divisibility chain of non-unit, non-zero
-    canonical ring elements (over Z/n they are gcd-normalized so that each
-    entry literally generates the annihilator of its cyclic factor).
+    The torsion entries are the non-unit, nonzero elementary divisors of the
+    relations, a divisibility chain of canonical ring elements (over Z/n,
+    divisors of n: each generates the annihilator of its cyclic factor).
     """
 
     free_rank: int
@@ -104,25 +104,10 @@ class FpModule:
     def invariant_factors(self) -> InvariantFactors:
         if self._inv is not None:
             return self._inv
-        ring = self.ring
-        divisors = _snf_full(self.relations).divisors
-        if ring.kind == "Zmod":
-            n = ring.param
-            free = self.gens - len(divisors)
-            torsion = []
-            for d in divisors:
-                e = gcd(int(d), n)
-                if e == n:
-                    free += 1
-                elif e > 1:
-                    torsion.append(e)
-            inv = InvariantFactors(free, tuple(torsion))
-        else:
-            nonzero = [d for d in divisors if d != 0]
-            torsion = tuple(d for d in nonzero if not ring.is_unit(d))
-            inv = InvariantFactors(self.gens - len(nonzero), torsion)
-        self._inv = inv
-        return inv
+        nonzero = [d for d in _snf_full(self.relations).divisors if d != 0]
+        torsion = tuple(d for d in nonzero if not self.ring.is_unit(d))
+        self._inv = InvariantFactors(self.gens - len(nonzero), torsion)
+        return self._inv
 
     def is_zero(self) -> bool:
         return self.invariant_factors().is_trivial
@@ -140,20 +125,16 @@ class FpModule:
         """Flatness test from the invariant factors.
 
         Over Z, Z_(p), and fields: no torsion.  Over Z/n a cyclic factor
-        Z/d is flat iff for every prime power p^e exactly dividing n the
-        exponent of p in d is 0 or e (then the factor is a direct summand
-        cut out by the CRT idempotents).
+        R/d (d divides n) is flat iff for every prime power p^e exactly
+        dividing n the exponent of p in d is 0 or e, that is iff
+        gcd(d, n/d) = 1 (then the factor is a direct summand cut out by the
+        CRT idempotents).
         """
-        inv = self.invariant_factors()
+        torsion = self.invariant_factors().torsion
         if self.ring.kind != "Zmod":
-            return not inv.torsion
-        exponents = factor_trial(self.ring.param)
-        for d in inv.torsion:
-            dfac = factor_trial(int(d))
-            for p, e in exponents.items():
-                if dfac.get(p, 0) not in (0, e):
-                    return False
-        return True
+            return not torsion
+        n = self.ring.param
+        return all(gcd(d, n // d) == 1 for d in torsion)
 
     # -- fibers --------------------------------------------------------------
 
@@ -459,9 +440,9 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
     """A free resolution, exact in degrees (0, depth], built on the
     canonical invariant-factor presentation.
 
-    Over Z, Z_(p), and fields the resolution stops at length <= 1 (the
-    canonical relations are injective).  Over Z/n syzygies are iterated up
-    to the requested depth; ranks stay bounded by the torsion count.
+    Syzygies are iterated up to the requested depth; ranks stay bounded by
+    the torsion count.  Over Z, Z_(p), and fields the canonical relations
+    are injective, so the resolution stops at length <= 1.
 
     >>> from fiberflat.rings import ZZ, integers_mod
     >>> free_resolution(FpModule.cyclic(ZZ, 2), 3).complex.hi
@@ -482,14 +463,6 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
         d = full.divisors[i] if i < len(full.divisors) else None
         if d is None or d == 0:
             kept.append(i)
-            continue
-        if ring.kind == "Zmod":
-            e = gcd(int(d), ring.param)
-            if e == ring.param:
-                kept.append(i)
-            elif e > 1:
-                kept.append(i)
-                torsion_of[i] = e
         elif not ring.is_unit(d):
             kept.append(i)
             torsion_of[i] = d
@@ -505,14 +478,11 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
     boundaries: list[Matrix] = []
     if t:
         boundaries.append(d1)
-        if ring.kind == "Zmod":
-            current = d1
-            while len(boundaries) < depth:
-                nxt = syzygy_matrix(current)
-                if nxt.cols == 0:
-                    break
-                boundaries.append(nxt)
-                current = nxt
+        while len(boundaries) < depth:
+            nxt = syzygy_matrix(boundaries[-1])
+            if nxt.cols == 0:
+                break
+            boundaries.append(nxt)
     terms = {0: FpModule.free(ring, g0)}
     for j, mat in enumerate(boundaries, start=1):
         terms[j] = FpModule.free(ring, mat.cols)

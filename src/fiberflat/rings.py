@@ -246,6 +246,17 @@ class BaseRing:
             return a != 0 and Fraction(a).numerator % self.param != 0  # type: ignore[operator]
         return a != 0
 
+    def annihilator(self, a: Scalar) -> Scalar:
+        """A generator of ann(a) = {x : a*x = 0}: n / gcd(a, n) over Z/n;
+        over the other rings, which are domains, 1 for a = 0 and 0 otherwise.
+
+        >>> integers_mod(12).annihilator(8), integers_mod(12).annihilator(0), ZZ.annihilator(8)
+        (3, 1, 0)
+        """
+        if self.kind == "Zmod":
+            return self.canon(self.param // gcd(int(a), self.param))  # type: ignore[operator]
+        return self.one if a == 0 else self.zero
+
     def try_divide(self, a: Scalar, b: Scalar) -> Scalar | None:
         """Some x with b*x = a, or None if a is not divisible by b.
 
@@ -300,8 +311,7 @@ class BaseRing:
         (Prime(p=2), Prime(p=3))
         """
         if self.kind == "Z":
-            return SpectrumDescription(self, finite=False, primes=(GENERIC,),
-                                       includes_all_rational_primes=True)
+            return SpectrumDescription(self, finite=False, primes=(GENERIC,))
         if self.kind == "Zmod":
             qs = tuple(Prime.at(p) for p in factor_trial(self.param))
             return SpectrumDescription(self, finite=True, primes=qs)
@@ -311,7 +321,12 @@ class BaseRing:
         return SpectrumDescription(self, finite=True, primes=(GENERIC,))
 
     def admits(self, q: Prime) -> bool:
-        return self.spectrum().contains(q)
+        """Whether q is a point of Spec R, without factoring n over Z/n."""
+        if self.kind == "Z":
+            return True
+        if self.kind == "Zmod":
+            return not q.is_generic and self.param % q.p == 0  # type: ignore[operator]
+        return q.is_generic or (self.kind == "Zloc" and q.p == self.param)
 
     def residue_field(self, q: Prime) -> "ResidueField":
         """The residue field at q together with the reduction map.
@@ -341,12 +356,6 @@ class SpectrumDescription:
     ring: BaseRing
     finite: bool
     primes: tuple[Prime, ...]
-    includes_all_rational_primes: bool = False
-
-    def contains(self, q: Prime) -> bool:
-        if q in self.primes:
-            return True
-        return self.includes_all_rational_primes and not q.is_generic
 
     def enumerate(self) -> tuple[Prime, ...]:
         if not self.finite:
@@ -405,15 +414,13 @@ def parse_ring(text: str) -> BaseRing:
         return ZZ
     if text == "Q":
         return QQ
-    try:
-        if text.startswith("Z/"):
-            return integers_mod(int(text[2:]))
-        if text.startswith("Zloc/"):
-            return localized_at(int(text[5:]))
-        if text.startswith("F"):
-            return prime_field(int(text[1:]))
-    except ValueError as exc:
-        raise InputError(f"bad ring literal {text!r}") from exc
+    for prefix, make in (("Z/", integers_mod), ("Zloc/", localized_at), ("F", prime_field)):
+        if text.startswith(prefix):
+            try:
+                param = int(text[len(prefix):])
+            except ValueError as exc:
+                raise InputError(f"bad ring literal {text!r}") from exc
+            return make(param)
     raise InputError(f"bad ring literal {text!r}")
 
 

@@ -99,3 +99,24 @@ def box_kernel(d_rows, n, bound=3):
                            for row in d_rows):
             out.append(xs)
     return out
+
+
+def zmod_kernel(d_rows, k, n):
+    """Every vector of (Z/n)^k that D sends to 0 mod n, as tuples."""
+    return {xs for xs in product(range(n), repeat=k)
+            if all(sum(a * x for a, x in zip(row, xs)) % n == 0 for row in d_rows)}
+
+
+def zmod_span(columns, k, n):
+    """The subgroup of (Z/n)^k generated by the columns (closure under adding
+    a column), which is their Z/n-span."""
+    span = {(0,) * k}
+    frontier = list(span)
+    while frontier:
+        v = frontier.pop()
+        for c in columns:
+            w = tuple((x + y) % n for x, y in zip(v, c))
+            if w not in span:
+                span.add(w)
+                frontier.append(w)
+    return span

@@ -420,6 +420,15 @@ def test_prime_literals_past_the_primality_bound_exit_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("input error:")
 
 
+@pytest.mark.parametrize("ring, reason", [
+    ("Zloc/4", "requires a prime parameter"),
+    (f"Zloc/{PRIMALITY_BOUND + 2}", f"cannot decide primality of integers >= {PRIMALITY_BOUND}"),
+], ids=["composite", "past-bound"])
+def test_ring_literals_report_the_constructor_reason(capsys, ring, reason):
+    code, out, err = run(capsys, "homology", _single_term(ring, 2))
+    assert code == 2 and out == "" and reason in err
+
+
 # -- contradiction exit path ---------------------------------------------------
 
 def test_failed_reverification_exits_3(capsys, monkeypatch):

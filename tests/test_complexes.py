@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,6 +347,59 @@ def test_null_homotopy_over_zmod_torsion_complex():
     assert cx.homology(1).is_isomorphic_to(half)
     assert cx.homology(0).is_isomorphic_to(half)
     assert null_homotopy(cx) is None
+
+
+def _short_exact_complexes(n):
+    """Every exact 0 -> R/a -f-> R/b -g-> R/c -> 0 over R = Z/n with a, b, c
+    dividing n (R/n presented by the relation 0), as (complex, a, c).
+    Exactness is decided on the underlying groups Z/a, Z/b, Z/c by counting:
+    f injective, g surjective and |ker g| = a."""
+    ring = integers_mod(n)
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    for a, c in product(divs, repeat=2):
+        b = a * c
+        if n % b:
+            continue
+        for f, g in product(range(n), repeat=2):
+            if (f * a) % b or (g * b) % c or (g * f) % c:
+                continue  # not maps of modules, or g f != 0
+            if (len({f * x % b for x in range(a)}) != a
+                    or len({g * y % c for y in range(b)}) != c
+                    or sum(g * y % c == 0 for y in range(b)) != a):
+                continue
+            terms = {k: FpModule.cyclic(ring, d % n) for k, d in ((0, c), (1, b), (2, a))}
+            maps = {1: ModuleMap(terms[1], terms[0], Matrix(ring, [[g]])),
+                    2: ModuleMap(terms[2], terms[1], Matrix(ring, [[f]]))}
+            yield BoundedComplex(ring, 0, 2, terms, maps), a, c
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_null_homotopies_of_short_exact_sequences_are_module_maps(n):
+    # a short exact sequence is contractible exactly when it splits, that
+    # is when R/b = R/a + R/c, i.e. gcd(a, c) = 1
+    count = 0
+    for cx, a, c in _short_exact_complexes(n):
+        count += 1
+        cert = null_homotopy(cx)
+        assert (cert is not None) == (gcd(a, c) == 1), (cx, a, c)
+        if cert is not None:
+            for i in (0, 1):
+                ModuleMap(cx.term(i), cx.term(i + 1), cert.h(i))
+    assert count
+
+
+def test_homotopy_certificate_verify_rejects_non_maps():
+    # 0 -> Z/4 -3-> Z/12 -2-> Z/3 -> 0 over Z/12: h_0 = 2 satisfies
+    # d h + h d = id but does not carry 3 (the relation of Z/3) into the
+    # relation 0 of the middle term
+    r = integers_mod(12)
+    terms = {0: FpModule.cyclic(r, 3), 1: FpModule.cyclic(r, 0), 2: FpModule.cyclic(r, 4)}
+    cx = BoundedComplex(r, 0, 2, terms, {
+        1: ModuleMap(terms[1], terms[0], Matrix(r, [[2]])),
+        2: ModuleMap(terms[2], terms[1], Matrix(r, [[3]]))})
+    assert not HomotopyCertificate(cx, {0: Matrix(r, [[2]]), 1: Matrix(r, [[3]])}).verify()
+    cert = null_homotopy(cx)
+    assert cert is not None and cert.h(0) == Matrix(r, [[8]])
 
 
 def test_null_homotopy_over_zmod_split_complex():

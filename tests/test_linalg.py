@@ -19,6 +19,7 @@ from fiberflat.rings import (
 
 from _oracles import (
     box_kernel, box_solve, fraction_rank, minor_gcd, modp_rank, naive_det,
+    zmod_kernel, zmod_span,
 )
 
 entry = st.integers(min_value=-9, max_value=9)
@@ -62,12 +63,18 @@ def test_snf_contract_over_z(a):
         assert d >= 0
 
 
-@given(int_matrix(max_dim=4), st.sampled_from([8, 12]))
+@given(int_matrix(max_dim=4), st.sampled_from([4, 8, 9, 12, 30, 360]))
 def test_snf_contract_over_zmod(a, n):
     ring = integers_mod(n)
     b = Matrix(ring, [[ring.canon(x % n) for x in row] for row in a.to_rows()],
                cols=a.cols)
     assert_snf_contract(b)
+    # each divisor is gcd(e, n) for the integer divisor e of the lift
+    # (0 for n), a divisor of n
+    lifted = snf(Matrix(ZZ, b.to_rows(), cols=b.cols)).elementary_divisors
+    divisors = snf(b).elementary_divisors
+    assert divisors == tuple(gcd(e, n) % n for e in lifted)
+    assert all(n % (d or n) == 0 for d in divisors)
 
 
 @st.composite
@@ -124,15 +131,18 @@ def test_pinned_snf_example():
     assert (d1, d2 // d1, d3 // d2) == (2, 2, 156)
 
 
-def test_zmod_divisors_are_lift_representatives():
-    # The pinned convention over Z/n: run the integer kernel on the
-    # canonical lifts and reduce, keeping representatives in [0, n).
-    # Associates are collapsed later, by module classification, not here.
+def test_zmod_divisors_are_gcds_with_n():
+    # The pinned convention over Z/n: each divisor is gcd(e, n) for the
+    # integer kernel's divisor e, the generator of (e) that invariant
+    # factors report; the unit e / gcd(e, n) is folded into V.
     ring = integers_mod(12)
-    assert snf(Matrix(ring, [[8]])).elementary_divisors == (8,)
-    assert snf(Matrix(ring, [[5]])).elementary_divisors == (5,)
+    assert snf(Matrix(ring, [[8]])).elementary_divisors == (4,)
+    assert snf(Matrix(ring, [[5]])).elementary_divisors == (1,)
     assert snf(Matrix(ring, [[6, 0], [0, 9]])).elementary_divisors == (3, 6)
-    # divisor counting still sees through the representative choice
+    # 8 = 4 * 5 with the unit 5 in V (5 * 5 = 1 mod 12)
+    dec = snf(Matrix(ring, [[8]]))
+    assert (dec.U.to_rows(), dec.D.to_rows(), dec.V.to_rows()) == ([[1]], [[4]], [[5]])
+    # the divisor 4 vanishes in kappa(2) and not in kappa(3)
     assert rank_over_fiber(Matrix(ring, [[8]]), Prime.at(2)) == 0
     assert rank_over_fiber(Matrix(ring, [[8]]), Prime.at(3)) == 1
 
@@ -291,6 +301,24 @@ def test_syzygy_over_zmod():
     # kernel of x -> 4x mod 12 is generated by 3
     assert solve_integral(s, Matrix(ring, [[3]])) is not None
     assert solve_integral(s, Matrix(ring, [[1]])) is None
+
+
+@st.composite
+def zmod_matrix(draw, moduli, max_dim=3):
+    n = draw(st.sampled_from(moduli))
+    m, k = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    return Matrix(integers_mod(n), [[draw(st.integers(0, n - 1)) for _ in range(k)]
+                                    for _ in range(m)], cols=k)
+
+
+@settings(max_examples=60)
+@given(zmod_matrix([4, 6, 8, 9, 12]))
+def test_zmod_syzygies_span_the_brute_force_kernel(a):
+    n, k = a.ring.param, a.cols
+    s = syzygy_matrix(a)
+    assert s.rows == k and (a @ s).is_zero()
+    columns = list(zip(*s.to_rows())) if k else []
+    assert zmod_span(columns, k, n) == zmod_kernel(a.to_rows(), k, n)
 
 
 @given(int_matrix(max_dim=3))

@@ -16,7 +16,7 @@ from fiberflat.modules import (
     prime_filtration, purity_report, tor_fiber,
 )
 from fiberflat.rings import (
-    GENERIC, Prime, ZZ, integers_mod, localized_at, prime_field,
+    GENERIC, Prime, ZZ, factor_trial, integers_mod, localized_at, prime_field,
 )
 
 
@@ -62,6 +62,17 @@ def test_flatness_by_classification():
     assert not FpModule.cyclic(Z12, 2).is_flat()
     assert not FpModule.cyclic(Z12, 6).is_flat()
     assert FpModule.free(Z12, 2).is_flat()
+
+
+def test_flatness_over_zmod_matches_the_exponent_rule():
+    # R/d over Z/n is flat iff every prime of n divides d to exponent 0 or
+    # to its full exponent in n
+    for n in range(2, 401):
+        exponents = factor_trial(n)
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            dfac = factor_trial(d)
+            rule = all(dfac.get(p, 0) in (0, e) for p, e in exponents.items())
+            assert FpModule.cyclic(integers_mod(n), d).is_flat() == rule, (n, d)
 
 
 def test_tensor_matches_gcd_formula_exhaustively():
@@ -210,11 +221,14 @@ def test_resolution_periodicity_over_zmod():
     res = free_resolution(FpModule.cyclic(Z4, 2), 5)
     mats = [res.boundary_matrix(i).to_rows() for i in range(1, 6)]
     assert mats == [[[2]]] * 5
-    # ann(4) mod 12 is the ideal (3) = (9); the syzygy kernel picks the
-    # representative 9, and ann(9) = (4) closes the period.
+    # Syzygies are read off the SNF: ann(4) in Z/12 is generated by 12/4 = 3,
+    # and ann(3) by 4, which closes the period.
     res = free_resolution(FpModule.cyclic(Z12, 4), 5)
     mats = [res.boundary_matrix(i).to_rows() for i in range(1, 6)]
-    assert mats == [[[4]], [[9]], [[4]], [[9]], [[4]]]
+    assert mats == [[[4]], [[3]], [[4]], [[3]], [[4]]]
+    res = free_resolution(FpModule.cyclic(integers_mod(25), 5), 5)
+    mats = [res.boundary_matrix(i).to_rows() for i in range(1, 6)]
+    assert mats == [[[5]]] * 5
 
 
 def test_tor_fiber_known_values():

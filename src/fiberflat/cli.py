@@ -47,8 +47,8 @@ from .criteria import (
 from .errors import ContradictionError, InputError
 from .linalg import Matrix, snf
 from .modules import (
-    FpModule, ModuleMap, ext_fiber, free_resolution, module_prime_set,
-    prime_filtration, purity_report, tor_fiber,
+    FpModule, ModuleMap, free_resolution, module_prime_set, prime_filtration,
+    purity_report,
 )
 from .rings import (
     BaseRing, Prime, parse_prime, parse_ring, parse_scalar, render_scalar,
@@ -421,21 +421,21 @@ def _cmd_check_universal(args) -> tuple[str, int]:
 def _tor_ext_command(args, functor: str) -> tuple[str, int]:
     depth = _capped(args.depth, "--depth", MAX_DEPTH)
     ring, m = load_document(args.input, "module")
-    fiber_fn = tor_fiber if functor == "tor" else ext_fiber
     criterion = tor_flatness_criterion if functor == "tor" else ext_flatness_criterion
     primes = _sorted_primes(_primes_for(args, module_prime_set(m), ring))
+    verdict = criterion(m, depth)
+    res = free_resolution(m, depth + 1)
+    dim = res.tor_dim if functor == "tor" else res.ext_dim
     table = []
     lines = [f"ring: {ring.literal()}", f"module: {_module_text(m)}"]
     for q in primes:
-        dims = [[i, fiber_fn(m, q, i, depth + 1)] for i in range(depth, -1, -1)]
+        dims = [[i, dim(q, i)] for i in range(depth, -1, -1)]
         table.append({"prime": q.literal(), "dims": dims})
         rendered = ", ".join(f"{functor}_{i}={d}" for i, d in dims)
         lines.append(f"at ({q.literal()}): {rendered}")
-    verdict = criterion(m, depth)
-    res = free_resolution(m, depth + 1)
-    periodic = any(
-        res.boundary_matrix(j) == res.boundary_matrix(j + 1)
-        for j in range(1, res.complex.hi))
+    cx = res.complex
+    periodic = any(cx.boundary(j).matrix == cx.boundary(j + 1).matrix
+                   for j in range(1, cx.hi))
     payload = {
         "command": functor, "ring": ring.literal(), "depth": depth,
         "module": _module_json(m), "table": table,

@@ -22,8 +22,8 @@ from .complexes import (
 from .errors import ContradictionError, InputError
 from .linalg import Matrix, hstack
 from .modules import (
-    FpModule, ModuleMap, matrix_bad_primes, map_prime_set, module_prime_set,
-    relevant_primes, tor_fiber, ext_fiber,
+    FpModule, ModuleMap, free_resolution, matrix_bad_primes, map_prime_set,
+    module_prime_set, relevant_primes,
 )
 from .rings import BaseRing, GENERIC, Prime, factor_trial
 
@@ -298,10 +298,10 @@ class FlatnessVerdict:
 def _vanishing_criterion(m: FpModule, depth: int, functor: str) -> FlatnessVerdict:
     if depth < 1:
         raise InputError("criterion depth must be >= 1")
-    fiber_fn = tor_fiber if functor == "tor" else ext_fiber
     primes = module_prime_set(m)
-    table = {(q, i): fiber_fn(m, q, i, depth + 1)
-             for q in primes for i in range(depth + 1)}
+    res = free_resolution(m, depth + 1)
+    dim = res.tor_dim if functor == "tor" else res.ext_dim
+    table = {(q, i): dim(q, i) for q in primes for i in range(depth + 1)}
     positive = all(v == 0 for (q, i), v in table.items() if i >= 1)
     with_zero = positive and all(v == 0 for (q, i), v in table.items() if i == 0)
     flat_confirmed: bool | None = None

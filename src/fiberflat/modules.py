@@ -415,25 +415,46 @@ class Resolution:
     """A free resolution together with the augmentation onto the module.
 
     complex has free terms in degrees [0, length]; augmentation maps the
-    degree-0 term onto the module and identifies H_0 with it.
+    degree-0 term onto the module (its target) and identifies H_0 with it.
+    The complex is exact in degrees (0, depth], so tor_dim and ext_dim
+    answer for the degrees 0 <= i < depth.
     """
 
     complex: "BoundedComplex"
     augmentation: ModuleMap
-    module: FpModule
     depth: int
 
-    def boundary_matrix(self, i: int) -> Matrix:
-        cx = self.complex
-        if i <= cx.lo or i > cx.hi:
-            lower = cx.term(i - 1).gens if i - 1 >= cx.lo else 0
-            upper = cx.term(i).gens if i <= cx.hi else 0
-            return Matrix.zeros(self.module.ring, lower, upper)
-        return cx.boundary(i).matrix
+    def tor_dim(self, q: Prime, i: int) -> int:
+        """dim over kappa(q) of Tor_i(kappa(q), M), the homology of the
+        fibered resolution in degree i.
 
-    def term_rank(self, i: int) -> int:
+        The rank of each reduced boundary is counted through the elementary
+        divisors; ext_dim recomputes the same number through transposed
+        Gaussian elimination, and the two are compared in tests and criteria.
+
+        >>> from fiberflat.rings import ZZ, Prime
+        >>> res = free_resolution(FpModule.cyclic(ZZ, 2), 2)
+        >>> res.tor_dim(Prime.at(2), 1), res.tor_dim(Prime.at(3), 1)
+        (1, 0)
+        """
+        _require_degree(i, self.depth)
         cx = self.complex
-        return cx.term(i).gens if cx.lo <= i <= cx.hi else 0
+        return (cx.term(i).gens - rank_over_fiber(cx.boundary(i).matrix, q)
+                - rank_over_fiber(cx.boundary(i + 1).matrix, q))
+
+    def ext_dim(self, q: Prime, i: int) -> int:
+        """dim over kappa(q) of Ext^i(M, kappa(q)): cohomology of the dual of
+        the fibered resolution, computed independently of tor_dim."""
+        _require_degree(i, self.depth)
+        cx = self.complex
+        return (cx.term(i).gens
+                - field_rank(reduce_matrix(cx.boundary(i).matrix, q).transpose())
+                - field_rank(reduce_matrix(cx.boundary(i + 1).matrix, q).transpose()))
+
+
+def _require_degree(i: int, depth: int) -> None:
+    if not 0 <= i < depth:
+        raise InputError(f"degree {i} needs resolution depth > {i}, got {depth}")
 
 
 def free_resolution(m: FpModule, depth: int) -> Resolution:
@@ -448,7 +469,7 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
     >>> free_resolution(FpModule.cyclic(ZZ, 2), 3).complex.hi
     1
     >>> r = free_resolution(FpModule.cyclic(integers_mod(4), 2), 3)
-    >>> [r.boundary_matrix(i).to_rows() for i in (1, 2, 3)]
+    >>> [r.complex.boundary(i).matrix.to_rows() for i in (1, 2, 3)]
     [[[2]], [[2]], [[2]]]
     """
     from .complexes import BoundedComplex
@@ -491,46 +512,24 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
              for j, mat in enumerate(boundaries, start=1)}
     cx = BoundedComplex(ring, 0, hi, terms, bmaps)
     aug = ModuleMap(terms[0], m, eps_matrix)
-    return Resolution(cx, aug, m, depth)
+    return Resolution(cx, aug, depth)
 
 
 def tor_fiber(m: FpModule, q: Prime, i: int, depth: int) -> int:
-    """dim over kappa(q) of Tor_i(kappa(q), M), from a fibered resolution.
-
-    The rank of each reduced boundary is counted through the elementary
-    divisors; ext_fiber recomputes the same number through transposed
-    Gaussian elimination, and the two are compared in tests and criteria.
+    """Resolution.tor_dim on a fresh resolution of m.
 
     >>> from fiberflat.rings import ZZ, Prime
     >>> tor_fiber(FpModule.cyclic(ZZ, 2), Prime.at(2), 1, 2)
     1
-    >>> tor_fiber(FpModule.cyclic(ZZ, 2), Prime.at(3), 1, 2)
-    0
     """
-    if depth < 1 or not 0 <= i < depth:
-        raise InputError(f"degree {i} needs resolution depth > {i}, got {depth}")
-    res = free_resolution(m, depth)
-    r_i = res.term_rank(i)
-    rank_in = rank_over_fiber(res.boundary_matrix(i), q) if i >= 1 else 0
-    rank_out = rank_over_fiber(res.boundary_matrix(i + 1), q)
-    return r_i - rank_in - rank_out
+    _require_degree(i, depth)
+    return free_resolution(m, depth).tor_dim(q, i)
 
 
 def ext_fiber(m: FpModule, q: Prime, i: int, depth: int) -> int:
-    """dim over kappa(q) of Ext^i(M, kappa(q)): cohomology of the dual of
-    the fibered resolution, computed independently of tor_fiber."""
-    if depth < 1 or not 0 <= i < depth:
-        raise InputError(f"degree {i} needs resolution depth > {i}, got {depth}")
-    res = free_resolution(m, depth)
-    r_i = res.term_rank(i)
-    delta_out = reduce_matrix(res.boundary_matrix(i + 1), q).transpose()
-    rank_out = field_rank(delta_out)
-    if i >= 1:
-        delta_in = reduce_matrix(res.boundary_matrix(i), q).transpose()
-        rank_in = field_rank(delta_in)
-    else:
-        rank_in = 0
-    return r_i - rank_out - rank_in
+    """Resolution.ext_dim on a fresh resolution of m."""
+    _require_degree(i, depth)
+    return free_resolution(m, depth).ext_dim(q, i)
 
 
 def lift_to_resolutions(f: ModuleMap, depth: int) -> tuple[Resolution, Resolution, list[Matrix]]:
@@ -548,16 +547,17 @@ def lift_to_resolutions(f: ModuleMap, depth: int) -> tuple[Resolution, Resolutio
                          f.matrix @ res_m.augmentation.matrix)
     if sol is None:
         raise ContradictionError("augmentation is not surjective; resolution bug")
-    phis = [sol.submatrix(range(res_n.term_rank(0)), range(sol.cols))]
+    cx_m, cx_n = res_m.complex, res_n.complex
+    phis = [sol.submatrix(range(cx_n.term(0).gens), range(sol.cols))]
     for j in range(1, depth + 1):
-        rm, rn = res_m.term_rank(j), res_n.term_rank(j)
-        rhs = phis[j - 1] @ res_m.boundary_matrix(j)
+        rm, rn = cx_m.term(j).gens, cx_n.term(j).gens
+        rhs = phis[j - 1] @ cx_m.boundary(j).matrix
         if rn == 0:
             if not rhs.is_zero():
                 raise ContradictionError("chain lift obstructed; resolution bug")
             phis.append(Matrix.zeros(ring, 0, rm))
             continue
-        lifted = solve_integral(res_n.boundary_matrix(j), rhs)
+        lifted = solve_integral(cx_n.boundary(j).matrix, rhs)
         if lifted is None:
             raise ContradictionError("chain lift obstructed; resolution bug")
         phis.append(lifted)

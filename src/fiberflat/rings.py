@@ -216,19 +216,10 @@ class BaseRing:
     def one(self) -> Scalar:
         return Fraction(1) if self.uses_fractions else 1
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        s = a + b
-        if self.kind in ("Zmod", "Fp"):
-            return s % self.param  # type: ignore[operator]
-        return s
-
     def neg(self, a: Scalar) -> Scalar:
         if self.kind in ("Zmod", "Fp"):
             return (-a) % self.param  # type: ignore[operator]
         return -a
-
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
 
     def is_unit(self, a: Scalar) -> bool:
         """Units: +-1 in Z, residues coprime to n in Z/n, valuation-0 in Z_(p).

@@ -214,10 +214,11 @@ def tower_tor(t: TowerModule, q: Prime, i: int,
     kinds: list[str] = []
     for n in range(max_stage):
         res_m, res_n, phis = lift_to_resolutions(t.transition(n), i + 1)
+        cx_m, cx_n = res_m.complex, res_n.complex
         ker_m, _, dim_m = _reduced_homology_data(
-            res_m.boundary_matrix(i), res_m.boundary_matrix(i + 1), q)
+            cx_m.boundary(i).matrix, cx_m.boundary(i + 1).matrix, q)
         _, im_n, dim_n = _reduced_homology_data(
-            res_n.boundary_matrix(i), res_n.boundary_matrix(i + 1), q)
+            cx_n.boundary(i).matrix, cx_n.boundary(i + 1).matrix, q)
         if not values:
             values.append(dim_m)
         mapped = reduce_matrix(phis[i], q) @ ker_m

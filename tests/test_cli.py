@@ -283,6 +283,16 @@ def test_tor_command_depth_and_periodicity(capsys):
     assert ext["table"] == payload["table"]
 
 
+@pytest.mark.parametrize("functor", ["tor", "ext"])
+def test_tor_ext_commands_resolve_the_module_once(capsys, resolution_calls, functor):
+    """One resolution feeds the table and the periodicity check, and one the
+    criterion; the dimensions are not re-resolved per prime and degree."""
+    doc = _doc("Z/12", "module", {"generators": 1, "relations": [[2]]})
+    code, _, err = run(capsys, functor, "--depth", "3", doc)
+    assert code == 0, err
+    assert 1 <= len(resolution_calls) <= 2
+
+
 def test_tor_command_flat_module(capsys):
     doc = json.dumps({"version": 1, "ring": "Z",
                       "module": {"generators": 2, "relations": []}})
@@ -361,6 +371,11 @@ def _single_term(ring, rank):
 
 
 Z4_MODULE = _doc("Z/4", "module", {"generators": 1, "relations": [[2]]})
+# 64 generators over Z/360 with relations diag(2, ..., 65): the resolution never
+# stops, so `--depth 64` reads 65 boundaries at each of the primes 2, 3 and 5.
+WIDE_Z360_MODULE = _doc("Z/360", "module", {
+    "generators": 64,
+    "relations": [[k + 2 if k == i else 0 for k in range(64)] for i in range(64)]})
 
 
 @pytest.mark.parametrize("argv", [
@@ -390,7 +405,9 @@ def test_values_above_their_cap_exit_2(capsys, argv):
     ["koszul", "--ring", "Q", "--elements", ",".join(map(str, range(1, MAX_KOSZUL_ELEMENTS + 1)))],
     ["gallery", "sum-inverse-primes", "--max-prime", str(MAX_PRIME_BOUND),
      "--max-stage", str(MAX_STAGE), "--window", str(MAX_STAGE)],
-], ids=["rank", "depth", "koszul-elements", "gallery"])
+    ["tor", "--depth", str(MAX_DEPTH), WIDE_Z360_MODULE],
+    ["ext", "--depth", str(MAX_DEPTH), WIDE_Z360_MODULE],
+], ids=["rank", "depth", "koszul-elements", "gallery", "depth-wide-tor", "depth-wide-ext"])
 def test_values_at_their_cap_finish(capsys, argv):
     start = time.perf_counter()
     assert run(capsys, "--format", "json", *argv)[0] == 0

@@ -286,6 +286,14 @@ def test_flatness_criterion_depth_cap_over_zmod():
         tor_flatness_criterion(FpModule.free(ZZ, 1), depth=0)
 
 
+@pytest.mark.parametrize("functor", ["tor", "ext"])
+def test_flatness_criterion_resolves_the_module_once(resolution_calls, functor):
+    crit = tor_flatness_criterion if functor == "tor" else ext_flatness_criterion
+    v = crit(FpModule.cyclic(Z12, 2), 3)
+    assert not v.positive_vanishing
+    assert resolution_calls == [4]
+
+
 def test_certify_projective_corollary_examples():
     ident = two_term(ZZ, [[1]], [1, 1])
     assert certify_projective_corollary(ident).verify()

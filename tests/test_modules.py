@@ -16,7 +16,7 @@ from fiberflat.modules import (
     prime_filtration, purity_report, tor_fiber,
 )
 from fiberflat.rings import (
-    GENERIC, Prime, ZZ, factor_trial, integers_mod, localized_at, prime_field,
+    GENERIC, Prime, QQ, ZZ, factor_trial, integers_mod, localized_at, prime_field,
 )
 
 
@@ -103,7 +103,9 @@ def seeded_modules(ring, count, seed):
     return [random_fp_module(rng, ring) for _ in range(count)]
 
 
-@pytest.mark.parametrize("ring,seed", [(ZZ, 11), (Z12, 12), (Z4, 13)])
+@pytest.mark.parametrize("ring,seed", [
+    (ZZ, 11), (Z12, 12), (Z4, 13), (localized_at(3), 14), (QQ, 15),
+    (prime_field(5), 16), (integers_mod(8), 17), (integers_mod(360), 18)])
 def test_ext_equals_tor_dimensionwise(ring, seed):
     """The duality invariant: two independent routes, degrees up to 3."""
     for m in seeded_modules(ring, 25, seed):
@@ -219,15 +221,15 @@ def test_free_resolution_is_exact_and_augments(ring, seed):
 
 def test_resolution_periodicity_over_zmod():
     res = free_resolution(FpModule.cyclic(Z4, 2), 5)
-    mats = [res.boundary_matrix(i).to_rows() for i in range(1, 6)]
+    mats = [res.complex.boundary(i).matrix.to_rows() for i in range(1, 6)]
     assert mats == [[[2]]] * 5
     # Syzygies are read off the SNF: ann(4) in Z/12 is generated by 12/4 = 3,
     # and ann(3) by 4, which closes the period.
     res = free_resolution(FpModule.cyclic(Z12, 4), 5)
-    mats = [res.boundary_matrix(i).to_rows() for i in range(1, 6)]
+    mats = [res.complex.boundary(i).matrix.to_rows() for i in range(1, 6)]
     assert mats == [[[4]], [[3]], [[4]], [[3]], [[4]]]
     res = free_resolution(FpModule.cyclic(integers_mod(25), 5), 5)
-    mats = [res.boundary_matrix(i).to_rows() for i in range(1, 6)]
+    mats = [res.complex.boundary(i).matrix.to_rows() for i in range(1, 6)]
     assert mats == [[[5]]] * 5
 
 
@@ -264,8 +266,8 @@ def test_lift_to_resolutions_commutes():
             assert ModuleMap(res_m.complex.term(0), f.target, lhs).equals(
                 ModuleMap(res_m.complex.term(0), f.target, rhs))
             for j in range(1, 3):
-                top = res_n.boundary_matrix(j) @ phis[j]
-                bot = phis[j - 1] @ res_m.boundary_matrix(j)
+                top = res_n.complex.boundary(j).matrix @ phis[j]
+                bot = phis[j - 1] @ res_m.complex.boundary(j).matrix
                 assert top == bot, (ring, j)
 
 

@@ -8,7 +8,7 @@ stabilization reports.  See the README for the CLI surface.
 
 from .errors import ContradictionError, InputError
 from .rings import (
-    GENERIC, BaseRing, Prime, ResidueField, SpectrumDescription, ZZ, QQ,
+    GENERIC, BaseRing, Prime, ResidueField, ZZ, QQ,
     integers_mod, localized_at, parse_prime, parse_ring, prime_field,
 )
 from .linalg import (

@@ -47,8 +47,7 @@ from .criteria import (
 from .errors import ContradictionError, InputError
 from .linalg import Matrix, snf
 from .modules import (
-    FpModule, ModuleMap, free_resolution, module_prime_set, prime_filtration,
-    purity_report,
+    FpModule, ModuleMap, module_prime_set, prime_filtration, purity_report,
 )
 from .rings import (
     BaseRing, Prime, parse_prime, parse_ring, parse_scalar, render_scalar,
@@ -424,12 +423,13 @@ def _tor_ext_command(args, functor: str) -> tuple[str, int]:
     criterion = tor_flatness_criterion if functor == "tor" else ext_flatness_criterion
     primes = _sorted_primes(_primes_for(args, module_prime_set(m), ring))
     verdict = criterion(m, depth)
-    res = free_resolution(m, depth + 1)
-    dim = res.tor_dim if functor == "tor" else res.ext_dim
+    res = verdict.resolution
+    dims_at = res.tor_dims if functor == "tor" else res.ext_dims
     table = []
     lines = [f"ring: {ring.literal()}", f"module: {_module_text(m)}"]
     for q in primes:
-        dims = [[i, dim(q, i)] for i in range(depth, -1, -1)]
+        row = dims_at(q)
+        dims = [[i, row[i]] for i in range(depth, -1, -1)]
         table.append({"prime": q.literal(), "dims": dims})
         rendered = ", ".join(f"{functor}_{i}={d}" for i, d in dims)
         lines.append(f"at ({q.literal()}): {rendered}")
@@ -610,7 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-prime", type=int, default=100, dest="max_prime",
                    help=f"largest prime checked (default 100, at most {MAX_PRIME_BOUND})")
     p.add_argument("--max-stage", type=int, default=DEFAULT_MAX_STAGE, dest="max_stage",
-                   help=f"last tower stage evaluated (default {DEFAULT_MAX_STAGE}, "
+                   help=f"sum-inverse-primes: lowest last stage evaluated; row j "
+                        f"(0 = the generic point) goes on to stage j + window + 1 if "
+                        f"that is later. injective-hull and dvr-fraction-field evaluate "
+                        f"stages 0..max(6, window + 2) and use it only to check "
+                        f"window <= max-stage (default {DEFAULT_MAX_STAGE}, "
                         f"at most {MAX_STAGE})")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     return parser

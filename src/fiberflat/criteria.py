@@ -13,7 +13,7 @@ the checker raises ContradictionError instead of picking a side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .complexes import (
     BoundedComplex, HomotopyCertificate, null_homotopy, tensor_with_module,
@@ -22,10 +22,10 @@ from .complexes import (
 from .errors import ContradictionError, InputError
 from .linalg import Matrix, hstack
 from .modules import (
-    FpModule, ModuleMap, free_resolution, matrix_bad_primes, map_prime_set,
-    module_prime_set, relevant_primes,
+    FpModule, ModuleMap, Resolution, free_resolution, matrix_bad_primes,
+    map_prime_set, module_prime_set, relevant_primes,
 )
-from .rings import BaseRing, GENERIC, Prime, factor_trial
+from .rings import BaseRing, GENERIC, Prime
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -
         return [FpModule.cyclic(ring, p), FpModule.cyclic(ring, p * p),
                 FpModule.free(ring, 2)]
     if ring.kind == "Zmod":
-        family = [FpModule.cyclic(ring, p) for p in sorted(factor_trial(ring.param))]
+        family = [FpModule.cyclic(ring, q.p) for q in ring.spectrum()]
         family.append(FpModule.free(ring, 2))
         return family
     return [FpModule.free(ring, 2)]
@@ -110,7 +110,7 @@ def standard_complex_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) 
     elif ring.kind == "Zloc":
         scalars = [ring.param]
     elif ring.kind == "Zmod":
-        scalars = sorted(factor_trial(ring.param))
+        scalars = [q.p for q in ring.spectrum()]
     else:
         scalars = []
     for s in scalars:
@@ -274,7 +274,8 @@ class FlatnessVerdict:
 
     complete is False over Z/n, where only degrees up to checked_depth
     were examined (the ring has infinite global dimension); the verdict
-    text carries the same qualifier.
+    text carries the same qualifier.  resolution is the one the table was
+    read off, of depth checked_depth + 1.
     """
 
     functor: str
@@ -285,6 +286,7 @@ class FlatnessVerdict:
     checked_primes: tuple[Prime, ...]
     checked_depth: int
     complete: bool
+    resolution: Resolution = field(compare=False, repr=False)
 
     def describe(self) -> str:
         scope = "complete" if self.complete else f"checked to depth {self.checked_depth}"
@@ -300,10 +302,10 @@ def _vanishing_criterion(m: FpModule, depth: int, functor: str) -> FlatnessVerdi
         raise InputError("criterion depth must be >= 1")
     primes = module_prime_set(m)
     res = free_resolution(m, depth + 1)
-    dim = res.tor_dim if functor == "tor" else res.ext_dim
-    table = {(q, i): dim(q, i) for q in primes for i in range(depth + 1)}
-    positive = all(v == 0 for (q, i), v in table.items() if i >= 1)
-    with_zero = positive and all(v == 0 for (q, i), v in table.items() if i == 0)
+    dims = res.tor_dims if functor == "tor" else res.ext_dims
+    table = [dims(q) for q in primes]
+    positive = not any(any(row[1:]) for row in table)
+    with_zero = positive and not any(row[0] for row in table)
     flat_confirmed: bool | None = None
     zero_confirmed: bool | None = None
     if positive:
@@ -318,7 +320,7 @@ def _vanishing_criterion(m: FpModule, depth: int, functor: str) -> FlatnessVerdi
         zero_confirmed = True
     complete = m.ring.kind != "Zmod"
     return FlatnessVerdict(functor, positive, with_zero, flat_confirmed,
-                           zero_confirmed, tuple(primes), depth, complete)
+                           zero_confirmed, tuple(primes), depth, complete, res)
 
 
 def tor_flatness_criterion(m: FpModule, depth: int = 1) -> FlatnessVerdict:

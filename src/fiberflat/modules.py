@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContradictionError, InputError
 from .linalg import (
-    Matrix, field_rank, hstack, kron, rank_over_fiber, reduce_matrix, snf,
-    solve_integral, syzygy_matrix, _snf_full,
+    Matrix, hstack, kron, rank_over_fiber, snf, solve_integral, syzygy_matrix, _snf_full,
 )
 from .rings import BaseRing, GENERIC, Prime, Scalar, factor_trial, integers_mod
 
@@ -302,7 +301,7 @@ def relevant_primes(ring: BaseRing, matrices: Sequence[Matrix]) -> list[Prime]:
         for a in matrices:
             bad |= matrix_bad_primes(a)
         return [GENERIC] + [Prime.at(p) for p in sorted(bad)]
-    return list(ring.spectrum().primes)
+    return list(ring.spectrum())
 
 
 def module_prime_set(m: FpModule) -> list[Prime]:
@@ -416,40 +415,38 @@ class Resolution:
 
     complex has free terms in degrees [0, length]; augmentation maps the
     degree-0 term onto the module (its target) and identifies H_0 with it.
-    The complex is exact in degrees (0, depth], so tor_dim and ext_dim
-    answer for the degrees 0 <= i < depth.
+    The complex is exact in degrees (0, depth], so tor_dims and ext_dims
+    list the fiber dimensions of Tor and Ext in the degrees 0 <= i < depth,
+    one prime at a time, by two independent routes.
     """
 
     complex: "BoundedComplex"
     augmentation: ModuleMap
     depth: int
 
-    def tor_dim(self, q: Prime, i: int) -> int:
-        """dim over kappa(q) of Tor_i(kappa(q), M), the homology of the
-        fibered resolution in degree i.
-
-        The rank of each reduced boundary is counted through the elementary
-        divisors; ext_dim recomputes the same number through transposed
-        Gaussian elimination, and the two are compared in tests and criteria.
+    def tor_dims(self, q: Prime) -> list[int]:
+        """dim over kappa(q) of Tor_i(kappa(q), M) for 0 <= i < depth: the
+        homology of the fibered resolution, with the rank of each reduced
+        boundary counted once through its elementary divisors.
 
         >>> from fiberflat.rings import ZZ, Prime
         >>> res = free_resolution(FpModule.cyclic(ZZ, 2), 2)
-        >>> res.tor_dim(Prime.at(2), 1), res.tor_dim(Prime.at(3), 1)
-        (1, 0)
+        >>> res.tor_dims(Prime.at(2)), res.tor_dims(Prime.at(3))
+        ([1, 1], [0, 0])
         """
-        _require_degree(i, self.depth)
         cx = self.complex
-        return (cx.term(i).gens - rank_over_fiber(cx.boundary(i).matrix, q)
-                - rank_over_fiber(cx.boundary(i + 1).matrix, q))
+        ranks = [rank_over_fiber(cx.boundary(i).matrix, q) for i in range(self.depth + 1)]
+        return [cx.term(i).gens - ranks[i] - ranks[i + 1] for i in range(self.depth)]
 
-    def ext_dim(self, q: Prime, i: int) -> int:
-        """dim over kappa(q) of Ext^i(M, kappa(q)): cohomology of the dual of
-        the fibered resolution, computed independently of tor_dim."""
-        _require_degree(i, self.depth)
-        cx = self.complex
-        return (cx.term(i).gens
-                - field_rank(reduce_matrix(cx.boundary(i).matrix, q).transpose())
-                - field_rank(reduce_matrix(cx.boundary(i + 1).matrix, q).transpose()))
+    def ext_dims(self, q: Prime) -> list[int]:
+        """dim over kappa(q) of Ext^i(M, kappa(q)) for 0 <= i < depth.
+
+        Dualizing the fibered resolution over the field kappa(q) transposes
+        each boundary and keeps its rank, so these are read off the Gaussian
+        fiber profile of the complex, independently of tor_dims.
+        """
+        dims = self.complex.fiber_profile(q).dims
+        return [dims.get(i, 0) for i in range(self.depth)]
 
 
 def _require_degree(i: int, depth: int) -> None:
@@ -516,20 +513,20 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
 
 
 def tor_fiber(m: FpModule, q: Prime, i: int, depth: int) -> int:
-    """Resolution.tor_dim on a fresh resolution of m.
+    """Resolution.tor_dims in degree i on a fresh resolution of m.
 
     >>> from fiberflat.rings import ZZ, Prime
     >>> tor_fiber(FpModule.cyclic(ZZ, 2), Prime.at(2), 1, 2)
     1
     """
     _require_degree(i, depth)
-    return free_resolution(m, depth).tor_dim(q, i)
+    return free_resolution(m, depth).tor_dims(q)[i]
 
 
 def ext_fiber(m: FpModule, q: Prime, i: int, depth: int) -> int:
-    """Resolution.ext_dim on a fresh resolution of m."""
+    """Resolution.ext_dims in degree i on a fresh resolution of m."""
     _require_degree(i, depth)
-    return free_resolution(m, depth).ext_dim(q, i)
+    return free_resolution(m, depth).ext_dims(q)[i]
 
 
 def lift_to_resolutions(f: ModuleMap, depth: int) -> tuple[Resolution, Resolution, list[Matrix]]:
@@ -540,16 +537,20 @@ def lift_to_resolutions(f: ModuleMap, depth: int) -> tuple[Resolution, Resolutio
     """
     res_m = free_resolution(f.source, depth)
     res_n = free_resolution(f.target, depth)
+    return res_m, res_n, lift_along(f, res_m, res_n)
+
+
+def lift_along(f: ModuleMap, res_m: Resolution, res_n: Resolution) -> list[Matrix]:
+    """[phi_0, ..., phi_depth] lifting f along given resolutions of its
+    source and target, as in lift_to_resolutions."""
     ring = f.source.ring
-    eps_n = res_n.augmentation.matrix
-    target_rels = f.target.relations
-    sol = solve_integral(hstack([eps_n, target_rels]),
+    sol = solve_integral(hstack([res_n.augmentation.matrix, f.target.relations]),
                          f.matrix @ res_m.augmentation.matrix)
     if sol is None:
         raise ContradictionError("augmentation is not surjective; resolution bug")
     cx_m, cx_n = res_m.complex, res_n.complex
     phis = [sol.submatrix(range(cx_n.term(0).gens), range(sol.cols))]
-    for j in range(1, depth + 1):
+    for j in range(1, res_m.depth + 1):
         rm, rn = cx_m.term(j).gens, cx_n.term(j).gens
         rhs = phis[j - 1] @ cx_m.boundary(j).matrix
         if rn == 0:
@@ -561,7 +562,7 @@ def lift_to_resolutions(f: ModuleMap, depth: int) -> tuple[Resolution, Resolutio
         if lifted is None:
             raise ContradictionError("chain lift obstructed; resolution bug")
         phis.append(lifted)
-    return res_m, res_n, phis
+    return phis
 
 
 # -- prime filtrations ---------------------------------------------------------

@@ -295,21 +295,22 @@ class BaseRing:
 
     # -- spectrum and residue fields ---------------------------------------
 
-    def spectrum(self) -> "SpectrumDescription":
-        """The prime spectrum, finite except over Z.
+    def spectrum(self) -> tuple[Prime, ...]:
+        """The points of the prime spectrum, which is finite except over Z.
 
-        >>> integers_mod(12).spectrum().primes
+        Spec Z cannot be listed: callers over Z pair the generic point with
+        a finite bad-prime computation instead.
+
+        >>> integers_mod(12).spectrum()
         (Prime(p=2), Prime(p=3))
         """
         if self.kind == "Z":
-            return SpectrumDescription(self, finite=False, primes=(GENERIC,))
+            raise InputError(f"Spec {self} is infinite and cannot be enumerated")
         if self.kind == "Zmod":
-            qs = tuple(Prime.at(p) for p in factor_trial(self.param))
-            return SpectrumDescription(self, finite=True, primes=qs)
+            return tuple(Prime.at(p) for p in factor_trial(self.param))
         if self.kind == "Zloc":
-            return SpectrumDescription(self, finite=True,
-                                       primes=(GENERIC, Prime.at(self.param)))
-        return SpectrumDescription(self, finite=True, primes=(GENERIC,))
+            return (GENERIC, Prime.at(self.param))
+        return (GENERIC,)
 
     def admits(self, q: Prime) -> bool:
         """Whether q is a point of Spec R, without factoring n over Z/n."""
@@ -334,24 +335,6 @@ class BaseRing:
         else:
             field = prime_field(q.p)  # type: ignore[arg-type]
         return ResidueField(source=self, prime=q, field=field)
-
-
-@dataclass(frozen=True)
-class SpectrumDescription:
-    """Finite spectra list their points; Spec Z is {(0)} plus all primes.
-
-    Callers over Z must pair this with a finite bad-prime computation; the
-    description object deliberately cannot be enumerated when infinite.
-    """
-
-    ring: BaseRing
-    finite: bool
-    primes: tuple[Prime, ...]
-
-    def enumerate(self) -> tuple[Prime, ...]:
-        if not self.finite:
-            raise InputError(f"Spec {self.ring} is infinite and cannot be enumerated")
-        return self.primes
 
 
 @dataclass(frozen=True)

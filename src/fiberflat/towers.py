@@ -25,7 +25,7 @@ from typing import Callable
 from .complexes import BoundedComplex, ChainMap
 from .errors import InputError
 from .linalg import Matrix, field_rank, hstack, reduce_matrix, syzygy_matrix
-from .modules import FpModule, ModuleMap, lift_to_resolutions, tor_fiber
+from .modules import FpModule, ModuleMap, free_resolution, lift_along
 from .rings import GENERIC, BaseRing, Prime, ZZ, is_prime, localized_at
 
 DEFAULT_WINDOW = 3
@@ -185,15 +185,24 @@ def tower_fiber(t: TowerModule, q: Prime, max_stage: int = DEFAULT_MAX_STAGE,
     return _conclude(f"fiber dimension at ({q.literal()})", values, kinds, window)
 
 
-def _reduced_homology_data(res_boundary_in: Matrix, res_boundary_out: Matrix,
-                           q: Prime) -> tuple[Matrix, Matrix, int]:
-    """(kernel basis of incoming boundary, reduced outgoing boundary,
-    homology dimension) for one homological degree over kappa(q)."""
-    d_in = reduce_matrix(res_boundary_in, q)
-    d_out = reduce_matrix(res_boundary_out, q)
-    ker = syzygy_matrix(d_in)
-    dim = ker.cols - field_rank(d_out)
-    return ker, d_out, dim
+def _fibered_homology_tower(quantity: str, complexes: list[BoundedComplex],
+                            maps: list[Matrix], q: Prime, i: int,
+                            window: int) -> StabilizationReport:
+    """H_i over kappa(q) of each free complex, classified along maps[n],
+    the degree-i matrix of the chain map from complexes[n] to
+    complexes[n + 1].  Each complex is reduced, and its kernel taken, once."""
+    kernels, images, image_ranks = [], [], []
+    for cx in complexes:
+        kernels.append(syzygy_matrix(reduce_matrix(cx.boundary(i).matrix, q)))
+        images.append(reduce_matrix(cx.boundary(i + 1).matrix, q))
+        image_ranks.append(field_rank(images[-1]))
+    values = [k.cols - r for k, r in zip(kernels, image_ranks)]
+    kinds = []
+    for n, phi in enumerate(maps):
+        mapped = reduce_matrix(phi, q) @ kernels[n]
+        rank = field_rank(hstack([mapped, images[n + 1]])) - image_ranks[n + 1]
+        kinds.append(_classify(rank, values[n], values[n + 1]))
+    return _conclude(quantity, values, kinds, window)
 
 
 def tower_tor(t: TowerModule, q: Prime, i: int,
@@ -201,33 +210,23 @@ def tower_tor(t: TowerModule, q: Prime, i: int,
               window: int = DEFAULT_WINDOW) -> StabilizationReport:
     """Tor_i(kappa(q), stage_n) dimensions along the tower.
 
-    Induced maps are computed by lifting each transition to a chain map
-    of free resolutions and reading off the action on fibered homology;
-    Tor commutes with directed colimits, so a stabilized value is the Tor
-    of the colimit.
+    Each stage is resolved once, and each transition is lifted to a chain
+    map between the resolutions of its ends; the induced maps are read off
+    the fibered homology.  Tor commutes with directed colimits, so a
+    stabilized value is the Tor of the colimit.
     """
     if i < 0:
         raise InputError("Tor degree must be >= 0")
     _require_window(window)
     t.ring.residue_field(q)
-    values: list[int] = []
-    kinds: list[str] = []
+    resolutions = [free_resolution(t.stage(0), i + 1)]
+    phis: list[Matrix] = []
     for n in range(max_stage):
-        res_m, res_n, phis = lift_to_resolutions(t.transition(n), i + 1)
-        cx_m, cx_n = res_m.complex, res_n.complex
-        ker_m, _, dim_m = _reduced_homology_data(
-            cx_m.boundary(i).matrix, cx_m.boundary(i + 1).matrix, q)
-        _, im_n, dim_n = _reduced_homology_data(
-            cx_n.boundary(i).matrix, cx_n.boundary(i + 1).matrix, q)
-        if not values:
-            values.append(dim_m)
-        mapped = reduce_matrix(phis[i], q) @ ker_m
-        rank = field_rank(hstack([mapped, im_n])) - field_rank(im_n)
-        values.append(dim_n)
-        kinds.append(_classify(rank, dim_m, dim_n))
-    if not values:
-        values.append(tor_fiber(t.stage(0), q, i, i + 1))
-    return _conclude(f"Tor_{i} dimension at ({q.literal()})", values, kinds, window)
+        f = t.transition(n)
+        resolutions.append(free_resolution(f.target, i + 1))
+        phis.append(lift_along(f, resolutions[n], resolutions[n + 1])[i])
+    return _fibered_homology_tower(f"Tor_{i} dimension at ({q.literal()})",
+                                   [r.complex for r in resolutions], phis, q, i, window)
 
 
 @dataclass(frozen=True)
@@ -281,27 +280,12 @@ def tower_complex_homology_fiber(tc: TowerComplex, q: Prime, degree: int,
     """
     _require_window(window)
     tc.ring.residue_field(q)
-    values: list[int] = []
-    kinds: list[str] = []
-    for n in range(max_stage + 1):
-        if not tc.stage(n).is_free():
-            raise InputError("complex towers need free stage terms")
-    for n in range(max_stage):
-        a, b = tc.stage(n), tc.stage(n + 1)
-        ker_a, _, dim_a = _reduced_homology_data(
-            a.boundary(degree).matrix, a.boundary(degree + 1).matrix, q)
-        _, im_b, dim_b = _reduced_homology_data(
-            b.boundary(degree).matrix, b.boundary(degree + 1).matrix, q)
-        if not values:
-            values.append(dim_a)
-        phibar = reduce_matrix(tc.transition(n).at(degree).matrix, q)
-        rank = field_rank(hstack([phibar @ ker_a, im_b])) - field_rank(im_b)
-        values.append(dim_b)
-        kinds.append(_classify(rank, dim_a, dim_b))
-    if not values:
-        values.append(tc.stage(0).fiber_homology_dim(q, degree))
-    return _conclude(f"H_{degree} fiber dimension at ({q.literal()})",
-                     values, kinds, window)
+    stages = [tc.stage(n) for n in range(max(max_stage, 0) + 1)]
+    if not all(cx.is_free() for cx in stages):
+        raise InputError("complex towers need free stage terms")
+    maps = [tc.transition(n).at(degree).matrix for n in range(max_stage)]
+    return _fibered_homology_tower(f"H_{degree} fiber dimension at ({q.literal()})",
+                                   stages, maps, q, degree, window)
 
 
 # -- gallery ---------------------------------------------------------------------
@@ -391,6 +375,12 @@ def gallery(name: str, p: int = 2, max_prime: int = 100,
     "injective-hull" (parameter p), "dvr-fraction-field" (parameter p).
     Requires 1 <= window <= max_stage, and max_prime >= 2 for
     "sum-inverse-primes", so that some finite prime is checked.
+
+    max_stage bounds only "sum-inverse-primes", and from below: its row j
+    (the generic point, then the primes in order) evaluates stages
+    0..max(max_stage, j + window + 1), so that the run reaches past the
+    step of its prime.  The other two galleries evaluate stages
+    0..max(6, window + 2) whatever max_stage is.
     """
     _require_window(window)
     if max_stage < window:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fiberflat import cli, criteria, modules
+from fiberflat import cli, criteria, modules, towers
 
 
 @pytest.fixture
@@ -16,6 +16,6 @@ def resolution_calls(monkeypatch):
         calls.append(depth)
         return original(m, depth)
 
-    for namespace in (modules, criteria, cli):
+    for namespace in (modules, criteria, cli, towers):
         monkeypatch.setattr(namespace, "free_resolution", counted, raising=False)
     return calls

@@ -285,12 +285,12 @@ def test_tor_command_depth_and_periodicity(capsys):
 
 @pytest.mark.parametrize("functor", ["tor", "ext"])
 def test_tor_ext_commands_resolve_the_module_once(capsys, resolution_calls, functor):
-    """One resolution feeds the table and the periodicity check, and one the
-    criterion; the dimensions are not re-resolved per prime and degree."""
+    """The criterion's resolution feeds the table and the periodicity check;
+    nothing is re-resolved per prime, per degree or for the table."""
     doc = _doc("Z/12", "module", {"generators": 1, "relations": [[2]]})
     code, _, err = run(capsys, functor, "--depth", "3", doc)
     assert code == 0, err
-    assert 1 <= len(resolution_calls) <= 2
+    assert resolution_calls == [4]
 
 
 def test_tor_command_flat_module(capsys):
@@ -344,6 +344,25 @@ def test_gallery_command(capsys):
     payload = run_json(capsys, "gallery", "injective-hull", "-p", "3")
     assert payload["ok"] is True and payload["parameters"] == {"p": 3}
     assert run(capsys, "gallery", "mystery")[0] == 2
+
+
+@pytest.mark.parametrize("name,flags,counts", [
+    ("injective-hull", ["--max-stage", "6"], [7] * 4),
+    ("injective-hull", ["--max-stage", "40"], [7] * 4),
+    ("injective-hull", ["--max-stage", "5", "--window", "5"], [8] * 4),
+    ("dvr-fraction-field", ["--max-stage", "6"], [7] * 2),
+    ("dvr-fraction-field", ["--max-stage", "40"], [7] * 2),
+    # rows (0), (2), (3), (5), (7): row j evaluates at least stages 0..j + window + 1
+    ("sum-inverse-primes", ["--max-prime", "10", "--max-stage", "3"], [5, 6, 7, 8, 9]),
+    ("sum-inverse-primes", ["--max-prime", "10", "--max-stage", "6"], [7, 7, 7, 8, 9]),
+    ("sum-inverse-primes", ["--max-prime", "10", "--max-stage", "40"], [41] * 5),
+])
+def test_gallery_max_stage_bounds(capsys, name, flags, counts):
+    """--max-stage is a floor for sum-inverse-primes and is otherwise only
+    checked against --window: the other galleries evaluate stages
+    0..max(6, window + 2)."""
+    payload = run_json(capsys, "gallery", name, *flags)
+    assert [len(r["values"]) for r in payload["rows"]] == counts
 
 
 def test_gallery_rejects_bounds_that_prove_nothing(capsys):

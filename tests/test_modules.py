@@ -109,7 +109,9 @@ def seeded_modules(ring, count, seed):
 def test_ext_equals_tor_dimensionwise(ring, seed):
     """The duality invariant: two independent routes, degrees up to 3."""
     for m in seeded_modules(ring, 25, seed):
+        res = free_resolution(m, 4)
         for q in module_prime_set(m):
+            assert res.tor_dims(q) == res.ext_dims(q), (m, q)
             for i in range(4):
                 assert ext_fiber(m, q, i, 4) == tor_fiber(m, q, i, 4), (m, q, i)
 

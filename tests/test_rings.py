@@ -39,13 +39,14 @@ def test_zero_ring_rejected_at_construction():
 
 def test_spectrum_sizes_match_distinct_prime_counts():
     # omega(n) points for Z/n; a DVR has two; fields have one.
-    assert len(integers_mod(12).spectrum().enumerate()) == 2
-    assert len(integers_mod(30).spectrum().enumerate()) == 3
-    assert len(integers_mod(8).spectrum().enumerate()) == 1
-    assert len(localized_at(5).spectrum().enumerate()) == 2
-    assert len(prime_field(7).spectrum().enumerate()) == 1
-    assert len(QQ.spectrum().enumerate()) == 1
-    assert not ZZ.spectrum().finite
+    assert len(integers_mod(12).spectrum()) == 2
+    assert len(integers_mod(30).spectrum()) == 3
+    assert len(integers_mod(8).spectrum()) == 1
+    assert len(localized_at(5).spectrum()) == 2
+    assert len(prime_field(7).spectrum()) == 1
+    assert len(QQ.spectrum()) == 1
+    with pytest.raises(InputError):
+        ZZ.spectrum()
 
 
 def test_spectrum_membership():

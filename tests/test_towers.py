@@ -8,7 +8,7 @@ import pytest
 from fiberflat.complexes import BoundedComplex, ChainMap
 from fiberflat.errors import InputError
 from fiberflat.linalg import Matrix
-from fiberflat.modules import FpModule, ModuleMap
+from fiberflat.modules import FpModule, ModuleMap, tor_fiber
 from fiberflat.rings import GENERIC, Prime, ZZ, is_prime, localized_at
 from fiberflat.towers import (
     TowerComplex,
@@ -203,10 +203,21 @@ def test_injective_hull_tower_tor_profile():
         assert generic.values == (0,) * 7
 
 
+def test_tower_tor_resolves_each_stage_once(resolution_calls):
+    """Interior stages are resolved once, not once as a transition's target
+    and again as the next one's source; the kernel route of each stage
+    value agrees with the divisor route of tor_fiber."""
+    t = injective_hull_tower(2)
+    for i, q in [(0, Prime.at(2)), (1, Prime.at(2)), (1, GENERIC)]:
+        resolution_calls.clear()
+        rep = tower_tor(t, q, i, max_stage=6)
+        assert resolution_calls == [i + 1] * 7
+        assert list(rep.values) == [tor_fiber(t.stage(n), q, i, i + 1) for n in range(7)]
+
+
 def test_injective_hull_stage_values_match_closed_form():
     # Tor_i(F_2, Z/2^n) is one-dimensional for i in {0, 1}: check each
     # stage against a hand-rolled resolution computation
-    from fiberflat.modules import tor_fiber
     ring = localized_at(2)
     for n in range(5):
         m = FpModule.cyclic(ring, Fraction(2) ** (n + 1))

@@ -8,11 +8,11 @@ stabilization reports.  See the README for the CLI surface.
 
 from .errors import ContradictionError, InputError
 from .rings import (
-    GENERIC, BaseRing, Prime, ResidueField, ZZ, QQ,
+    GENERIC, BaseRing, Prime, ZZ, QQ,
     integers_mod, localized_at, parse_prime, parse_ring, prime_field,
 )
 from .linalg import (
-    Matrix, SnfDecomposition, determinantal_divisors, det, field_rank, rank,
+    Matrix, SnfDecomposition, det, field_rank, rank,
     rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix,
 )
 from .modules import (
@@ -23,7 +23,7 @@ from .modules import (
 )
 from .complexes import (
     BoundedComplex, ChainMap, FiberProfile, HomotopyCertificate, cone, dual,
-    fiber_complex, koszul_complex, koszul_selfduality, null_homotopy, shift,
+    koszul_complex, koszul_selfduality, null_homotopy, shift,
     tensor_with_module, total_tensor, truncate_geq,
 )
 from .criteria import (

@@ -47,7 +47,7 @@ from .criteria import (
 from .errors import ContradictionError, InputError
 from .linalg import Matrix, snf
 from .modules import (
-    FpModule, ModuleMap, module_prime_set, prime_filtration, purity_report,
+    FpModule, ModuleMap, prime_filtration, purity_report,
 )
 from .rings import (
     BaseRing, Prime, parse_prime, parse_ring, parse_scalar, render_scalar,
@@ -318,8 +318,7 @@ def _primes_for(args, default: list[Prime], ring: BaseRing) -> list[Prime]:
     out = []
     for tok in args.primes.split(","):
         q = parse_prime(tok.strip())
-        if not ring.admits(q):
-            raise InputError(f"{q} is not a point of Spec {ring.literal()}")
+        ring.residue_field(q)
         out.append(q)
     return out
 
@@ -421,14 +420,14 @@ def _tor_ext_command(args, functor: str) -> tuple[str, int]:
     depth = _capped(args.depth, "--depth", MAX_DEPTH)
     ring, m = load_document(args.input, "module")
     criterion = tor_flatness_criterion if functor == "tor" else ext_flatness_criterion
-    primes = _sorted_primes(_primes_for(args, module_prime_set(m), ring))
+    asked = _primes_for(args, [], ring)
     verdict = criterion(m, depth)
     res = verdict.resolution
     dims_at = res.tor_dims if functor == "tor" else res.ext_dims
     table = []
     lines = [f"ring: {ring.literal()}", f"module: {_module_text(m)}"]
-    for q in primes:
-        row = dims_at(q)
+    for q in _sorted_primes(asked or verdict.checked_primes):
+        row = verdict.table[q] if q in verdict.table else dims_at(q)
         dims = [[i, row[i]] for i in range(depth, -1, -1)]
         table.append({"prime": q.literal(), "dims": dims})
         rendered = ", ".join(f"{functor}_{i}={d}" for i, d in dims)

@@ -174,18 +174,6 @@ class BoundedComplex:
         return self.fiber_profile(q).is_exact()
 
 
-def fiber_complex(cx: BoundedComplex, q: Prime) -> BoundedComplex:
-    """The complex of kappa(q)-vector spaces obtained by reducing a
-    complex with free terms.  Non-free terms are rejected: their fibers
-    are handled dimension-wise by fiber_homology_dim instead."""
-    if not cx.is_free():
-        raise InputError("fiber_complex needs free terms")
-    field = cx.ring.residue_field(q).field
-    ranks = [cx.term(i).gens for i in cx.degrees()]
-    mats = [reduce_matrix(cx.boundary(i).matrix, q) for i in range(cx.lo + 1, cx.hi + 1)]
-    return BoundedComplex.free_complex(field, cx.lo, ranks, mats)
-
-
 class ChainMap:
     """A degreewise map of complexes commuting with the boundaries.
 

@@ -274,8 +274,9 @@ class FlatnessVerdict:
 
     complete is False over Z/n, where only degrees up to checked_depth
     were examined (the ring has infinite global dimension); the verdict
-    text carries the same qualifier.  resolution is the one the table was
-    read off, of depth checked_depth + 1.
+    text carries the same qualifier.  table holds the fiber dimensions in
+    degrees 0..checked_depth at each checked prime, read off resolution,
+    which has depth checked_depth + 1.
     """
 
     functor: str
@@ -286,6 +287,7 @@ class FlatnessVerdict:
     checked_primes: tuple[Prime, ...]
     checked_depth: int
     complete: bool
+    table: dict[Prime, list[int]] = field(compare=False, repr=False)
     resolution: Resolution = field(compare=False, repr=False)
 
     def describe(self) -> str:
@@ -303,9 +305,9 @@ def _vanishing_criterion(m: FpModule, depth: int, functor: str) -> FlatnessVerdi
     primes = module_prime_set(m)
     res = free_resolution(m, depth + 1)
     dims = res.tor_dims if functor == "tor" else res.ext_dims
-    table = [dims(q) for q in primes]
-    positive = not any(any(row[1:]) for row in table)
-    with_zero = positive and not any(row[0] for row in table)
+    table = {q: dims(q) for q in primes}
+    positive = not any(any(row[1:]) for row in table.values())
+    with_zero = positive and not any(row[0] for row in table.values())
     flat_confirmed: bool | None = None
     zero_confirmed: bool | None = None
     if positive:
@@ -320,7 +322,7 @@ def _vanishing_criterion(m: FpModule, depth: int, functor: str) -> FlatnessVerdi
         zero_confirmed = True
     complete = m.ring.kind != "Zmod"
     return FlatnessVerdict(functor, positive, with_zero, flat_confirmed,
-                           zero_confirmed, tuple(primes), depth, complete, res)
+                           zero_confirmed, tuple(primes), depth, complete, table, res)
 
 
 def tor_flatness_criterion(m: FpModule, depth: int = 1) -> FlatnessVerdict:

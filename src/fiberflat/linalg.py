@@ -3,9 +3,9 @@
 Matrices are small and dense; entries are the plain numbers described in
 fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 
-* ``snf(A)`` returns U, D, V with A = U @ D @ V, det(U) and det(V) units,
-  and the diagonal of D a divisibility chain with trailing zeros.
-* SNF, det, determinantal divisors and matrix products run on integral
+* ``snf(A)`` returns A's cached U, D, V with A = U @ D @ V, det(U) and
+  det(V) units, and the diagonal of D a divisibility chain with trailing zeros.
+* SNF, det and matrix products run on integral
   lifts (_integral_lift): canonical representatives over Z/n and F_p, the
   matrix times the lcm of its denominators (a unit) over Z_(p) and Q.
   field_rank alone eliminates over the field itself (fraction-free, row by
@@ -37,8 +37,7 @@ from .rings import BaseRing, Prime, Scalar
 
 __all__ = [
     "Matrix", "SnfDecomposition", "snf", "rank", "rank_over_fiber",
-    "determinantal_divisors", "solve_integral", "syzygy_matrix",
-    "reduce_matrix", "field_rank", "det",
+    "solve_integral", "syzygy_matrix", "reduce_matrix", "field_rank", "det",
     "hstack", "vstack", "kron",
 ]
 
@@ -241,25 +240,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 # -- Smith normal form ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SnfDecomposition:
-    """A = U @ D @ V with unit-determinant U, V and canonical diagonal D."""
-
-    U: Matrix
-    D: Matrix
-    V: Matrix
-    elementary_divisors: tuple[Scalar, ...]
-
-    def verify(self, a: Matrix) -> bool:
-        """Recheck reconstruction, unit determinants, and the chain."""
-        if self.U @ self.D @ self.V != a:
-            return False
-        ring = a.ring
-        if not (ring.is_unit(det(self.U)) and ring.is_unit(det(self.V))):
-            return False
-        return _chain_ok(ring, self.elementary_divisors)
-
-
 def _chain_ok(ring: BaseRing, divisors: Sequence[Scalar]) -> bool:
     seen_zero = False
     for i, d in enumerate(divisors):
@@ -273,18 +253,29 @@ def _chain_ok(ring: BaseRing, divisors: Sequence[Scalar]) -> bool:
     return True
 
 
-class _SnfFull:
-    """A cached SNF: the divisors at once, each witness on first read.
+@dataclass(eq=False, repr=False)
+class SnfDecomposition:
+    """A = U @ D @ V with unit-determinant U, V and canonical diagonal D,
+    cached on A: the divisors at once, and each of U, Ui (= U^-1), V, Vi
+    (= V^-1) replayed from the kernel's moves, reduced into the ring, and
+    kept the first time a caller reads it.  Ui @ A @ Vi = D."""
 
-    The kernel records its moves instead of updating witnesses; each of
-    U, Ui (= U^-1), V and Vi (= V^-1) is replayed from them, reduced into
-    the ring, and kept the first time a caller reads it.  Ui @ A @ Vi = D.
-    """
+    ring: BaseRing
+    rows: int
+    cols: int
+    elementary_divisors: tuple[Scalar, ...]
+    row_moves: list
+    col_moves: list
+    units: list
 
-    def __init__(self, ring: BaseRing, m: int, n: int, divisors: tuple[Scalar, ...],
-                 row_moves: list, col_moves: list, units: list):
-        self.ring, self._m, self._n, self.divisors = ring, m, n, divisors
-        self._row_moves, self._col_moves, self._units = row_moves, col_moves, units
+    def verify(self, a: Matrix) -> bool:
+        """Recheck reconstruction, unit determinants, and the chain."""
+        if self.U @ self.D @ self.V != a:
+            return False
+        ring = a.ring
+        if not (ring.is_unit(det(self.U)) and ring.is_unit(det(self.V))):
+            return False
+        return _chain_ok(ring, self.elementary_divisors)
 
     def _lower(self, rows: list[list[int]], units: Iterable[tuple[int, Scalar]]) -> Matrix:
         """Integer rows as a square matrix over the ring, row i times u for each (i, u)."""
@@ -304,25 +295,25 @@ class _SnfFull:
 
     @cached_property
     def D(self) -> Matrix:
-        return Matrix.diagonal(self.ring, self.divisors, self._m, self._n)
+        return Matrix.diagonal(self.ring, self.elementary_divisors, self.rows, self.cols)
 
     @cached_property
     def U(self) -> Matrix:
-        return self._lower(_replay(self._m, self._row_moves, True), ()).transpose()
+        return self._lower(_replay(self.rows, self.row_moves, True), ()).transpose()
 
     @cached_property
     def Ui(self) -> Matrix:
-        return self._lower(_replay(self._m, self._row_moves), ())
+        return self._lower(_replay(self.rows, self.row_moves), ())
 
     @cached_property
     def V(self) -> Matrix:
-        units = [(i, u) for i, u, _ in self._units if u != 1]
-        return self._lower(_replay(self._n, self._col_moves, True), units)
+        units = [(i, u) for i, u, _ in self.units if u != 1]
+        return self._lower(_replay(self.cols, self.col_moves, True), units)
 
     @cached_property
     def Vi(self) -> Matrix:
-        units = [(i, u) for i, _, u in self._units if u != 1]
-        return self._lower(_replay(self._n, self._col_moves), units).transpose()
+        units = [(i, u) for i, _, u in self.units if u != 1]
+        return self._lower(_replay(self.cols, self.col_moves), units).transpose()
 
 
 # Kernel moves (op, i, j, q): _ADD adds q times line j to line i, _SWAP
@@ -358,7 +349,7 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
 
     Only D is eliminated.  Every elementary row or column operation on D is
     appended to row_moves or col_moves, in order, as an (op, i, j, q) move;
-    the witnesses are replayed from them on first read (see _SnfFull).
+    the witnesses are replayed from them on first read (see SnfDecomposition).
     """
     D = [list(r) for r in a_rows]
     row_moves: list[tuple[int, int, int, int]] = []
@@ -440,7 +431,7 @@ def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
     return scale, [[x.numerator * (scale // x.denominator) for x in r] for r in a._data]
 
 
-def _snf_full(a: Matrix) -> _SnfFull:
+def _snf_full(a: Matrix) -> SnfDecomposition:
     """Every ring runs through the integer kernel on its integral lift.
 
     Each integer divisor d that is nonzero in the ring splits as c*u with c
@@ -479,13 +470,12 @@ def _snf_full(a: Matrix) -> _SnfFull:
         divisors = [d % p for d in divisors]
     elif ring.uses_fractions:
         divisors = [Fraction(d) for d in divisors]
-    full = _SnfFull(ring, m, n, tuple(divisors), row_moves, col_moves, units)
-    a._snf = full
-    return full
+    a._snf = SnfDecomposition(ring, m, n, tuple(divisors), row_moves, col_moves, units)
+    return a._snf
 
 
 def snf(a: Matrix) -> SnfDecomposition:
-    """Smith normal form decomposition A = U @ D @ V.
+    """Smith normal form decomposition A = U @ D @ V, cached on A.
 
     >>> from fiberflat.rings import ZZ
     >>> snf(Matrix(ZZ, [[2, 0], [0, 3]])).elementary_divisors
@@ -494,13 +484,12 @@ def snf(a: Matrix) -> SnfDecomposition:
     >>> snf(Matrix(integers_mod(12), [[8]])).elementary_divisors
     (4,)
     """
-    full = _snf_full(a)
-    return SnfDecomposition(full.U, full.D, full.V, full.divisors)
+    return _snf_full(a)
 
 
 def rank(a: Matrix) -> int:
     """Rank over the fraction field: the number of nonzero divisors."""
-    return sum(1 for d in _snf_full(a).divisors if d != 0)
+    return sum(1 for d in _snf_full(a).elementary_divisors if d != 0)
 
 
 def rank_over_fiber(a: Matrix, q: Prime) -> int:
@@ -514,71 +503,12 @@ def rank_over_fiber(a: Matrix, q: Prime) -> int:
     >>> rank_over_fiber(Matrix(ZZ, [[6, 4], [2, 2]]), Prime.at(2))
     0
     """
-    ring = a.ring
-    if not ring.admits(q):
-        raise InputError(f"{q} is not a point of Spec {ring}")
-    divisors = _snf_full(a).divisors
+    a.ring.residue_field(q)
+    divisors = _snf_full(a).elementary_divisors
     if q.is_generic:
         return sum(1 for d in divisors if d != 0)
     p = q.p
-    count = 0
-    for d in divisors:
-        if d == 0:
-            continue
-        if Fraction(d).numerator % p != 0:
-            count += 1
-    return count
-
-
-def determinantal_divisors(a: Matrix) -> list[Scalar]:
-    """k-th entry: gcd of all k x k minors, computed by direct enumeration.
-
-    Minors of the integral lift are shared across subset levels with a
-    Laplace-expansion DP.  Only rings with meaningful gcds are supported
-    (Z and Z_(p)); over Z_(p) the lift scales each k-minor by a unit, so the
-    gcd is p to the least valuation of the integer minors.  The k-th divisor
-    equals the product of the first k elementary divisors up to units,
-    which tests assert against snf().
-
-    >>> from fiberflat.rings import ZZ
-    >>> determinantal_divisors(Matrix(ZZ, [[2, 0], [0, 3]]))
-    [1, 6]
-    """
-    ring = a.ring
-    if ring.kind not in ("Z", "Zloc"):
-        raise InputError(f"determinantal divisors need gcds; unsupported over {ring}")
-    m, n = a.rows, a.cols
-    kmax = min(m, n)
-    out: list[Scalar] = []
-    from itertools import combinations
-
-    _, data = _integral_lift(a)
-    level: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
-    for k in range(1, kmax + 1):
-        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        g = 0
-        for rows_sel in combinations(range(m), k):
-            r0, rest = rows_sel[0], rows_sel[1:]
-            row = data[r0]
-            for cols_sel in combinations(range(n), k):
-                acc = 0
-                sign = 1
-                for t, c in enumerate(cols_sel):
-                    acc += sign * row[c] * level[(rest, cols_sel[:t] + cols_sel[t + 1:])]
-                    sign = -sign
-                nxt[(rows_sel, cols_sel)] = acc
-                if acc:
-                    g = gcd(g, acc)
-        out.append(g)
-        if g == 0:
-            # All k-minors vanish, so all larger minors vanish too.
-            out.extend([0] * (kmax - k))
-            break
-        level = nxt
-    if ring.kind == "Zloc":
-        p = ring.param
-        out = [ring.canon(p ** ring.valuation(g) if g else 0) for g in out]
-    return out
+    return sum(1 for d in divisors if Fraction(d).numerator % p)
 
 
 def det(a: Matrix) -> Scalar:
@@ -627,7 +557,7 @@ def solve_integral(a: Matrix, b: Matrix) -> Matrix | None:
     c = full.Ui @ b
     k, l = a.cols, b.cols
     ybody = [[ring.zero] * l for _ in range(k)]
-    diag = full.divisors
+    diag = full.elementary_divisors
     for i in range(a.rows):
         d = diag[i] if i < len(diag) else None
         crow = c._data[i]
@@ -662,7 +592,7 @@ def syzygy_matrix(a: Matrix) -> Matrix:
     """
     full = _snf_full(a)
     ring = a.ring
-    ann = [ring.annihilator(d) for d in full.divisors]
+    ann = [ring.annihilator(d) for d in full.elementary_divisors]
     ann += [ring.one] * (a.cols - len(ann))
     keep = [i for i, g in enumerate(ann) if g != 0]
     syz = full.Vi.submatrix(range(a.cols), keep)
@@ -672,10 +602,18 @@ def syzygy_matrix(a: Matrix) -> Matrix:
 
 
 def reduce_matrix(a: Matrix, q: Prime) -> Matrix:
-    """Entrywise reduction into the residue field at q."""
-    rf = a.ring.residue_field(q)
-    red = rf.reduce
-    return Matrix._make(rf.field, [[red(x) for x in r] for r in a._data], a.cols)
+    """A reduced into the residue field at q, in one pass over the entries."""
+    field = a.ring.residue_field(q)
+    if field == a.ring:
+        return a
+    p = q.p
+    if p is None:
+        body = [[Fraction(x) for x in r] for r in a._data]
+    elif a.ring.uses_fractions:
+        body = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in a._data]
+    else:
+        body = [[x % p for x in r] for r in a._data]
+    return Matrix._make(field, body, a.cols)
 
 
 def field_rank(a: Matrix) -> int:

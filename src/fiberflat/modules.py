@@ -103,7 +103,7 @@ class FpModule:
     def invariant_factors(self) -> InvariantFactors:
         if self._inv is not None:
             return self._inv
-        nonzero = [d for d in _snf_full(self.relations).divisors if d != 0]
+        nonzero = [d for d in _snf_full(self.relations).elementary_divisors if d != 0]
         torsion = tuple(d for d in nonzero if not self.ring.is_unit(d))
         self._inv = InvariantFactors(self.gens - len(nonzero), torsion)
         return self._inv
@@ -283,7 +283,7 @@ def matrix_bad_primes(a: Matrix) -> set[int]:
     ring = a.ring
     if ring.kind not in ("Z", "Zloc"):
         raise InputError(f"bad primes are not meaningful over {ring}")
-    nonzero = [d for d in _snf_full(a).divisors if d != 0]
+    nonzero = [d for d in _snf_full(a).elementary_divisors if d != 0]
     if not nonzero:
         return set()
     last = nonzero[-1]
@@ -327,7 +327,7 @@ def _free_form(m: FpModule) -> tuple[int, Matrix, Matrix]:
     ring = m.ring
     free_idx = []
     for i in range(m.gens):
-        d = full.divisors[i] if i < len(full.divisors) else None
+        d = full.elementary_divisors[i] if i < len(full.elementary_divisors) else None
         if d is None or d == 0:
             free_idx.append(i)
         elif not ring.is_unit(d):
@@ -478,7 +478,7 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
     kept: list[int] = []
     torsion_of: dict[int, Scalar] = {}
     for i in range(m.gens):
-        d = full.divisors[i] if i < len(full.divisors) else None
+        d = full.elementary_divisors[i] if i < len(full.elementary_divisors) else None
         if d is None or d == 0:
             kept.append(i)
         elif not ring.is_unit(d):

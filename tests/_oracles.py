@@ -1,13 +1,18 @@
 """Brute-force reference computations used as independent test oracles.
 
-Everything here works on plain lists of ints or Fractions, deliberately
+Most of these work on plain lists of ints or Fractions, deliberately
 bypassing the library's Matrix type and its cached decompositions, so a
-bug in the SNF kernel cannot hide behind itself.
+bug in the SNF kernel cannot hide behind itself.  The last section takes
+library objects: determinantal divisors and fibered complexes, which only
+tests use, computed without the SNF.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
+
+from fiberflat.complexes import BoundedComplex
+from fiberflat.linalg import reduce_matrix
 
 
 def naive_det(rows):
@@ -120,3 +125,75 @@ def zmod_span(columns, k, n):
                 span.add(w)
                 frontier.append(w)
     return span
+
+
+def reduce_entry(kind, p, x):
+    """One entry of a matrix over a ring of the given kind reduced into
+    kappa(p), where p None is the generic point: the reduction map applied
+    entry by entry, re-canonicalising each scalar."""
+    if p is None:
+        return x if kind == "Fp" else Fraction(x)
+    if kind in ("Zloc", "Q"):
+        x = Fraction(x)
+        return (x.numerator % p) * pow(x.denominator % p, -1, p) % p
+    return int(x) % p
+
+
+# -- oracles on library objects -------------------------------------------------
+
+def determinantal_divisors(a):
+    """k-th entry: gcd of all k x k minors of a Matrix over Z or Z_(p).
+
+    Minors of the integral lift (a times the lcm of its denominators) are
+    shared across subset levels with a Laplace-expansion DP.  Over Z_(p)
+    the lift scales each k-minor by a unit, so the gcd is p to the least
+    valuation of the integer minors.  The k-th divisor equals the product
+    of the first k elementary divisors up to units.
+    """
+    ring, m, n = a.ring, a.rows, a.cols
+    assert ring.kind in ("Z", "Zloc"), f"no gcds over {ring}"
+    rows = [[Fraction(x) for x in r] for r in a.to_rows()]
+    scale = lcm(1, *(x.denominator for r in rows for x in r))
+    data = [[int(x * scale) for x in r] for r in rows]
+    kmax = min(m, n)
+    out = []
+    level = {((), ()): 1}
+    for k in range(1, kmax + 1):
+        nxt = {}
+        g = 0
+        for rows_sel in combinations(range(m), k):
+            r0, rest = rows_sel[0], rows_sel[1:]
+            row = data[r0]
+            for cols_sel in combinations(range(n), k):
+                acc, sign = 0, 1
+                for t, c in enumerate(cols_sel):
+                    acc += sign * row[c] * level[(rest, cols_sel[:t] + cols_sel[t + 1:])]
+                    sign = -sign
+                nxt[(rows_sel, cols_sel)] = acc
+                g = gcd(g, acc)
+        out.append(g)
+        if g == 0:
+            # All k-minors vanish, so all larger minors vanish too.
+            out.extend([0] * (kmax - k))
+            break
+        level = nxt
+    if ring.kind == "Zloc":
+        p = ring.param
+        out = [Fraction(p ** _valuation(g, p) if g else 0) for g in out]
+    return out
+
+
+def _valuation(g, p):
+    v = 0
+    while g % p == 0:
+        g, v = g // p, v + 1
+    return v
+
+
+def fiber_complex(cx, q):
+    """The complex of kappa(q)-vector spaces obtained by reducing a
+    complex with free terms."""
+    assert cx.is_free(), "fiber_complex needs free terms"
+    ranks = [cx.term(i).gens for i in cx.degrees()]
+    mats = [reduce_matrix(cx.boundary(i).matrix, q) for i in range(cx.lo + 1, cx.hi + 1)]
+    return BoundedComplex.free_complex(cx.ring.residue_field(q), cx.lo, ranks, mats)

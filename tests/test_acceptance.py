@@ -15,7 +15,6 @@ from fiberflat.generate import random_complex, random_fp_module
 from fiberflat.linalg import (
     Matrix,
     det,
-    determinantal_divisors,
     field_rank,
     reduce_matrix,
     snf,
@@ -31,6 +30,8 @@ from fiberflat.modules import (
 )
 from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, is_prime
 from fiberflat.towers import gallery
+
+from _oracles import determinantal_divisors
 
 
 class Budget:

@@ -15,6 +15,7 @@ from fiberflat.cli import (
     MAX_DEPTH, MAX_KOSZUL_ELEMENTS, MAX_PRIME_BOUND, MAX_RANK, MAX_STAGE,
     load_document, main, render_document,
 )
+from fiberflat.modules import Resolution
 from fiberflat.rings import PRIMALITY_BOUND
 
 # -- document corpus -----------------------------------------------------------
@@ -291,6 +292,33 @@ def test_tor_ext_commands_resolve_the_module_once(capsys, resolution_calls, func
     code, _, err = run(capsys, functor, "--depth", "3", doc)
     assert code == 0, err
     assert resolution_calls == [4]
+
+
+@pytest.mark.parametrize("functor", ["tor", "ext"])
+def test_tor_ext_tables_compute_each_prime_once(capsys, monkeypatch, functor):
+    """The criterion's per-prime table is printed as it is: one tor_dims or
+    ext_dims call per printed prime, and another only for a --primes value
+    the criterion did not check."""
+    calls = []
+    original = getattr(Resolution, f"{functor}_dims")
+    monkeypatch.setattr(Resolution, f"{functor}_dims",
+                        lambda res, q: calls.append(q.literal()) or original(res, q))
+    doc = _doc("Z", "module", {"generators": 2, "relations": [[4, 0], [0, 6]]})
+    payload = run_json(capsys, functor, "--depth", "3", doc)
+    assert [row["prime"] for row in payload["table"]] == ["0", "2", "3"]
+    assert calls == ["0", "2", "3"]
+    calls.clear()
+    payload = run_json(capsys, functor, "--depth", "3", "--primes", "7,2", doc)
+    assert [row["prime"] for row in payload["table"]] == ["2", "7"]
+    assert calls == ["0", "2", "3", "7"]
+
+
+@pytest.mark.parametrize("functor", ["tor", "ext"])
+def test_tor_ext_report_a_bad_prime_before_a_bad_depth(capsys, functor):
+    code, out, err = run(capsys, functor, "--depth", "0", "--primes", "5", Z4_MODULE)
+    assert (code, out, err) == (2, "", "input error: (5) is not a point of Spec Z/4\n")
+    code, out, err = run(capsys, functor, "--depth", "0", Z4_MODULE)
+    assert (code, out, err) == (2, "", "input error: criterion depth must be >= 1\n")
 
 
 def test_tor_command_flat_module(capsys):

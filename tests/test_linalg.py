@@ -9,17 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from fiberflat.errors import InputError
 from fiberflat.linalg import (
-    Matrix, _snf_full, det, determinantal_divisors, field_rank, hstack, rank,
+    Matrix, _snf_full, det, field_rank, hstack, rank,
     rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix, vstack,
 )
-from fiberflat.modules import FpModule, matrix_bad_primes
+from fiberflat import modules
+from fiberflat.modules import FpModule, ModuleMap, matrix_bad_primes
 from fiberflat.rings import (
     GENERIC, Prime, QQ, ZZ, integers_mod, localized_at, prime_field,
 )
 
 from _oracles import (
-    box_kernel, box_solve, fraction_rank, minor_gcd, modp_rank, naive_det,
-    zmod_kernel, zmod_span,
+    box_kernel, box_solve, determinantal_divisors, fraction_rank, minor_gcd,
+    modp_rank, naive_det, zmod_kernel, zmod_span,
 )
 
 entry = st.integers(min_value=-9, max_value=9)
@@ -208,15 +209,25 @@ def _built(a):
 
 
 @pytest.mark.parametrize("ring", [ZZ, localized_at(3)], ids=str)
-def test_witnesses_are_built_only_when_read(ring):
+def test_witnesses_are_built_only_when_read(ring, monkeypatch):
     def fresh():
         return Matrix(ring, [[2, 4, 4], [-6, 6, 12], [10, 4, 16], [2, 0, 2]])
 
     for read in (rank, lambda a: rank_over_fiber(a, Prime.at(3)), matrix_bad_primes,
-                 lambda a: FpModule(ring, a.rows, a).invariant_factors()):
+                 lambda a: FpModule(ring, a.rows, a).invariant_factors(),
+                 lambda a: snf(a).elementary_divisors):
         a = fresh()
         read(a)
         assert _built(a) == set()
+    a = fresh()
+    assert snf(a) is a._snf is _snf_full(a)
+    # purity in free coordinates reads only the divisors of its matrix
+    seen = []
+    monkeypatch.setattr(modules, "snf", lambda g: seen.append(g) or snf(g))
+    f = ModuleMap(FpModule.free(ring, 3), FpModule.free(ring, 4), fresh())
+    assert modules._pure_free_case(f) is (ring.kind == "Zloc")  # 2 is a unit only at (3)
+    (g,) = seen
+    assert _built(g) == set()
     a = fresh()
     syzygy_matrix(a)
     assert _built(a) == {"Vi"}

@@ -1,18 +1,22 @@
 """Ring layer: literals, arithmetic, residue fields, spectra."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fiberflat import cli
 from fiberflat.errors import InputError
 from fiberflat.linalg import Matrix, rank_over_fiber, reduce_matrix
+from fiberflat.modules import FpModule, ModuleMap
 from fiberflat.rings import (
     GENERIC, PRIMALITY_BOUND, Prime, QQ, ZZ, integers_mod, is_prime, localized_at,
     parse_prime, parse_ring, parse_scalar, prime_field, render_scalar,
 )
+from fiberflat.towers import TowerModule, tower_fiber, tower_tor
 
-from _oracles import fraction_rank, modp_rank
+from _oracles import fraction_rank, modp_rank, reduce_entry
 
 
 @pytest.mark.parametrize("literal", ["Z", "Q", "Z/12", "Z/7", "Zloc/5", "F3"])
@@ -59,22 +63,88 @@ def test_spectrum_membership():
 
 
 def test_residue_fields():
-    assert ZZ.residue_field(Prime.at(5)).field.literal() == "F5"
-    assert ZZ.residue_field(GENERIC).field.literal() == "Q"
-    assert localized_at(5).residue_field(GENERIC).field.literal() == "Q"
-    assert localized_at(5).residue_field(Prime.at(5)).field.literal() == "F5"
-    assert integers_mod(12).residue_field(Prime.at(3)).field.literal() == "F3"
-    assert prime_field(7).residue_field(GENERIC).field.literal() == "F7"
+    assert ZZ.residue_field(Prime.at(5)).literal() == "F5"
+    assert ZZ.residue_field(GENERIC).literal() == "Q"
+    assert localized_at(5).residue_field(GENERIC).literal() == "Q"
+    assert localized_at(5).residue_field(Prime.at(5)).literal() == "F5"
+    assert integers_mod(12).residue_field(Prime.at(3)).literal() == "F3"
+    assert prime_field(7).residue_field(GENERIC).literal() == "F7"
     with pytest.raises(InputError):
         ZZ.residue_field(Prime.at(6))
 
 
+def _reduce_scalar(ring, q, x):
+    (y,) = reduce_matrix(Matrix(ring, [[x]]), q).row(0)
+    return y
+
+
 def test_residue_reduction_values():
-    assert ZZ.residue_field(Prime.at(5)).reduce(7) == 2
-    assert ZZ.residue_field(GENERIC).reduce(7) == Fraction(7)
+    assert _reduce_scalar(ZZ, Prime.at(5), 7) == 2
+    assert _reduce_scalar(ZZ, GENERIC, 7) == Fraction(7)
     # 7/2 at (3): 2 is a unit, inverse 2, so 7*2 = 14 = 2 mod 3.
-    assert localized_at(3).residue_field(Prime.at(3)).reduce(Fraction(7, 2)) == 2
-    assert integers_mod(12).residue_field(Prime.at(2)).reduce(7) == 1
+    assert _reduce_scalar(localized_at(3), Prime.at(3), Fraction(7, 2)) == 2
+    assert _reduce_scalar(integers_mod(12), Prime.at(2), 7) == 1
+
+
+# Every ring with the points of its spectrum; Spec Z is sampled.
+RING_POINTS = [
+    (ZZ, [GENERIC, Prime.at(2), Prime.at(3), Prime.at(5), Prime.at(7)]),
+    (integers_mod(12), [Prime.at(2), Prime.at(3)]),
+    (integers_mod(360), [Prime.at(2), Prime.at(3), Prime.at(5)]),
+    (localized_at(3), [GENERIC, Prime.at(3)]),
+    (QQ, [GENERIC]),
+    (prime_field(5), [GENERIC]),
+]
+
+
+@pytest.mark.parametrize("ring, points", RING_POINTS, ids=[str(r) for r, _ in RING_POINTS])
+@given(data=st.data())
+def test_reduce_matrix_matches_entrywise_reduction(ring, points, data):
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    if ring.uses_fractions:
+        # denominators coprime to 3 keep every entry in Zloc/3
+        den = st.sampled_from([1, 2, 4, 5, 7, 10]) if ring.kind == "Zloc" else st.integers(1, 12)
+        entry = st.builds(Fraction, st.integers(-50, 50), den)
+    else:
+        entry = st.integers(-400, 400)
+    a = Matrix(ring, [[data.draw(entry) for _ in range(n)] for _ in range(m)], cols=n)
+    for q in points:
+        reduced = reduce_matrix(a, q)
+        assert reduced.ring == ring.residue_field(q)
+        assert (reduced.rows, reduced.cols) == (a.rows, a.cols)
+        expected = [[reduce_entry(ring.kind, q.p, x) for x in r] for r in a.to_rows()]
+        assert reduced.to_rows() == expected
+        assert all(type(x) is type(y) for r, e in zip(reduced.to_rows(), expected)
+                   for x, y in zip(r, e))
+
+
+@pytest.mark.parametrize("ring, q, doc", [
+    (localized_at(3), Prime.at(5), {"lo": 0, "hi": 1, "ranks_or_terms": [1, 1],
+                                    "boundaries": [[[3]]]}),
+    (integers_mod(12), GENERIC, {"lo": 0, "hi": 1, "ranks_or_terms": [1, 1],
+                                 "boundaries": [[[2]]]}),
+], ids=["Zloc3-at-5", "Z12-generic"])
+def test_inadmissible_points_give_one_message(capsys, ring, q, doc):
+    """residue_field alone rejects a point outside Spec R; the fiber rank,
+    the reduction, the fibers command and the tower reports all say so in
+    its words."""
+    expected = f"{q} is not a point of Spec {ring}"
+    a = Matrix(ring, [[1, 2]])
+    for call in (lambda: ring.residue_field(q), lambda: rank_over_fiber(a, q),
+                 lambda: reduce_matrix(a, q)):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == expected
+    text = json.dumps({"version": 1, "ring": ring.literal(), "complex": doc})
+    assert cli.main(["fibers", "--primes", q.literal(), text]) == 2
+    assert capsys.readouterr().err == f"input error: {expected}\n"
+    tower = TowerModule(ring, lambda n: FpModule.cyclic(ring, 2),
+                        lambda n, src, tgt: ModuleMap(src, tgt, Matrix(ring, [[1]])))
+    for report in (lambda: tower_fiber(tower, q, max_stage=2),
+                   lambda: tower_tor(tower, q, 1, max_stage=2)):
+        with pytest.raises(InputError) as exc:
+            report()
+        assert str(exc.value) == expected
 
 
 def test_generic_prime_ordering_and_literals():

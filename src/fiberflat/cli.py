@@ -312,9 +312,9 @@ def _cmd_homology(args) -> tuple[str, int]:
     return _emit(args, payload, lines), 0
 
 
-def _primes_for(args, default: list[Prime], ring: BaseRing) -> list[Prime]:
+def _primes_for(args, ring: BaseRing) -> list[Prime]:
     if not args.primes:
-        return default
+        return []
     out = []
     for tok in args.primes.split(","):
         q = parse_prime(tok.strip())
@@ -325,7 +325,7 @@ def _primes_for(args, default: list[Prime], ring: BaseRing) -> list[Prime]:
 
 def _cmd_fibers(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
-    primes = _sorted_primes(_primes_for(args, complex_prime_set(cx), ring))
+    primes = _sorted_primes(_primes_for(args, ring) or complex_prime_set(cx))
     rows = []
     lines = [f"ring: {ring.literal()}"]
     for q in primes:
@@ -420,7 +420,7 @@ def _tor_ext_command(args, functor: str) -> tuple[str, int]:
     depth = _capped(args.depth, "--depth", MAX_DEPTH)
     ring, m = load_document(args.input, "module")
     criterion = tor_flatness_criterion if functor == "tor" else ext_flatness_criterion
-    asked = _primes_for(args, [], ring)
+    asked = _primes_for(args, ring)
     verdict = criterion(m, depth)
     res = verdict.resolution
     dims_at = res.tor_dims if functor == "tor" else res.ext_dims

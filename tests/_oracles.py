@@ -4,7 +4,8 @@ Most of these work on plain lists of ints or Fractions, deliberately
 bypassing the library's Matrix type and its cached decompositions, so a
 bug in the SNF kernel cannot hide behind itself.  The last section takes
 library objects: determinantal divisors and fibered complexes, which only
-tests use, computed without the SNF.
+tests use, computed without the SNF, and homology presented by two
+pullbacks in every degree, the route exactness is checked against.
 """
 
 from fractions import Fraction
@@ -12,7 +13,8 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from fiberflat.complexes import BoundedComplex
-from fiberflat.linalg import reduce_matrix
+from fiberflat.linalg import hstack, reduce_matrix
+from fiberflat.modules import FpModule, _pullback
 
 
 def naive_det(rows):
@@ -197,3 +199,12 @@ def fiber_complex(cx, q):
     ranks = [cx.term(i).gens for i in cx.degrees()]
     mats = [reduce_matrix(cx.boundary(i).matrix, q) for i in range(cx.lo + 1, cx.hi + 1)]
     return BoundedComplex.free_complex(cx.ring.residue_field(q), cx.lo, ranks, mats)
+
+
+def pullback_homology(cx, i):
+    """H_i with generators P = pullback(d_i, A_{i-1}) and relations
+    pullback(P, [d_{i+1} | A_i]), A_j the relations of term(j), in every
+    degree including the bottom one."""
+    p = _pullback(cx.boundary(i).matrix, cx.term(i - 1).relations)
+    wall = hstack([cx.boundary(i + 1).matrix, cx.term(i).relations])
+    return FpModule(cx.ring, p.cols, _pullback(p, wall))

@@ -15,6 +15,7 @@ from fiberflat.cli import (
     MAX_DEPTH, MAX_KOSZUL_ELEMENTS, MAX_PRIME_BOUND, MAX_RANK, MAX_STAGE,
     load_document, main, render_document,
 )
+from fiberflat.errors import InputError
 from fiberflat.modules import Resolution
 from fiberflat.rings import PRIMALITY_BOUND
 
@@ -220,6 +221,32 @@ def test_fibers_rejects_inadmissible_primes(capsys):
                       "complex": {"lo": 0, "hi": 1, "ranks_or_terms": [1, 1],
                                   "boundaries": [[[5]]]}})
     assert run(capsys, "fibers", "--primes", "5", doc)[0] == 2
+
+
+def test_fibers_with_primes_skips_the_prime_set(capsys, monkeypatch):
+    """--primes replaces the complex's prime set, which is then never
+    computed: a bad --primes value is reported, and a prime set that
+    would fail (a divisor with a prime factor past PRIMALITY_BOUND, which
+    trial division cannot reach in test time, stood in for by the patch)
+    is reported only without --primes."""
+    calls = []
+
+    def failing(cx):
+        calls.append(cx)
+        raise InputError("prime set failed")
+
+    monkeypatch.setattr(cli, "complex_prime_set", failing)
+    payload = run_json(capsys, "fibers", "--primes", "5,2", json.dumps(DOCS["complex"]))
+    assert [row["prime"] for row in payload["profiles"]] == ["2", "5"]
+    assert calls == []
+    doc = _doc("Z/4", "complex", {"lo": 0, "hi": 1, "ranks_or_terms": [1, 1],
+                                  "boundaries": [[[2]]]})
+    code, out, err = run(capsys, "fibers", "--primes", "5", doc)
+    assert (code, out, err) == (2, "", "input error: (5) is not a point of Spec Z/4\n")
+    assert calls == []
+    code, out, err = run(capsys, "fibers", doc)
+    assert (code, out, err) == (2, "", "input error: prime set failed\n")
+    assert len(calls) == 1
 
 
 def test_badprimes_command(capsys):

@@ -8,18 +8,20 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fiberflat import criteria
 from fiberflat.complexes import (
     BoundedComplex, ChainMap, HomotopyCertificate, cone, dual,
     koszul_complex, koszul_selfduality, null_homotopy, shift,
     tensor_with_module, total_tensor, truncate_geq,
 )
+from fiberflat.criteria import _tensor_member
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex
 from fiberflat.linalg import Matrix, field_rank, hstack, reduce_matrix
 from fiberflat.modules import FpModule, ModuleMap
-from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, localized_at
+from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, localized_at, parse_ring
 
-from _oracles import fiber_complex
+from _oracles import fiber_complex, pullback_homology
 
 
 def two_term(ring, matrix_rows, ranks):
@@ -78,6 +80,111 @@ def test_single_and_zero_complexes():
     assert single.homology(3).invariant_factors().free_rank == 2
     zero = BoundedComplex.free_complex(ZZ, 0, [0], [])
     assert zero.is_exact()
+
+
+# -- exactness from divisors, checked against the pullback route -------------
+
+# Per ring, module parameters s for R/(s): zero, a unit, a prime, a prime
+# power and a composite (whatever the ring has of these).
+CYCLIC_PARAMETERS = {
+    "Z": [0, -1, 3, 4, -12],
+    "Z/4": [0, 3, 2],
+    "Z/12": [0, 5, 3, 4, 6, 8],
+    "Z/360": [0, 7, 5, 9, 30, 100],
+    "Zloc/3": [0, Fraction(2), Fraction(1, 2), 3, Fraction(9, 2), Fraction(18, 5)],
+    "Q": [0, Fraction(3, 2)],
+    "F5": [0, 3],
+}
+
+
+def _unit_twist(rng, cx):
+    """cx with each basis vector scaled by a unit of Z_(3) or Q, so the
+    boundaries get fractional entries."""
+    units = [Fraction(2), Fraction(1, 2), Fraction(4, 5), Fraction(-7, 4), Fraction(1)]
+    scale = {i: [rng.choice(units) for _ in range(cx.term(i).gens)]
+             for i in range(cx.lo - 1, cx.hi + 1)}
+    mats = []
+    for i in range(cx.lo + 1, cx.hi + 1):
+        d = cx.boundary(i).matrix
+        mats.append(Matrix(cx.ring, [[d[r, c] * scale[i][c] / scale[i - 1][r]
+                                      for c in range(d.cols)] for r in range(d.rows)],
+                           cols=d.cols))
+    ranks = [cx.term(i).gens for i in cx.degrees()]
+    return BoundedComplex.free_complex(cx.ring, cx.lo, ranks, mats)
+
+
+def _seeded_complexes(lit, seed, count=6):
+    rng = random.Random(f"{lit}:{seed}")
+    ring = parse_ring(lit)
+    for k in range(count):
+        for pop in ("contractible", "hypothesis-true", "hypothesis-false"):
+            cx = random_complex(rng, ring, max_len=4, max_rank=4, entry_bound=7,
+                                population=pop).complex
+            yield _unit_twist(rng, cx) if ring.uses_fractions else cx
+
+
+def _cyclic_orders(h):
+    """The orders of the cyclic summands of a finite module over Z, Z_(p)
+    or Z/n, so that modules over R and over R/(s) compare as groups."""
+    inv = h.invariant_factors()
+    if h.ring.kind != "Zmod":
+        assert inv.free_rank == 0
+    return sorted([int(d) for d in inv.torsion] + [h.ring.param] * inv.free_rank)
+
+
+@pytest.mark.parametrize("lit", sorted(CYCLIC_PARAMETERS))
+def test_exactness_from_divisors_matches_pullback_homology(lit):
+    complexes = list(_seeded_complexes(lit, 11))
+    entries = [x for cx in complexes for i in range(cx.lo + 1, cx.hi + 1)
+               for r in cx.boundary(i).matrix.to_rows() for x in r]
+    assert any(Fraction(x).denominator != 1 for x in entries) == parse_ring(lit).uses_fractions
+    for cx in complexes:
+        for i in range(cx.lo - 1, cx.hi + 2):
+            oracle = pullback_homology(cx, i)
+            assert cx.is_exact_at(i) == oracle.is_zero(), i
+            assert cx.homology(i).invariant_factors() == oracle.invariant_factors(), i
+        assert cx.is_exact() == all(pullback_homology(cx, i).is_zero() for i in cx.degrees())
+
+
+@pytest.mark.parametrize("lit", sorted(CYCLIC_PARAMETERS))
+def test_cyclic_base_change_matches_tensor_with_module(lit):
+    ring = parse_ring(lit)
+    for cx in _seeded_complexes(lit, 12, count=3):
+        for s in CYCLIC_PARAMETERS[lit]:
+            m = FpModule.cyclic(ring, s)
+            tensored = tensor_with_module(m, cx)
+            changed = _tensor_member(m, cx)
+            if changed is None:
+                assert ring.is_unit(s) and m.is_zero()
+                assert all(pullback_homology(tensored, i).is_zero() for i in cx.degrees())
+                continue
+            for i in cx.degrees():
+                want = pullback_homology(tensored, i)
+                assert changed.is_exact_at(i) == want.is_zero(), (s, i)
+                if s == 0:
+                    assert changed.ring == ring
+                    assert changed.homology(i).invariant_factors() == want.invariant_factors()
+                else:
+                    assert changed.ring.kind == "Zmod" and changed.is_free()
+                    assert _cyclic_orders(changed.homology(i)) == _cyclic_orders(want), (s, i)
+
+
+def test_non_free_terms_take_the_homology_fallback(monkeypatch):
+    base = next(cx for cx in _seeded_complexes("Z", 13) if cx.hi > cx.lo)
+    cx = tensor_with_module(FpModule.cyclic(ZZ, 4), base)
+    assert not cx.is_free()
+    built, tensored = [], []
+    homology = BoundedComplex.homology
+    monkeypatch.setattr(BoundedComplex, "homology",
+                        lambda self, i: built.append(i) or homology(self, i))
+    monkeypatch.setattr(criteria, "tensor_with_module",
+                        lambda m, c: tensored.append(m) or tensor_with_module(m, c))
+    for i in cx.degrees():
+        assert cx.is_exact_at(i) == pullback_homology(cx, i).is_zero()
+    assert built == list(cx.degrees())
+    m = FpModule.cyclic(ZZ, 2)
+    mc = _tensor_member(m, cx)
+    assert tensored == [m] and mc.ring == ZZ
 
 
 def test_fiber_profile_matches_reduced_complex_homology():

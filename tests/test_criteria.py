@@ -29,6 +29,8 @@ from fiberflat.linalg import Matrix
 from fiberflat.modules import FpModule, ModuleMap, purity_report
 from fiberflat.rings import GENERIC, Prime, ZZ, QQ, integers_mod, localized_at, prime_field
 
+from _oracles import pullback_homology
+
 Z12 = integers_mod(12)
 
 
@@ -162,6 +164,33 @@ def test_universal_exactness_matches_construction():
             assert rep.verdict
         elif spec.torsion_scalars or spec.free_rank_degree0 > 0:
             assert not rep.verdict
+
+
+@pytest.mark.parametrize("ring", [Z12, integers_mod(360), localized_at(3), QQ, prime_field(5)],
+                         ids=str)
+def test_routes_agree_over_every_ring(ring):
+    """Universal exactness three ways, and the main theorem's conclusions
+    against homology presented by two pullbacks, on seeded free complexes
+    and on the same complexes with non-free flat terms."""
+    rng = random.Random(f"routes:{ring}")
+    flat = FpModule(ring, 2, Matrix(ring, [[1], [2]]))  # a free module, presented non-freely
+    for k in range(18):
+        pop = ("contractible", "hypothesis-true", "hypothesis-false")[k % 3]
+        spec = random_complex(rng, ring, max_len=4, max_rank=3, entry_bound=5, population=pop)
+        for cx in (spec.complex, tensor_with_module(flat, spec.complex)):
+            uni = is_universally_exact(cx)  # raises on route disagreement
+            assert uni.direct == uni.fiberwise == uni.tensor_sampled
+            if spec.contractible_by_construction:
+                assert uni.verdict
+            rep = check_main_theorem(cx)
+            assert rep.verdict == "consistent"
+            assert rep.conclusion_acyclic == all(
+                pullback_homology(cx, i).is_zero() for i in cx.degrees() if i > 0)
+            assert rep.h0.is_isomorphic_to(pullback_homology(cx, 0))
+            family = standard_module_family(ring, tuple(q.p for q in rep.checked_primes if q.p))
+            assert rep.tensor_family_acyclic == all(
+                pullback_homology(tensor_with_module(m, cx), i).is_zero()
+                for m in family for i in cx.degrees() if i > 0)
 
 
 # -- bad primes ----------------------------------------------------------------

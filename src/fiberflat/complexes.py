@@ -339,16 +339,9 @@ def cone(f: ChainMap) -> BoundedComplex:
 
 
 def tensor_with_module(m: FpModule, cx: BoundedComplex) -> BoundedComplex:
-    """M tensor C, termwise; boundaries are id_M tensor d."""
-    if m.ring != cx.ring:
-        raise InputError("tensor needs a common ring")
-    terms = {i: m.tensor(cx.term(i)) for i in cx.degrees()}
-    bmaps = {}
-    ident = Matrix.identity(m.ring, m.gens)
-    for i in range(cx.lo + 1, cx.hi + 1):
-        mat = kron(ident, cx.boundary(i).matrix)
-        bmaps[i] = ModuleMap(terms[i], terms[i - 1], mat)
-    return BoundedComplex(cx.ring, cx.lo, cx.hi, terms, bmaps)
+    """M tensor C, termwise: the total tensor with M in degree 0, whose
+    terms are m.tensor(C_i) and whose boundaries are id_M tensor d."""
+    return total_tensor(BoundedComplex.single(m), cx)
 
 
 def total_tensor(g: BoundedComplex, c: BoundedComplex) -> BoundedComplex:

@@ -601,19 +601,26 @@ def syzygy_matrix(a: Matrix) -> Matrix:
     return syz._reduced([[x * ann[i] for x, i in zip(r, keep)] for r in syz._data], len(keep))
 
 
+def _reduce_into(a: Matrix, target: BaseRing) -> Matrix:
+    """A reduced into target, Z/k or F_k for a k that A's ring maps onto
+    (any k over Z, a power of p over Z_(p), a divisor of n over Z/n): an
+    entry a/b becomes a * b^-1 mod k."""
+    k = target.param
+    if a.ring.uses_fractions:
+        body = [[x.numerator * pow(x.denominator, -1, k) % k for x in r] for r in a._data]
+    else:
+        body = [[x % k for x in r] for r in a._data]
+    return Matrix._make(target, body, a.cols)
+
+
 def reduce_matrix(a: Matrix, q: Prime) -> Matrix:
     """A reduced into the residue field at q, in one pass over the entries."""
     field = a.ring.residue_field(q)
     if field == a.ring:
         return a
-    p = q.p
-    if p is None:
-        body = [[Fraction(x) for x in r] for r in a._data]
-    elif a.ring.uses_fractions:
-        body = [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in a._data]
-    else:
-        body = [[x % p for x in r] for r in a._data]
-    return Matrix._make(field, body, a.cols)
+    if q.is_generic:
+        return Matrix._make(field, [[Fraction(x) for x in r] for r in a._data], a.cols)
+    return _reduce_into(a, field)
 
 
 def field_rank(a: Matrix) -> int:

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContradictionError, InputError
 from .linalg import (
-    Matrix, hstack, kron, rank_over_fiber, snf, solve_integral, syzygy_matrix, _snf_full,
+    Matrix, hstack, kron, rank_over_fiber, snf, solve_integral, syzygy_matrix, _reduce_into,
+    _snf_full,
 )
 from .rings import BaseRing, GENERIC, Prime, Scalar, factor_trial, integers_mod
 
@@ -298,7 +299,7 @@ def relevant_primes(ring: BaseRing, matrices: Sequence[Matrix]) -> list[Prime]:
     (over Z / Z_(p)), or the entire finite spectrum otherwise."""
     if ring.kind in ("Z", "Zloc"):
         bad: set[int] = set()
-        for a in matrices:
+        for a in dict.fromkeys(matrices):  # hstack([f, A]) is f when A has no columns
             bad |= matrix_bad_primes(a)
         return [GENERIC] + [Prime.at(p) for p in sorted(bad)]
     return list(ring.spectrum())
@@ -352,14 +353,9 @@ def _pure_by_divisors(f: ModuleMap) -> bool:
             results = []
             for p, e in sorted(factors.items()):
                 comp = integers_mod(p ** e)
-                src = FpModule(comp, f.source.gens,
-                               Matrix(comp, f.source.relations.to_rows(),
-                                      cols=f.source.relations.cols))
-                tgt = FpModule(comp, f.target.gens,
-                               Matrix(comp, f.target.relations.to_rows(),
-                                      cols=f.target.relations.cols))
-                comp_map = ModuleMap(src, tgt, Matrix(comp, f.matrix.to_rows(),
-                                                      cols=f.matrix.cols))
+                src, tgt = (FpModule(comp, m.gens, _reduce_into(m.relations, comp))
+                            for m in (f.source, f.target))
+                comp_map = ModuleMap(src, tgt, _reduce_into(f.matrix, comp))
                 results.append(_pure_free_case(comp_map))
             return all(results)
     return _pure_free_case(f)

@@ -8,18 +8,19 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberflat import criteria
 from fiberflat.complexes import (
     BoundedComplex, ChainMap, HomotopyCertificate, cone, dual,
     koszul_complex, koszul_selfduality, null_homotopy, shift,
     tensor_with_module, total_tensor, truncate_geq,
 )
-from fiberflat.criteria import _tensor_member
+from fiberflat.criteria import _tensor_members
 from fiberflat.errors import InputError
-from fiberflat.generate import random_complex
-from fiberflat.linalg import Matrix, field_rank, hstack, reduce_matrix
+from fiberflat.generate import random_complex, random_fp_module
+from fiberflat.linalg import Matrix, field_rank, hstack, kron, reduce_matrix
 from fiberflat.modules import FpModule, ModuleMap
-from fiberflat.rings import GENERIC, Prime, ZZ, integers_mod, localized_at, parse_ring
+from fiberflat.rings import (
+    GENERIC, Prime, ZZ, factor_trial, integers_mod, localized_at, parse_ring,
+)
 
 from _oracles import fiber_complex, pullback_homology
 
@@ -123,13 +124,25 @@ def _seeded_complexes(lit, seed, count=6):
             yield _unit_twist(rng, cx) if ring.uses_fractions else cx
 
 
-def _cyclic_orders(h):
-    """The orders of the cyclic summands of a finite module over Z, Z_(p)
-    or Z/n, so that modules over R and over R/(s) compare as groups."""
+def _primary_parts(h):
+    """(free rank, prime-power orders of the finite cyclic summands) of a
+    module over Z, Z_(p), a field or Z/n, where R/n itself counts as a
+    finite summand, so that sums of modules over R and over Z/d compare
+    as groups."""
     inv = h.invariant_factors()
-    if h.ring.kind != "Zmod":
-        assert inv.free_rank == 0
-    return sorted([int(d) for d in inv.torsion] + [h.ring.param] * inv.free_rank)
+    free, orders = inv.free_rank, [int(d) for d in inv.torsion]
+    if h.ring.kind == "Zmod":
+        free, orders = 0, orders + [h.ring.param] * free
+    return free, sorted(p ** e for n in orders for p, e in factor_trial(n).items())
+
+
+def _member_sum(members, free_rank, i):
+    """The primary parts of H_i of the sum of the members, the first
+    counted free_rank times when the member has a free part."""
+    parts = [_primary_parts(mc.homology(i)) for mc in members]
+    if free_rank:
+        parts += parts[:1] * (free_rank - 1)
+    return sum(f for f, _ in parts), sorted(o for _, os in parts for o in os)
 
 
 @pytest.mark.parametrize("lit", sorted(CYCLIC_PARAMETERS))
@@ -146,45 +159,66 @@ def test_exactness_from_divisors_matches_pullback_homology(lit):
         assert cx.is_exact() == all(pullback_homology(cx, i).is_zero() for i in cx.degrees())
 
 
+def _family_inputs(lit, rng):
+    """Members R/(s) for each cyclic parameter, free R and R^2, and non-cyclic
+    R/2 + R/4, R/p + R/p^2, R + R/p and two random presentations."""
+    ring = parse_ring(lit)
+    p = 3 if ring.kind == "Z" else max([q.p for q in ring.spectrum() if q.p] or [2])
+    cyclic = [FpModule.cyclic(ring, s) for s in CYCLIC_PARAMETERS[lit]]
+    sums = [(2, 4), (p, p * p), (0, p)]
+    return (cyclic + [FpModule.free(ring, 1), FpModule.free(ring, 2)]
+            + [FpModule.cyclic(ring, a).direct_sum(FpModule.cyclic(ring, b)) for a, b in sums]
+            + [random_fp_module(rng, ring, max_gens=3, max_rels=3, entry_bound=6)
+               for _ in range(2)])
+
+
 @pytest.mark.parametrize("lit", sorted(CYCLIC_PARAMETERS))
 def test_cyclic_base_change_matches_tensor_with_module(lit):
+    """_tensor_members against tensor_with_module through the pullback
+    oracle, on free complexes and on the same complexes with non-free flat
+    terms; and tensor_with_module against its termwise definition."""
     ring = parse_ring(lit)
-    for cx in _seeded_complexes(lit, 12, count=3):
-        for s in CYCLIC_PARAMETERS[lit]:
-            m = FpModule.cyclic(ring, s)
+    rng = random.Random(f"members:{lit}")
+    flat = FpModule(ring, 2, Matrix(ring, [[1], [2]]))  # a free module, presented non-freely
+    free = list(_seeded_complexes(lit, 12, count=2))
+    if ring.uses_fractions:  # a/b -> a mod k is no change of basis on this column
+        free.append(two_term(ring, [[1, Fraction(1, 2)], [1, 2]], [2, 2]))
+    complexes = free + [tensor_with_module(flat, cx) for cx in free[::2]]
+    for cx in complexes:
+        for m in _family_inputs(lit, rng):
             tensored = tensor_with_module(m, cx)
-            changed = _tensor_member(m, cx)
-            if changed is None:
-                assert ring.is_unit(s) and m.is_zero()
-                assert all(pullback_homology(tensored, i).is_zero() for i in cx.degrees())
-                continue
+            ident = Matrix.identity(ring, m.gens)
+            for i in cx.degrees():
+                assert tensored.term(i) == m.tensor(cx.term(i))
+                assert tensored.boundary(i).matrix == kron(ident, cx.boundary(i).matrix)
+            members = _tensor_members(m, cx)
+            inv = m.invariant_factors()
+            assert len(members) == bool(inv.free_rank) + len(inv.torsion)
+            assert all(mc.ring.kind == "Zmod" for mc in members[bool(inv.free_rank):])
+            assert all(mc.is_free() == cx.is_free() for mc in members)
             for i in cx.degrees():
                 want = pullback_homology(tensored, i)
-                assert changed.is_exact_at(i) == want.is_zero(), (s, i)
-                if s == 0:
-                    assert changed.ring == ring
-                    assert changed.homology(i).invariant_factors() == want.invariant_factors()
-                else:
-                    assert changed.ring.kind == "Zmod" and changed.is_free()
-                    assert _cyclic_orders(changed.homology(i)) == _cyclic_orders(want), (s, i)
+                assert all(mc.is_exact_at(i) for mc in members) == want.is_zero(), (m, i)
+                assert _member_sum(members, inv.free_rank, i) == _primary_parts(want), (m, i)
 
 
 def test_non_free_terms_take_the_homology_fallback(monkeypatch):
     base = next(cx for cx in _seeded_complexes("Z", 13) if cx.hi > cx.lo)
     cx = tensor_with_module(FpModule.cyclic(ZZ, 4), base)
     assert not cx.is_free()
-    built, tensored = [], []
+    built = []
     homology = BoundedComplex.homology
     monkeypatch.setattr(BoundedComplex, "homology",
                         lambda self, i: built.append(i) or homology(self, i))
-    monkeypatch.setattr(criteria, "tensor_with_module",
-                        lambda m, c: tensored.append(m) or tensor_with_module(m, c))
     for i in cx.degrees():
         assert cx.is_exact_at(i) == pullback_homology(cx, i).is_zero()
     assert built == list(cx.degrees())
     m = FpModule.cyclic(ZZ, 2)
-    mc = _tensor_member(m, cx)
-    assert tensored == [m] and mc.ring == ZZ
+    [mc] = _tensor_members(m, cx)
+    assert mc.ring == integers_mod(2) and not mc.is_free()
+    tensored = tensor_with_module(m, cx)
+    for i in cx.degrees():
+        assert mc.is_exact_at(i) == pullback_homology(tensored, i).is_zero(), i
 
 
 def test_fiber_profile_matches_reduced_complex_homology():

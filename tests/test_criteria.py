@@ -26,8 +26,11 @@ from fiberflat.criteria import (
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex
 from fiberflat.linalg import Matrix
+from fiberflat import modules
 from fiberflat.modules import FpModule, ModuleMap, purity_report
-from fiberflat.rings import GENERIC, Prime, ZZ, QQ, integers_mod, localized_at, prime_field
+from fiberflat.rings import (
+    GENERIC, Prime, ZZ, QQ, integers_mod, is_prime, localized_at, prime_field,
+)
 
 from _oracles import pullback_homology
 
@@ -99,6 +102,12 @@ def test_main_theorem_custom_family():
     # a deliberately tiny family still exercises the tensor conclusion
     rep = check_main_theorem(cx, family=[FpModule.cyclic(ZZ, 2)])
     assert rep.tensor_family_acyclic
+
+
+def test_main_theorem_rejects_a_family_member_over_another_ring():
+    for m in (FpModule.cyclic(Z12, 2), FpModule.free(QQ, 2), FpModule.zero(Z12)):
+        with pytest.raises(InputError, match="common ring"):
+            check_main_theorem(exact_three_term(), family=[m])
 
 
 def test_main_theorem_never_violated_on_generated_instances():
@@ -246,6 +255,29 @@ def test_complex_prime_set_contents():
     assert lits == ["0", "2"]
     assert [p.literal() for p in complex_prime_set(times(QQ, 1))] == ["0"]
     assert [p.literal() for p in complex_prime_set(times(Z12, 5))] == ["2", "3"]
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_prime_sets_factor_each_matrix_once(monkeypatch):
+    """A boundary whose last divisor is a 42-bit semiprime is factored once
+    per prime set, also where it meets a free term below it or a free target."""
+    n = _next_prime(2 ** 21 - 2 ** 18) * _next_prime(2 ** 21 + 2 ** 19)
+    d = Matrix(ZZ, [[2, 6 + n], [1, 3 + n]])  # Smith form diag(1, n)
+    cx = two_term(ZZ, d.to_rows(), [2, 2])
+    calls = []
+    factor = modules.factor_trial
+    monkeypatch.setattr(modules, "factor_trial", lambda k: calls.append(k) or factor(k))
+    free = FpModule.free(ZZ, 2)
+    for run in (lambda: check_main_theorem(cx), lambda: is_universally_exact(cx),
+                lambda: purity_report(ModuleMap(free, free, d))):
+        calls.clear()
+        run()
+        assert calls == [n]
 
 
 # -- corollary checkers --------------------------------------------------------

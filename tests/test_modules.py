@@ -312,6 +312,28 @@ def test_purity_over_composite_zmod():
     assert rep.verdict
 
 
+@pytest.mark.parametrize("n", [12, 360])
+def test_purity_routes_agree_on_seeded_flat_zmod_maps(n):
+    """purity_report, whose three routes raise on disagreement, on random
+    maps between sums of flat cyclic modules R/d, gcd(d, n/d) = 1, over a
+    composite Z/n; d = n is a free summand R presented by the relation 0."""
+    ring = integers_mod(n)
+    flat = [d for d in range(2, n + 1) if n % d == 0 and gcd(d, n // d) == 1]
+    rng = random.Random(f"purity:{n}")
+
+    def module(ds):
+        return FpModule(ring, len(ds), Matrix.diagonal(ring, ds))
+
+    verdicts = []
+    for _ in range(40):
+        src, tgt = ([rng.choice(flat) for _ in range(rng.randint(1, 3))] for _ in "st")
+        # d * x lies in (e) exactly when x is a multiple of e / gcd(d, e)
+        body = [[rng.randrange(n) * (e // gcd(d, e)) for d in src] for e in tgt]
+        f = ModuleMap(module(src), module(tgt), Matrix(ring, body, cols=len(src)))
+        verdicts.append(purity_report(f).verdict)
+    assert True in verdicts and False in verdicts
+
+
 def test_purity_requires_flat_ends():
     z = FpModule.free(ZZ, 1)
     torsion = FpModule.cyclic(ZZ, 2)

@@ -31,7 +31,7 @@ from .criteria import (
     bad_primes, certify_projective_corollary, check_isom_criterion,
     check_main_theorem, check_zero_criterion,
     complex_prime_set, ext_flatness_criterion, is_universally_exact,
-    standard_complex_family, standard_module_family, tor_flatness_criterion,
+    standard_module_family, tor_flatness_criterion,
 )
 from .generate import ComplexSpecimen, random_complex, random_fp_module, random_unimodular
 from .towers import (

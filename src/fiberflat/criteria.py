@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import BoundedComplex, HomotopyCertificate, null_homotopy, total_tensor
+from .complexes import BoundedComplex, HomotopyCertificate, null_homotopy
 from .errors import ContradictionError, InputError
-from .linalg import Matrix, _reduce_into, hstack
+from .linalg import _reduce_into, hstack
 from .modules import (
     FpModule, ModuleMap, Resolution, free_resolution, matrix_bad_primes,
     map_prime_set, module_prime_set, relevant_primes,
 )
-from .rings import BaseRing, GENERIC, Prime, integers_mod
+from .rings import BaseRing, Prime, integers_mod
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class BadPrimeSet:
     ring: BaseRing
     primes: tuple[Prime, ...]
     witness: dict[int, tuple[int, ...]]
-
-    def with_generic(self) -> tuple[Prime, ...]:
-        return (GENERIC,) + self.primes
 
 
 def bad_primes(cx: BoundedComplex) -> BadPrimeSet:
@@ -76,7 +73,8 @@ def complex_prime_set(cx: BoundedComplex) -> list[Prime]:
 
 
 def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -> list[FpModule]:
-    """The fixed tensor test family, adapted to the base ring.
+    """The one tensor test family of check_main_theorem and
+    is_universally_exact, adapted to the base ring.
 
     Over Z: Z/2, Z/3, Z/4, Z/6, Z^2, plus residue fields Z/p of any
     extra (bad) primes.  Over Z_(p): R/p, R/p^2, R^2.  Over Z/n: R/p per
@@ -98,24 +96,6 @@ def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -
     return [FpModule.free(ring, 2)]
 
 
-def standard_complex_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -> list[BoundedComplex]:
-    """Small complexes G used to sample 'G tensor C stays exact': the
-    one-term free complex plus two-term multiplication complexes."""
-    family = [BoundedComplex.free_complex(ring, 0, [1], [])]
-    if ring.kind == "Z":
-        scalars = sorted({2, 3} | set(extra_primes))
-    elif ring.kind == "Zloc":
-        scalars = [ring.param]
-    elif ring.kind == "Zmod":
-        scalars = [q.p for q in ring.spectrum()]
-    else:
-        scalars = []
-    for s in scalars:
-        family.append(BoundedComplex.free_complex(
-            ring, 0, [1, 1], [Matrix(ring, [[s]])]))
-    return family
-
-
 def _tensor_members(m: FpModule, cx: BoundedComplex) -> list[BoundedComplex]:
     """Complexes whose homology sums to that of m tensor cx.
 
@@ -126,8 +106,6 @@ def _tensor_members(m: FpModule, cx: BoundedComplex) -> list[BoundedComplex]:
     and a divisor of n over Z/n, so R/(d_j) is Z/d_j and an entry a/b
     becomes a * b^-1 mod d_j.  Zero and unit members give the empty list.
     """
-    if m.ring != cx.ring:
-        raise InputError("tensor needs a common ring")
     inv = m.invariant_factors()
     members = [cx] if inv.free_rank else []
     for d in inv.torsion:
@@ -173,19 +151,20 @@ class TheoremReport:
         return self.verdict == "consistent"
 
 
-def check_main_theorem(cx: BoundedComplex,
-                       family: list[FpModule] | None = None) -> TheoremReport:
+def check_main_theorem(cx: BoundedComplex) -> TheoremReport:
     """Check the central criterion on a nonnegative complex of flat terms.
 
     Hypothesis: every fiber has zero homology in degrees > 0.  When it
     holds, three conclusions are recomputed over the ring itself: the
     complex is acyclic away from degree 0, H_0 is flat, and M tensor C
-    stays acyclic for the whole test-module family.  Each member M is
+    stays acyclic for every M in standard_module_family, the test-module
+    family that route 3 of is_universally_exact reads too.  Each member M is
     split by its invariant factors (see _tensor_members): its free part is
     decided as C itself, which is not an independent check, and each
     torsion factor R/(d) as C base-changed to Z/d.
 
     >>> from fiberflat.rings import ZZ
+    >>> from fiberflat.linalg import Matrix
     >>> cx = BoundedComplex.free_complex(ZZ, 0, [2, 1], [Matrix(ZZ, [[1], [-1]])])
     >>> check_main_theorem(cx).verdict
     'consistent'
@@ -202,10 +181,9 @@ def check_main_theorem(cx: BoundedComplex,
     conclusion_acyclic = cx.is_acyclic_away_from(0)
     h0 = cx.homology(0)
     conclusion_h0_flat = h0.is_flat()
-    if family is None:
-        extra = tuple(p.p for p in primes if p.p is not None)
-        family = standard_module_family(cx.ring, extra)
-    tensor_ok = all(mc.is_acyclic_away_from(0) for m in family
+    extra = tuple(p.p for p in primes if p.p is not None)
+    tensor_ok = all(mc.is_acyclic_away_from(0)
+                    for m in standard_module_family(cx.ring, extra)
                     for mc in _tensor_members(m, cx))
     if hypothesis and not (conclusion_acyclic and conclusion_h0_flat and tensor_ok):
         verdict = "VIOLATION"
@@ -233,10 +211,12 @@ def is_universally_exact(cx: BoundedComplex) -> UniversalExactnessReport:
     """Decide universal exactness three ways and insist they agree.
 
     Route 1: exact over the ring and every boundary image flat.  Route 2:
-    exact on every fiber.  Route 3: total tensor against the standard
-    small-complex family stays exact.  For bounded complexes of flat
-    terms over the supported rings these are equivalent; disagreement
-    raises ContradictionError.
+    exact on every fiber.  Route 3: M tensor C stays exact for every M in
+    standard_module_family, decided through _tensor_members as in
+    check_main_theorem: the free part of M is C itself, so only the
+    torsion factors R/(d), C base-changed to Z/d, add an independent
+    check.  For bounded complexes of flat terms over the supported rings
+    these are equivalent; disagreement raises ContradictionError.
     """
     for i in cx.degrees():
         if not cx.term(i).is_flat():
@@ -250,11 +230,8 @@ def is_universally_exact(cx: BoundedComplex) -> UniversalExactnessReport:
     primes = complex_prime_set(cx)
     fiberwise = all(cx.is_fiber_exact(q) for q in primes)
     extra = tuple(p.p for p in primes if p.p is not None)
-    sampled = True
-    for g in standard_complex_family(cx.ring, extra):
-        if not total_tensor(g, cx).is_exact():
-            sampled = False
-            break
+    sampled = all(mc.is_exact() for m in standard_module_family(cx.ring, extra)
+                  for mc in _tensor_members(m, cx))
     if not (direct == fiberwise == sampled):
         raise ContradictionError(
             f"universal exactness routes disagree: direct={direct}, "

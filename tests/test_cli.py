@@ -3,8 +3,10 @@
 import dataclasses
 import io
 import json
+import shlex
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -293,6 +295,49 @@ def test_check_universal_command(capsys):
     assert payload["verdict"] is True
     assert payload["direct"] and payload["fiberwise"] and payload["tensor_sampled"]
     assert run_json(capsys, "check-universal", TIMES_TWO_CX)["verdict"] is False
+
+
+# Pinned byte for byte: a Z/12 complex R/4 -> (R/4)^2 -> R/4 whose terms are
+# flat and not free, and a two-term Z_(3) complex whose cokernel is nonzero.
+CHECK_UNIVERSAL_GOLDEN = [
+    ({"version": 1, "ring": "Z/12",
+      "complex": {"lo": 0, "hi": 2,
+                  "ranks_or_terms": [{"generators": 1, "relations": [[4]]},
+                                     {"generators": 2, "relations": [[4, 0], [0, 4]]},
+                                     {"generators": 1, "relations": [[4]]}],
+                  "boundaries": [[[1], [-1]], [[1, 1]]]}},
+     '{"checked_primes":["2","3"],"command":"check-universal","direct":true,'
+     '"fiberwise":true,"ring":"Z/12","tensor_sampled":true,"verdict":true}\n'),
+    ({"version": 1, "ring": "Zloc/3",
+      "complex": {"lo": 0, "hi": 1, "ranks_or_terms": [2, 2],
+                  "boundaries": [[["3/2", 1], [0, 3]]]}},
+     '{"checked_primes":["0","3"],"command":"check-universal","direct":false,'
+     '"fiberwise":false,"ring":"Zloc/3","tensor_sampled":false,"verdict":false}\n'),
+]
+
+
+@pytest.mark.parametrize("doc, expected", CHECK_UNIVERSAL_GOLDEN, ids=["Z/12-non-free", "Zloc/3-not-exact"])
+def test_check_universal_json_is_pinned(capsys, doc, expected):
+    assert run(capsys, "--format", "json", "check-universal", json.dumps(doc)) == (0, expected, "")
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("fiberflat ")]
+
+
+def _subcommand(argv):
+    while argv[0].startswith("--"):  # global options, each with a value
+        argv = argv[2:]
+    return argv[0]
+
+
+@pytest.mark.parametrize("argv", [shlex.split(line)[1:] for line in _readme_examples()],
+                         ids=_subcommand)
+def test_readme_examples_exit_0(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
 
 
 def test_tor_command_depth_and_periodicity(capsys):

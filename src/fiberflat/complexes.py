@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from .errors import ContradictionError, InputError
 from .linalg import Matrix, field_rank, hstack, kron, reduce_matrix, snf, solve_integral
 from .modules import FpModule, ModuleMap, _pullback
-from .rings import BaseRing, Prime, Scalar
+from .rings import BaseRing, Prime
 
 
 @dataclass(frozen=True)
@@ -504,102 +504,49 @@ class HomotopyCertificate:
         return True
 
 
-def _greedy_homotopy(cx: BoundedComplex) -> dict[int, Matrix] | None:
-    ring = cx.ring
-    maps: dict[int, Matrix] = {}
-    prev = Matrix.zeros(ring, cx.term(cx.lo).gens, cx.term(cx.lo - 1).gens)
-    for i in range(cx.lo, cx.hi + 1):
-        gi = cx.term(i).gens
-        rhs = Matrix.identity(ring, gi) - prev @ cx.boundary(i).matrix
-        if i == cx.hi:
-            return maps if cx.term(i).vanishes(rhs) else None
-        wall = hstack([cx.boundary(i + 1).matrix, cx.term(i).relations])
-        sol = solve_integral(wall, rhs)
-        if sol is None:
-            return None
-        h_i = sol.submatrix(range(cx.term(i + 1).gens), range(gi))
-        maps[i] = h_i
-        prev = h_i
-    return maps
-
-
-def _global_homotopy(cx: BoundedComplex) -> dict[int, Matrix] | None:
-    """One linear system for all h_i at once, via Kronecker lifts of the
-    defining equations (row-major vectorization: vec(X @ Y @ Z) is
-    kron(X, Z^T) @ vec(Y)).  With A_i the relations of term(i), degree i
-    contributes d_{i+1} h_i + h_{i-1} d_i + A_i S_i = id and, so that h_i
-    is a map of modules, h_i A_i + A_{i+1} T_i = 0; S_i and T_i are free."""
-    ring = cx.ring
-    degs = cx.degrees()
-    g = {i: cx.term(i).gens for i in range(cx.lo - 1, cx.hi + 2)}
-    a = {i: cx.term(i).relations for i in range(cx.lo - 1, cx.hi + 2)}
-    shapes = {("h", i): (g[i + 1], g[i]) for i in degs}
-    shapes.update({("s", i): (a[i].cols, g[i]) for i in degs})
-    shapes.update({("t", i): (a[i + 1].cols, a[i].cols) for i in degs})
-    offsets: dict[tuple[str, int], int] = {}
-    total = 0
-    for key, (m, n) in shapes.items():
-        offsets[key] = total
-        total += m * n
-
-    rows: list[list[Scalar]] = []
-    rhs_rows: list[list[Scalar]] = []
-
-    def equation(lhs: Sequence[tuple[tuple[str, int], Matrix]], rhs: Matrix) -> None:
-        block = [[ring.zero] * total for _ in range(rhs.rows * rhs.cols)]
-        for key, mat in lhs:
-            if not mat.cols:
-                continue
-            base = offsets[key]
-            for row, coeffs in zip(block, mat.to_rows()):
-                row[base:base + mat.cols] = coeffs
-        rows.extend(block)
-        rhs_rows.extend([x] for r in rhs.to_rows() for x in r)
-
-    def eye(k: int) -> Matrix:
-        return Matrix.identity(ring, k)
-
-    for i in degs:
-        equation([(("h", i), kron(cx.boundary(i + 1).matrix, eye(g[i]))),
-                  (("h", i - 1), kron(eye(g[i]), cx.boundary(i).matrix.transpose())),
-                  (("s", i), kron(a[i], eye(g[i])))], eye(g[i]))
-        equation([(("h", i), kron(eye(g[i + 1]), a[i].transpose())),
-                  (("t", i), kron(a[i + 1], eye(a[i].cols)))],
-                 Matrix.zeros(ring, g[i + 1], a[i].cols))
-    if not rows:
-        return {}
-    sol = solve_integral(Matrix._make(ring, rows, total), Matrix._make(ring, rhs_rows, 1))
-    if sol is None:
-        return None
-    maps: dict[int, Matrix] = {}
-    for i in degs:
-        m, n = shapes["h", i]
-        if m and n:
-            base = offsets["h", i]
-            maps[i] = Matrix._make(ring, [[sol[base + r * n + c, 0] for c in range(n)]
-                                          for r in range(m)], n)
-    return maps
-
-
 def null_homotopy(cx: BoundedComplex) -> HomotopyCertificate | None:
     """An explicit contraction d h + h d = id, or None when none exists.
 
-    Strategy: a homology precheck (nonzero homology rules a contraction
-    out), then a cheap degreewise greedy solve, kept only if it verifies
-    (on non-free terms its h_i need not be maps of modules), then one
-    global linear system whose solvability is equivalent to
-    contractibility.  Every returned certificate verifies.
+    One pass from lo: with h_{lo-1} = 0 and A_i the relations of term(i),
+    h_i solves d_{i+1} h_i = rhs_i = id - h_{i-1} d_i modulo A_i.  When
+    that lift is not a map of modules it is moved to h_i + P Y, with P
+    generating the pullback of im A_i along d_{i+1}, and Y and T solving
+    P Y A_i + A_{i+1} T = -h_i A_i (row-major vectorization:
+    vec(X @ Y @ Z) is kron(X, Z^T) @ vec(Y)); every lift is h_i + P Y for
+    some Y, so this finds a map of modules whenever one exists.  In
+    degree hi, rhs_hi must vanish.  If k is any contraction, k_i rhs_i
+    solves degree i with a map of modules whatever h_{i-1} was, so a
+    degree with no solution proves that none exists.
+    Free terms never need the correction.  Every returned certificate
+    verifies.
     """
-    if not cx.is_exact():
-        return None
-    maps = _greedy_homotopy(cx)
-    if maps is not None:
-        cert = HomotopyCertificate(cx, maps)
-        if cert.verify():
-            return cert
-    maps = _global_homotopy(cx)
-    if maps is None:
-        return None
+    ring = cx.ring
+    maps: dict[int, Matrix] = {}
+    prev = Matrix.zeros(ring, cx.term(cx.lo).gens, cx.term(cx.lo - 1).gens)
+    for i in cx.degrees():
+        gi = cx.term(i).gens
+        rhs = Matrix.identity(ring, gi) - prev @ cx.boundary(i).matrix
+        if i == cx.hi:
+            if not cx.term(i).vanishes(rhs):
+                return None
+            break
+        d, a = cx.boundary(i + 1).matrix, cx.term(i).relations
+        sol = solve_integral(hstack([d, a]), rhs)
+        if sol is None:
+            return None
+        h_i = sol.submatrix(range(d.cols), range(gi))
+        if a.cols and not cx.term(i + 1).vanishes(h_i @ a):
+            p = _pullback(d, a)
+            system = hstack([kron(p, a.transpose()),
+                             kron(cx.term(i + 1).relations, Matrix.identity(ring, a.cols))])
+            target = Matrix._make(ring, [[x] for row in (-(h_i @ a)).to_rows() for x in row], 1)
+            fix = solve_integral(system, target)
+            if fix is None:
+                return None
+            y = Matrix._make(ring, [[fix[r * gi + c, 0] for c in range(gi)]
+                                    for r in range(p.cols)], gi)
+            h_i = h_i + p @ y
+        maps[i] = prev = h_i
     cert = HomotopyCertificate(cx, maps)
     if not cert.verify():
         raise ContradictionError("constructed homotopy fails verification")

@@ -76,19 +76,20 @@ def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -
     """The one tensor test family of check_main_theorem and
     is_universally_exact, adapted to the base ring.
 
-    Over Z: Z/2, Z/3, Z/4, Z/6, Z^2, plus residue fields Z/p of any
-    extra (bad) primes.  Over Z_(p): R/p, R/p^2, R^2.  Over Z/n: R/p per
-    prime p | n, plus R^2.  Over fields: R^2.
+    Over Z: Z/2, Z/3, Z^2, plus residue fields Z/p of any extra (bad)
+    primes.  Over Z_(p): R/p, R^2.  Over Z/n: R/p per prime p | n, plus
+    R^2.  Over fields: R^2.  For flat terms composite cyclic members
+    decide nothing new: C/6 is C/2 + C/3, and H_i(C/p^2) vanishes wherever
+    H_i(C/p) does, by the long exact sequence of 0 -> C/p -> C/p^2 -> C/p
+    -> 0.
     """
     if ring.kind == "Z":
-        torsion = [2, 3, 4, 6] + [p for p in sorted(extra_primes) if p not in (2, 3)]
+        torsion = [2, 3] + [p for p in sorted(extra_primes) if p not in (2, 3)]
         family = [FpModule.cyclic(ring, d) for d in torsion]
         family.append(FpModule.free(ring, 2))
         return family
     if ring.kind == "Zloc":
-        p = ring.param
-        return [FpModule.cyclic(ring, p), FpModule.cyclic(ring, p * p),
-                FpModule.free(ring, 2)]
+        return [FpModule.cyclic(ring, ring.param), FpModule.free(ring, 2)]
     if ring.kind == "Zmod":
         family = [FpModule.cyclic(ring, q.p) for q in ring.spectrum()]
         family.append(FpModule.free(ring, 2))

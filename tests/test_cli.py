@@ -424,6 +424,31 @@ def test_nullhomotopy_command(capsys):
     assert code == 0 and "NONE" in out
 
 
+def _split_sequence_doc(k):
+    """The k-fold sum of 0 -> Z/4 -3-> Z/12 -2-> Z/3 -> 0 over Z/12, which
+    splits by CRT but whose first lift h_0 = 2 is not a map of modules."""
+    def diag(x):
+        return [[x if r == c else 0 for c in range(k)] for r in range(k)]
+    return json.dumps({"ring": "Z/12", "complex": {
+        "lo": 0, "hi": 2,
+        "ranks_or_terms": [{"generators": k, "relations": diag(4)}, k,
+                           {"generators": k, "relations": diag(3)}],
+        "boundaries": [diag(3), diag(2)]}})
+
+
+def test_nullhomotopy_json_is_pinned_on_non_free_terms(capsys):
+    expected = ('{"command":"nullhomotopy","contractible":true,'
+                '"maps":[[2,[]],[1,[[3]]],[0,[[8]]]],"ring":"Z/12","verified":true}\n')
+    assert run(capsys, "--format", "json", "nullhomotopy", _split_sequence_doc(1)) == (0, expected, "")
+
+
+def test_nullhomotopy_on_a_sixteen_fold_sum_is_fast(capsys):
+    start = time.perf_counter()
+    payload = run_json(capsys, "nullhomotopy", _split_sequence_doc(16))
+    assert payload["contractible"] is True
+    assert time.perf_counter() - start < 5.0
+
+
 def test_filtration_command(capsys):
     doc = json.dumps({"version": 1, "ring": "Z",
                       "module": {"generators": 2, "relations": [[12, 0]]}})

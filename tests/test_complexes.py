@@ -516,7 +516,7 @@ def _short_exact_complexes(n):
             yield BoundedComplex(ring, 0, 2, terms, maps), a, c
 
 
-@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("n", [4, 12, 18])
 def test_null_homotopies_of_short_exact_sequences_are_module_maps(n):
     # a short exact sequence is contractible exactly when it splits, that
     # is when R/b = R/a + R/c, i.e. gcd(a, c) = 1

@@ -171,14 +171,13 @@ def parse_complex_payload(ring: BaseRing, obj: Any) -> BoundedComplex:
         else:
             terms[deg] = FpModule.free(
                 ring, _json_int(entry, f"rank at degree {deg}", 0, MAX_RANK))
-    bmaps: dict[int, ModuleMap] = {}
+    bmaps: dict[int, Matrix] = {}
     for off, body in enumerate(bodies):
         deg = hi - off
-        mat = _parse_matrix(ring, body, cols=terms[deg].gens)
+        mat = bmaps[deg] = _parse_matrix(ring, body, cols=terms[deg].gens)
         if mat.rows != terms[deg - 1].gens:
             raise InputError(f"boundary at degree {deg} has {mat.rows} rows, "
                              f"expected {terms[deg - 1].gens}")
-        bmaps[deg] = ModuleMap(terms[deg], terms[deg - 1], mat)
     return BoundedComplex(ring, lo, hi, terms, bmaps)
 
 

@@ -44,16 +44,17 @@ class BoundedComplex:
     """A bounded complex of finitely presented modules.
 
     terms maps each degree in [lo, hi] to its module; boundaries maps each
-    degree i in (lo, hi] to the map term(i) -> term(i-1).  Outside the
-    range term() returns the zero module and boundary() the zero map, so
-    callers can index freely.
+    degree i in (lo, hi] to the matrix of the map term(i) -> term(i-1),
+    which the complex builds (and validates) as a ModuleMap between its own
+    terms.  Outside the range term() returns the zero module and boundary()
+    the zero map, so callers can index freely.
     """
 
     __slots__ = ("ring", "lo", "hi", "_terms", "_boundaries")
 
     def __init__(self, ring: BaseRing, lo: int, hi: int,
                  terms: Mapping[int, FpModule],
-                 boundaries: Mapping[int, ModuleMap]):
+                 boundaries: Mapping[int, Matrix]):
         if lo > hi:
             raise InputError(f"empty degree range [{lo}, {hi}]")
         for i in range(lo, hi + 1):
@@ -64,9 +65,6 @@ class BoundedComplex:
         for i in range(lo + 1, hi + 1):
             if i not in boundaries:
                 raise InputError(f"missing boundary in degree {i}")
-            d = boundaries[i]
-            if d.source != terms[i] or d.target != terms[i - 1]:
-                raise InputError(f"boundary in degree {i} does not match its terms")
         extra = set(boundaries) - set(range(lo + 1, hi + 1))
         if extra:
             raise InputError(f"boundaries given outside (lo, hi]: {sorted(extra)}")
@@ -74,7 +72,8 @@ class BoundedComplex:
         self.lo = lo
         self.hi = hi
         self._terms = {i: terms[i] for i in range(lo, hi + 1)}
-        self._boundaries = {i: boundaries[i] for i in range(lo + 1, hi + 1)}
+        self._boundaries = {i: ModuleMap(terms[i], terms[i - 1], boundaries[i])
+                            for i in range(lo + 1, hi + 1)}
         for i in range(lo + 2, hi + 1):
             dd = self._boundaries[i - 1].matrix @ self._boundaries[i].matrix
             if not self._terms[i - 2].vanishes(dd):
@@ -90,11 +89,8 @@ class BoundedComplex:
         if len(matrices) != len(ranks) - 1:
             raise InputError(f"{len(ranks)} ranks need {len(ranks) - 1} boundary matrices")
         terms = {lo + j: FpModule.free(ring, r) for j, r in enumerate(ranks)}
-        bmaps = {}
-        for j, mat in enumerate(matrices):
-            i = lo + j + 1
-            bmaps[i] = ModuleMap(terms[i], terms[i - 1], mat)
-        return cls(ring, lo, lo + len(ranks) - 1, terms, bmaps)
+        return cls(ring, lo, lo + len(ranks) - 1, terms,
+                   {lo + j + 1: mat for j, mat in enumerate(matrices)})
 
     @classmethod
     def single(cls, module: FpModule, degree: int = 0) -> "BoundedComplex":
@@ -213,22 +209,21 @@ class BoundedComplex:
 class ChainMap:
     """A degreewise map of complexes commuting with the boundaries.
 
-    Missing degrees are implicitly zero; commutation is checked at
-    construction for every degree where it has content.
+    maps holds the matrix of each component source.term(i) ->
+    target.term(i), which the chain map builds (and validates) as a
+    ModuleMap.  Missing degrees are implicitly zero; commutation is checked
+    at construction for every degree where it has content.
     """
 
     __slots__ = ("source", "target", "_maps")
 
     def __init__(self, source: BoundedComplex, target: BoundedComplex,
-                 maps: Mapping[int, ModuleMap]):
+                 maps: Mapping[int, Matrix]):
         if source.ring != target.ring:
             raise InputError("chain map needs a common ring")
-        for i, f in maps.items():
-            if f.source != source.term(i) or f.target != target.term(i):
-                raise InputError(f"component in degree {i} has wrong source or target")
         self.source = source
         self.target = target
-        self._maps = dict(maps)
+        self._maps = {i: ModuleMap(source.term(i), target.term(i), f) for i, f in maps.items()}
         lo = min(source.lo, target.lo)
         hi = max(source.hi, target.hi)
         for i in range(lo + 1, hi + 1):
@@ -259,11 +254,8 @@ def shift(cx: BoundedComplex, k: int) -> BoundedComplex:
     """Degree shift: shift(C, k)_i = C_{i-k}, boundaries scaled by (-1)^k."""
     sign = 1 if k % 2 == 0 else -1
     terms = {i + k: cx.term(i) for i in cx.degrees()}
-    bmaps = {}
-    for i in range(cx.lo + 1, cx.hi + 1):
-        d = cx.boundary(i)
-        mat = d.matrix if sign == 1 else -d.matrix
-        bmaps[i + k] = ModuleMap(terms[i + k], terms[i + k - 1], mat)
+    bmaps = {i + k: cx.boundary(i).matrix if sign == 1 else -cx.boundary(i).matrix
+             for i in range(cx.lo + 1, cx.hi + 1)}
     return BoundedComplex(cx.ring, cx.lo + k, cx.hi + k, terms, bmaps)
 
 
@@ -278,15 +270,14 @@ def truncate_geq(cx: BoundedComplex, k: int) -> BoundedComplex:
     ker, incl = cx.boundary(k).kernel()
     terms = {i: cx.term(i) for i in range(k + 1, cx.hi + 1)}
     terms[k] = ker
-    bmaps = {i: cx.boundary(i) for i in range(k + 2, cx.hi + 1)}
+    bmaps = {i: cx.boundary(i).matrix for i in range(k + 2, cx.hi + 1)}
     if k + 1 <= cx.hi:
         f = cx.boundary(k + 1).matrix
         wall = hstack([incl.matrix, cx.term(k).relations])
         sol = solve_integral(wall, f)
         if sol is None:
             raise ContradictionError("boundary image escapes its own kernel")
-        core = sol.submatrix(range(ker.gens), range(sol.cols))
-        bmaps[k + 1] = ModuleMap(terms[k + 1], ker, core)
+        bmaps[k + 1] = sol.submatrix(range(ker.gens), range(sol.cols))
     return BoundedComplex(cx.ring, k, cx.hi, terms, bmaps)
 
 
@@ -333,8 +324,7 @@ def cone(f: ChainMap) -> BoundedComplex:
         blocks[(0, 0)] = -dc
         blocks[(1, 0)] = -f.at(i - 1).matrix
         blocks[(1, 1)] = dx.boundary(i).matrix
-        mat = _block_matrix(ring, row_dims, [gc, gd], blocks)
-        bmaps[i] = ModuleMap(terms[i], terms[i - 1], mat)
+        bmaps[i] = _block_matrix(ring, row_dims, [gc, gd], blocks)
     return BoundedComplex(ring, lo, hi, terms, bmaps)
 
 
@@ -384,8 +374,7 @@ def total_tensor(g: BoundedComplex, c: BoundedComplex) -> BoundedComplex:
                 block = kron(Matrix.identity(ring, g.term(p).gens),
                              c.boundary(q).matrix)
                 blocks[(ti, sj)] = block if p % 2 == 0 else -block
-        mat = _block_matrix(ring, row_dims, col_dims, blocks)
-        bmaps[n] = ModuleMap(terms[n], terms[n - 1], mat)
+        bmaps[n] = _block_matrix(ring, row_dims, col_dims, blocks)
     return BoundedComplex(ring, lo, hi, terms, bmaps)
 
 
@@ -397,10 +386,7 @@ def dual(cx: BoundedComplex) -> BoundedComplex:
     ring = cx.ring
     lo, hi = -cx.hi, -cx.lo
     terms = {i: FpModule.free(ring, cx.term(-i).gens) for i in range(lo, hi + 1)}
-    bmaps = {}
-    for i in range(lo + 1, hi + 1):
-        mat = cx.boundary(-i + 1).matrix.transpose()
-        bmaps[i] = ModuleMap(terms[i], terms[i - 1], mat)
+    bmaps = {i: cx.boundary(-i + 1).matrix.transpose() for i in range(lo + 1, hi + 1)}
     return BoundedComplex(ring, lo, hi, terms, bmaps)
 
 
@@ -468,8 +454,7 @@ def koszul_selfduality(ring: BaseRing, elements: Sequence[object]) -> ChainMap:
             comp = tuple(t for t in range(d) if t not in s)
             val = lams[i] * _merge_sign(s, d)
             body[comp_pos[comp]][j] = ring.canon(val)
-        mat = Matrix._make(ring, body, len(subsets))
-        maps[i] = ModuleMap(src.term(i), tgt.term(i), mat)
+        maps[i] = Matrix._make(ring, body, len(subsets))
     return ChainMap(src, tgt, maps)
 
 

@@ -114,8 +114,7 @@ def _tensor_members(m: FpModule, cx: BoundedComplex) -> list[BoundedComplex]:
         terms = {i: FpModule(quotient, cx.term(i).gens,
                              _reduce_into(cx.term(i).relations, quotient))
                  for i in cx.degrees()}
-        bmaps = {i: ModuleMap(terms[i], terms[i - 1],
-                              _reduce_into(cx.boundary(i).matrix, quotient))
+        bmaps = {i: _reduce_into(cx.boundary(i).matrix, quotient)
                  for i in range(cx.lo + 1, cx.hi + 1)}
         members.append(BoundedComplex(quotient, cx.lo, cx.hi, terms, bmaps))
     return members

@@ -23,7 +23,7 @@ from random import Random
 
 from .complexes import BoundedComplex
 from .errors import InputError
-from .linalg import Matrix
+from .linalg import _ADD, _NEG, _SWAP, Matrix, _replay
 from .modules import FpModule
 from .rings import BaseRing, ZZ
 
@@ -35,48 +35,30 @@ def random_unimodular(rng: Random, ring: BaseRing, n: int,
                       ) -> tuple[Matrix, Matrix]:
     """A random determinant +-1 matrix and its exact inverse.
 
-    Built as a product of elementary operations applied to the identity;
-    the inverse applies the inverted operations in reverse order.  Entry
-    magnitudes are kept within entry_bound by retrying with fewer steps.
+    Built as a product of elementary row moves (linalg's add-multiple, swap
+    and negation) applied to the identity; the inverse is replayed from the
+    same moves.  Entry magnitudes are kept within entry_bound by retrying
+    with fewer steps.
     """
     if n == 0:
         e = Matrix.identity(ring, 0)
         return e, e
     want = steps if steps is not None else n + rng.randrange(0, 3)
     while True:
-        ops = []
+        moves = []
         for _ in range(want):
             kind = rng.randrange(3)
             if kind == 0 and n >= 2:
                 i, j = rng.sample(range(n), 2)
-                ops.append(("addmul", i, j, rng.choice((-1, 1))))
+                moves.append((_ADD, i, j, rng.choice((-1, 1))))
             elif kind == 1 and n >= 2:
                 i, j = rng.sample(range(n), 2)
-                ops.append(("swap", i, j, 0))
+                moves.append((_SWAP, i, j, 0))
             else:
-                ops.append(("negate", rng.randrange(n), 0, 0))
-        u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for kind, i, j, s in ops:
-            if kind == "addmul":
-                for k in range(n):
-                    u[i][k] += s * u[j][k]
-            elif kind == "swap":
-                u[i], u[j] = u[j], u[i]
-            else:
-                u[i] = [-x for x in u[i]]
+                moves.append((_NEG, rng.randrange(n), 0, 0))
+        u = _replay(n, moves)
         if max(abs(x) for row in u for x in row) <= entry_bound:
-            # applying the inverted ops in reverse order to the identity
-            # accumulates exactly U^-1 (each op is its own inverse except
-            # addmul, whose inverse flips the sign)
-            ui = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for kind, i, j, s in reversed(ops):
-                if kind == "addmul":
-                    for k in range(n):
-                        ui[i][k] -= s * ui[j][k]
-                elif kind == "swap":
-                    ui[i], ui[j] = ui[j], ui[i]
-                else:
-                    ui[i] = [-x for x in ui[i]]
+            ui = zip(*_replay(n, moves, True))
             return Matrix(ring, u, cols=n), Matrix(ring, ui, cols=n)
         if want == 0:
             e = Matrix.identity(ring, n)

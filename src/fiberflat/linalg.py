@@ -408,7 +408,7 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
             # Pivot must divide the remaining submatrix before t advances.
             b = D[t][t]
             offender = None if b == 1 else next(
-                (i for i in range(t + 1, m) if any(x % b for x in D[i][t + 1:])), None)
+                (i for i in range(t + 1, m) if gcd(*D[i][t + 1:]) % b), None)
             if offender is None:
                 break
             D[t] = [x + y for x, y in zip(D[t], D[offender])]

@@ -211,10 +211,6 @@ class ModuleMap:
     def zero(cls, source: FpModule, target: FpModule) -> "ModuleMap":
         return cls(source, target, Matrix.zeros(source.ring, target.gens, source.gens))
 
-    @classmethod
-    def identity(cls, m: FpModule) -> "ModuleMap":
-        return cls(m, m, Matrix.identity(m.ring, m.gens))
-
     def __repr__(self) -> str:
         return f"ModuleMap({self.source!r} -> {self.target!r})"
 
@@ -497,14 +493,8 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
             if nxt.cols == 0:
                 break
             boundaries.append(nxt)
-    terms = {0: FpModule.free(ring, g0)}
-    for j, mat in enumerate(boundaries, start=1):
-        terms[j] = FpModule.free(ring, mat.cols)
-    hi = len(boundaries)
-    bmaps = {j: ModuleMap(terms[j], terms[j - 1], mat)
-             for j, mat in enumerate(boundaries, start=1)}
-    cx = BoundedComplex(ring, 0, hi, terms, bmaps)
-    aug = ModuleMap(terms[0], m, eps_matrix)
+    cx = BoundedComplex.free_complex(ring, 0, [g0] + [b.cols for b in boundaries], boundaries)
+    aug = ModuleMap(cx.term(0), m, eps_matrix)
     return Resolution(cx, aug, depth)
 
 

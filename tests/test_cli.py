@@ -163,6 +163,16 @@ def test_input_error_paths(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_every_boundary_is_parsed_before_any_is_checked(capsys):
+    # degree 2 maps Z/4 --1--> Z, which is not a map of modules, and degree
+    # 1 has a row too many: the malformed matrix is reported first
+    doc = _doc("Z", "complex", {"lo": 0, "hi": 2,
+                                "ranks_or_terms": [{"generators": 1, "relations": [[4]]}, 1, 1],
+                                "boundaries": [[[1]], [[1], [1]]]})
+    assert run(capsys, "homology", doc) == (
+        2, "", "input error: boundary at degree 1 has 2 rows, expected 1\n")
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(TIMES_TWO_CX))
     code, out, _ = run(capsys, "homology", "-")

@@ -41,12 +41,17 @@ def test_d_squared_is_enforced():
 
     def over_z2(x):
         return BoundedComplex(ZZ, 0, 2, {0: z2, 1: z, 2: z},
-                              {1: ModuleMap(z, z2, Matrix(ZZ, [[1]])),
-                               2: ModuleMap(z, z, Matrix(ZZ, [[x]]))})
+                              {1: Matrix(ZZ, [[1]]), 2: Matrix(ZZ, [[x]])})
 
     assert over_z2(2).is_exact()
     with pytest.raises(InputError, match="d.d"):
         over_z2(3)
+    # the complex builds each boundary as a map of its own terms: Z/2 --1--> Z
+    # does not carry the relation 2 to 0, and a 2 x 1 matrix has the wrong shape
+    with pytest.raises(InputError, match="does not carry"):
+        BoundedComplex(ZZ, 0, 1, {0: z, 1: z2}, {1: Matrix(ZZ, [[1]])})
+    with pytest.raises(InputError, match="must be 1x1"):
+        BoundedComplex(ZZ, 0, 1, {0: z, 1: z}, {1: Matrix(ZZ, [[1], [1]])})
 
 
 def test_homology_of_multiplication_complex():
@@ -69,8 +74,7 @@ def test_homology_with_module_terms():
     # Z/4 --2--> Z/4 over Z: kernel (2)/image (2) = 0 in degree 1? no:
     # H_1 = ker(2)/0 = Z/2, H_0 = (Z/4)/(2) = Z/2.
     m = FpModule.cyclic(ZZ, 4)
-    cx = BoundedComplex(ZZ, 0, 1, {0: m, 1: m},
-                        {1: ModuleMap(m, m, Matrix(ZZ, [[2]]))})
+    cx = BoundedComplex(ZZ, 0, 1, {0: m, 1: m}, {1: Matrix(ZZ, [[2]])})
     assert cx.homology(1).is_isomorphic_to(FpModule.cyclic(ZZ, 2))
     assert cx.homology(0).is_isomorphic_to(FpModule.cyclic(ZZ, 2))
 
@@ -286,28 +290,27 @@ def test_euler_characteristic_is_fiber_independent():
 def test_chain_map_validation_and_iso():
     c = two_term(ZZ, [[2]], [1, 1])
     d = two_term(ZZ, [[2]], [1, 1])
-    ChainMap(c, d, {0: ModuleMap(c.term(0), d.term(0), Matrix(ZZ, [[1]])),
-                    1: ModuleMap(c.term(1), d.term(1), Matrix(ZZ, [[1]]))})
-    with pytest.raises(InputError):
+    ChainMap(c, d, {0: Matrix(ZZ, [[1]]), 1: Matrix(ZZ, [[1]])})
+    with pytest.raises(InputError, match="commute"):
         # degree-0 identity against degree-1 negation does not commute
-        ChainMap(c, d, {0: ModuleMap(c.term(0), d.term(0), Matrix(ZZ, [[1]])),
-                        1: ModuleMap(c.term(1), d.term(1), Matrix(ZZ, [[-1]]))})
-    ident = ChainMap(c, c, {i: ModuleMap.identity(c.term(i)) for i in c.degrees()})
+        ChainMap(c, d, {0: Matrix(ZZ, [[1]]), 1: Matrix(ZZ, [[-1]])})
+    ident = ChainMap(c, c, {i: Matrix.identity(ZZ, 1) for i in c.degrees()})
     assert ident.is_isomorphism()
     # into Z --1--> Z/2 the square d.f_1 - f_0.d = 1 - x is a nonzero
     # matrix; it commutes exactly when 1 - x vanishes in Z/2
     one = two_term(ZZ, [[1]], [1, 1])
     z2 = FpModule.cyclic(ZZ, 2)
-    e = BoundedComplex(ZZ, 0, 1, {0: z2, 1: one.term(1)},
-                       {1: ModuleMap(one.term(1), z2, Matrix(ZZ, [[1]]))})
+    e = BoundedComplex(ZZ, 0, 1, {0: z2, 1: one.term(1)}, {1: Matrix(ZZ, [[1]])})
 
     def into_e(x):
-        return ChainMap(one, e, {0: ModuleMap(one.term(0), z2, Matrix(ZZ, [[x]])),
-                                 1: ModuleMap.identity(one.term(1))})
+        return ChainMap(one, e, {0: Matrix(ZZ, [[x]]), 1: Matrix(ZZ, [[1]])})
 
     into_e(3)
     with pytest.raises(InputError, match="commute"):
         into_e(2)
+    # each component is built as a map of the terms: Z/2 --1--> Z is not one
+    with pytest.raises(InputError, match="does not carry"):
+        ChainMap(e, one, {0: Matrix(ZZ, [[1]])})
 
 
 def test_shift_conventions():
@@ -323,7 +326,7 @@ def test_shift_conventions():
 
 def test_cone_of_identity_is_exact():
     for cx in (two_term(ZZ, [[2]], [1, 1]), koszul_complex(ZZ, [2, 3])):
-        ident = ChainMap(cx, cx, {i: ModuleMap.identity(cx.term(i))
+        ident = ChainMap(cx, cx, {i: Matrix.identity(ZZ, cx.term(i).gens)
                                   for i in cx.degrees()})
         cn = cone(ident)
         assert cn.is_exact()
@@ -511,8 +514,7 @@ def _short_exact_complexes(n):
                     or sum(g * y % c == 0 for y in range(b)) != a):
                 continue
             terms = {k: FpModule.cyclic(ring, d % n) for k, d in ((0, c), (1, b), (2, a))}
-            maps = {1: ModuleMap(terms[1], terms[0], Matrix(ring, [[g]])),
-                    2: ModuleMap(terms[2], terms[1], Matrix(ring, [[f]]))}
+            maps = {1: Matrix(ring, [[g]]), 2: Matrix(ring, [[f]])}
             yield BoundedComplex(ring, 0, 2, terms, maps), a, c
 
 
@@ -537,9 +539,7 @@ def test_homotopy_certificate_verify_rejects_non_maps():
     # relation 0 of the middle term
     r = integers_mod(12)
     terms = {0: FpModule.cyclic(r, 3), 1: FpModule.cyclic(r, 0), 2: FpModule.cyclic(r, 4)}
-    cx = BoundedComplex(r, 0, 2, terms, {
-        1: ModuleMap(terms[1], terms[0], Matrix(r, [[2]])),
-        2: ModuleMap(terms[2], terms[1], Matrix(r, [[3]]))})
+    cx = BoundedComplex(r, 0, 2, terms, {1: Matrix(r, [[2]]), 2: Matrix(r, [[3]])})
     assert not HomotopyCertificate(cx, {0: Matrix(r, [[2]]), 1: Matrix(r, [[3]])}).verify()
     cert = null_homotopy(cx)
     assert cert is not None and cert.h(0) == Matrix(r, [[8]])

@@ -1,0 +1,196 @@
+"""Golden command-line output: stdout, stderr and exit code of a fixed set
+of invocations, each pinned by a digest in golden_cli.json.
+
+The cases are the README examples, the three galleries, `koszul`, and
+documents drawn here from a fixed seed (complexes with free and non-free
+terms, lo != 0, documents that must exit 2, and modules for tor/ext), each
+run in text and in JSON.  A change that alters any byte of the output
+fails here; a deliberate change re-records the digests with
+
+    PYTHONPATH=src python3 tests/test_golden_cli.py
+"""
+
+import hashlib
+import io
+import json
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from fiberflat.cli import main
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "golden_cli.json"
+
+# ring literal -> scalars (a, b) for a short exact sequence
+# R/(a) -b-> R/(ab) -1-> R/(b); the middle relation is 0 when ab = n in Z/n
+SES_SCALARS = {
+    "Z": [(2, 2), (2, 3), (3, 2), (4, 2)],
+    "Z/12": [(2, 3), (4, 3), (3, 4), (2, 2), (2, 6)],
+    "Zloc/3": [(3, 3), (3, 2), (9, 3)],
+    "F5": [(1, 1)],
+}
+TORSION = {"Z": [2, 3, 4, 6], "Z/12": [2, 3, 4, 6], "Zloc/3": [3, 9], "F5": [5]}
+
+
+def _readme_argvs():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("fiberflat ")]
+
+
+def _random_complex_doc(rng):
+    """A complex assembled from blocks placed in degrees lo..hi, then
+    twisted by elementary changes of generators: a free term, a map
+    R -c-> R, a torsion term R/(a), or a short exact sequence of cyclic
+    modules."""
+    ring = rng.choice(sorted(SES_SCALARS))
+    lo = rng.choice((-1, 0, 0, 2))
+    length = rng.randrange(1, 4)
+    hi = lo + length - 1
+    slots = {j: [] for j in range(lo, hi + 1)}   # degree -> relation scalar or None
+    entries = []                                   # (degree of source, row, col, value)
+    for _ in range(rng.randrange(1, 4)):
+        kinds = ["free", "torsion"] + (["map"] if length >= 2 else []) + (
+            ["ses"] if length >= 3 else [])
+        kind = rng.choice(kinds)
+        if kind in ("free", "torsion"):
+            j = rng.randrange(lo, hi + 1)
+            slots[j].append(None if kind == "free" else rng.choice(TORSION[ring]))
+        elif kind == "map":
+            j = rng.randrange(lo + 1, hi + 1)
+            slots[j].append(None)
+            slots[j - 1].append(None)
+            entries.append((j, len(slots[j - 1]) - 1, len(slots[j]) - 1,
+                            rng.choice((1, -1, 2, 3))))
+        else:
+            j = rng.randrange(lo + 2, hi + 1)
+            a, b = rng.choice(SES_SCALARS[ring])
+            for deg, rel in ((j, a), (j - 1, a * b), (j - 2, b)):
+                slots[deg].append(rel)
+            entries.append((j, len(slots[j - 1]) - 1, len(slots[j]) - 1, b))
+            entries.append((j - 1, len(slots[j - 2]) - 1, len(slots[j - 1]) - 1, 1))
+    gens = {j: len(s) for j, s in slots.items()}
+    rels = {j: [[r if row == k else 0 for row in range(gens[j])]
+                for k, r in enumerate(s) if r is not None] for j, s in slots.items()}
+    bds = {j: [[0] * gens[j] for _ in range(gens[j - 1])] for j in range(lo + 1, hi + 1)}
+    for j, r, c, v in entries:
+        bds[j][r][c] = v
+    for j in range(lo, hi + 1):
+        if gens[j] < 2 or rng.random() < 0.3:
+            continue
+        i, k = rng.sample(range(gens[j]), 2)
+        s = rng.choice((1, -1))
+        # generators x -> U x with U = I + s E_ik: rows of the relations and
+        # of the boundary into degree j, columns of the boundary out of j
+        for col in rels[j]:
+            col[i] += s * col[k]
+        if j + 1 in bds:
+            bds[j + 1][i] = [x + s * y for x, y in zip(bds[j + 1][i], bds[j + 1][k])]
+        if j in bds:
+            for row in bds[j]:
+                row[k] -= s * row[i]
+    terms = [gens[j] if not rels[j] else {"generators": gens[j], "relations": rels[j]}
+             for j in range(hi, lo - 1, -1)]
+    return {"version": 1, "ring": ring, "complex": {
+        "lo": lo, "hi": hi, "ranks_or_terms": terms,
+        "boundaries": [bds[j] for j in range(hi, lo, -1)]}}
+
+
+def _corrupt(rng, doc):
+    """One fault in a copy of doc, with at least one nonempty boundary:
+    a changed entry (which may still be valid), an extra row, a scalar the
+    ring does not admit, or a term too many."""
+    doc = json.loads(json.dumps(doc))
+    cx = doc["complex"]
+    b = rng.choice([b for b in cx["boundaries"] if b and b[0]])
+    kind = rng.randrange(5)
+    if kind < 2:
+        b[rng.randrange(len(b))][rng.randrange(len(b[0]))] += rng.choice((1, 2))
+    elif kind == 2:
+        b.append([0] * len(b[0]))
+    elif kind == 3:
+        b[0][0] = "1/2"
+    else:
+        cx["hi"] += 1
+    return doc
+
+
+def _random_module_doc(rng):
+    ring = rng.choice(("Z", "Z/12", "Z/8", "Zloc/3"))
+    g = rng.randrange(0, 4)
+    cols = [[rng.randrange(-6, 7) for _ in range(g)] for _ in range(rng.randrange(0, 4))]
+    return {"version": 1, "ring": ring, "module": {"generators": g, "relations": cols}}
+
+
+def _seeded_cases():
+    rng = Random("fiberflat golden cli")
+    commands = ["homology", "check-theorem", "check-universal", "nullhomotopy", "fibers"]
+    cases = {}
+    for n in range(48):
+        doc = _random_complex_doc(rng)
+        if n % 2:
+            while not any(b and b[0] for b in doc["complex"]["boundaries"]):
+                doc = _random_complex_doc(rng)
+            doc = _corrupt(rng, doc)
+        text = json.dumps(doc)
+        picked = rng.sample(commands, 2)
+        for cmd in picked:
+            cases[f"doc{n:02d}-{cmd}"] = [cmd, text]
+    for n in range(8):
+        text = json.dumps(_random_module_doc(rng))
+        for cmd in ("tor", "ext"):
+            cases[f"module{n}-{cmd}"] = [cmd, "--depth", str(rng.randrange(1, 4)), text]
+    cases["fibers-primes"] = ["fibers", "--primes", "5,2", json.dumps(_random_complex_doc(rng))]
+    return cases
+
+
+def _cases():
+    cases = {f"readme{n}": [a for a in argv if a not in ("--format", "json")]
+             for n, argv in enumerate(_readme_argvs())}
+    cases.update({
+        "gallery-sum-inverse-primes": ["gallery", "sum-inverse-primes", "--max-prime", "30"],
+        "gallery-injective-hull": ["gallery", "injective-hull", "-p", "3"],
+        "gallery-dvr-fraction-field": ["gallery", "dvr-fraction-field"],
+        "koszul-z": ["koszul", "--elements", "2,3,5"],
+        "koszul-z35": ["koszul", "--ring", "Z/35", "--elements", "2,3"],
+        "koszul-f2": ["koszul", "--ring", "F2", "--elements", "1,0"],
+        "relations-not-carried": ["homology", json.dumps({"version": 1, "ring": "Z", "complex": {
+            "lo": 0, "hi": 1, "ranks_or_terms": [{"generators": 1, "relations": [[4]]}, 1],
+            "boundaries": [[[1]]]}})],
+        "dd-nonzero": ["homology", json.dumps({"version": 1, "ring": "Z/12", "complex": {
+            "lo": 0, "hi": 2, "ranks_or_terms": [1, 1, {"generators": 1, "relations": [[4]]}],
+            "boundaries": [[[1]], [[2]]]}})],
+    })
+    cases.update(_seeded_cases())
+    out = {}
+    for name, argv in cases.items():
+        out[f"{name}-text"] = argv
+        out[f"{name}-json"] = ["--format", "json", "--seed", "7", *argv]
+    return out
+
+
+def _digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_unchanged(name):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert _digest(CASES[name]) == expected[name]
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps({name: _digest(argv) for name, argv in sorted(CASES.items())},
+                                  indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from fiberflat import cli
 from fiberflat.errors import InputError
 from fiberflat.linalg import Matrix, rank_over_fiber, reduce_matrix
-from fiberflat.modules import FpModule, ModuleMap
+from fiberflat.modules import FpModule
 from fiberflat.rings import (
     GENERIC, PRIMALITY_BOUND, Prime, QQ, ZZ, integers_mod, is_prime, localized_at,
     parse_prime, parse_ring, parse_scalar, prime_field, render_scalar,
@@ -139,7 +139,7 @@ def test_inadmissible_points_give_one_message(capsys, ring, q, doc):
     assert cli.main(["fibers", "--primes", q.literal(), text]) == 2
     assert capsys.readouterr().err == f"input error: {expected}\n"
     tower = TowerModule(ring, lambda n: FpModule.cyclic(ring, 2),
-                        lambda n, src, tgt: ModuleMap(src, tgt, Matrix(ring, [[1]])))
+                        lambda n: Matrix(ring, [[1]]))
     for report in (lambda: tower_fiber(tower, q, max_stage=2),
                    lambda: tower_tor(tower, q, 1, max_stage=2)):
         with pytest.raises(InputError) as exc:

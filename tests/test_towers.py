@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from fiberflat.complexes import BoundedComplex, ChainMap
+from fiberflat.complexes import BoundedComplex
 from fiberflat.errors import InputError
 from fiberflat.linalg import Matrix
-from fiberflat.modules import FpModule, ModuleMap, tor_fiber
+from fiberflat.modules import FpModule, tor_fiber
 from fiberflat.rings import GENERIC, Prime, ZZ, is_prime, localized_at
 from fiberflat.towers import (
     TowerComplex,
@@ -29,7 +29,7 @@ def constant_tower(module, matrix_rows):
     return TowerModule(
         ring,
         lambda n: module,
-        lambda n, a, b: ModuleMap(a, b, Matrix(ring, matrix_rows)))
+        lambda n: Matrix(ring, matrix_rows))
 
 
 # -- stabilization bookkeeping ---------------------------------------------------
@@ -56,12 +56,12 @@ def test_stabilization_reports_the_start_of_the_iso_run():
     def stage(n):
         return FpModule.free(ZZ, 2 if n < 2 else 1)
 
-    def transition(n, a, b):
+    def transition(n):
         if n == 0:
-            return ModuleMap(a, b, Matrix(ZZ, [[1, 0], [0, 1]]))
+            return Matrix(ZZ, [[1, 0], [0, 1]])
         if n == 1:
-            return ModuleMap(a, b, Matrix(ZZ, [[1, 0]]))
-        return ModuleMap(a, b, Matrix(ZZ, [[1]]))
+            return Matrix(ZZ, [[1, 0]])
+        return Matrix(ZZ, [[1]])
 
     t = TowerModule(ZZ, stage, transition)
     rep = tower_fiber(t, GENERIC, max_stage=6)
@@ -71,9 +71,8 @@ def test_stabilization_reports_the_start_of_the_iso_run():
 
 
 def test_alternating_tower_is_undetermined():
-    def transition(n, a, b):
-        s = 2 if n % 2 == 0 else 1
-        return ModuleMap(a, b, Matrix(ZZ, [[s]]))
+    def transition(n):
+        return Matrix(ZZ, [[2 if n % 2 == 0 else 1]])
 
     t = TowerModule(ZZ, lambda n: FpModule.free(ZZ, 1), transition)
     rep = tower_fiber(t, Prime.at(2), max_stage=6)
@@ -93,7 +92,7 @@ def test_stage_rules_are_memoized():
         calls.append(n)
         return FpModule.free(ZZ, 1)
 
-    t = TowerModule(ZZ, stage, lambda n, a, b: ModuleMap(a, b, Matrix(ZZ, [[1]])))
+    t = TowerModule(ZZ, stage, lambda n: Matrix(ZZ, [[1]]))
     t.stage(3)
     t.stage(3)
     t.transition(3)
@@ -105,14 +104,14 @@ def test_stage_rules_are_memoized():
 def test_declared_flags_are_verified_per_stage():
     lying = TowerModule(
         ZZ, lambda n: FpModule.free(ZZ, 1),
-        lambda n, a, b: ModuleMap(a, b, Matrix(ZZ, [[0]])),
+        lambda n: Matrix(ZZ, [[0]]),
         all_transitions_injective=True)
     with pytest.raises(InputError):
         lying.transition(0)
 
     onto = TowerModule(
         ZZ, lambda n: FpModule.free(ZZ, 1),
-        lambda n, a, b: ModuleMap(a, b, Matrix(ZZ, [[1]])),
+        lambda n: Matrix(ZZ, [[1]]),
         all_transitions_non_surjective=True)
     with pytest.raises(InputError):
         tower_fiber(onto, GENERIC, max_stage=4)
@@ -121,16 +120,26 @@ def test_declared_flags_are_verified_per_stage():
 def test_mismatched_stages_are_rejected():
     wrong_ring = TowerModule(
         ZZ, lambda n: FpModule.free(localized_at(2), 1),
-        lambda n, a, b: ModuleMap(a, b, Matrix(localized_at(2), [[1]])))
+        lambda n: Matrix(localized_at(2), [[1]]))
     with pytest.raises(InputError):
         wrong_ring.stage(0)
 
-    detached = TowerModule(
-        ZZ, lambda n: FpModule.free(ZZ, 1),
-        lambda n, a, b: ModuleMap(FpModule.free(ZZ, 2), FpModule.free(ZZ, 2),
-                                  Matrix(ZZ, [[1, 0], [0, 1]])))
-    with pytest.raises(InputError):
-        detached.transition(0)
+    # the tower builds each transition between its own stages, so a matrix
+    # of the wrong shape, or one that is not a map of the stages, is refused
+    wrong_shape = TowerModule(
+        ZZ, lambda n: FpModule.free(ZZ, 1), lambda n: Matrix(ZZ, [[1, 0], [0, 1]]))
+    with pytest.raises(InputError, match="must be 1x1"):
+        wrong_shape.transition(0)
+    not_a_map = TowerModule(
+        ZZ, lambda n: FpModule.cyclic(ZZ, 2) if n == 0 else FpModule.free(ZZ, 1),
+        lambda n: Matrix(ZZ, [[1]]))
+    with pytest.raises(InputError, match="does not carry"):
+        not_a_map.transition(0)
+    wrong_component = TowerComplex(
+        ZZ, lambda n: BoundedComplex.free_complex(ZZ, 0, [1], []),
+        lambda n: {0: Matrix(ZZ, [[1, 1]])})
+    with pytest.raises(InputError, match="must be 1x1"):
+        wrong_component.transition(0)
 
 
 # -- the reciprocal-primes tower ---------------------------------------------------
@@ -175,7 +184,7 @@ def test_non_fg_verdict_needs_proper_embeddings():
 
     undeclared = TowerModule(
         ZZ, lambda n: FpModule.free(ZZ, 1),
-        lambda n, a, b: ModuleMap(a, b, Matrix(ZZ, [[2]])))
+        lambda n: Matrix(ZZ, [[2]]))
     v = tower_not_finitely_generated(undeclared, max_stage=5)
     assert v.holds and not v.definitive
     assert "stage 5" in v.detail
@@ -266,8 +275,7 @@ def test_constant_exact_complex_tower_vanishes_everywhere():
     tc = TowerComplex(
         ring,
         lambda n: cx,
-        lambda n, a, b: ChainMap(a, b, {0: ModuleMap(a.term(0), b.term(0), Matrix(ring, [[1]])),
-                                        1: ModuleMap(a.term(1), b.term(1), Matrix(ring, [[1]]))}))
+        lambda n: {0: Matrix(ring, [[1]]), 1: Matrix(ring, [[1]])})
     for q in (GENERIC, Prime.at(2)):
         for degree in (0, 1):
             rep = tower_complex_homology_fiber(tc, q, degree, max_stage=5)
@@ -279,8 +287,7 @@ def test_complex_tower_needs_free_terms():
     tc = TowerComplex(
         ZZ,
         lambda n: BoundedComplex.single(FpModule.cyclic(ZZ, 4)),
-        lambda n, a, b: ChainMap(a, b, {0: ModuleMap(a.term(0), b.term(0),
-                                                     Matrix(ZZ, [[1]]))}))
+        lambda n: {0: Matrix(ZZ, [[1]])})
     with pytest.raises(InputError):
         tower_complex_homology_fiber(tc, Prime.at(2), 0, max_stage=3)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -646,7 +647,13 @@ def main(argv: list[str] | None = None) -> int:
     except ContradictionError as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 3
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader left; send the interpreter's flush at exit to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -32,7 +32,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import ContradictionError, InputError
 from .rings import BaseRing, Prime, Scalar
 
 __all__ = [
@@ -547,6 +547,7 @@ def solve_integral(a: Matrix, b: Matrix) -> Matrix | None:
 
     Deterministic: the particular solution comes from the cached SNF with
     free coordinates set to zero (and canonical division choices over Z/n).
+    A solution that fails A @ X == B (a corrupt SNF) raises ContradictionError.
     """
     if a.ring != b.ring:
         raise InputError(f"ring mismatch: {a.ring} vs {b.ring}")
@@ -577,7 +578,8 @@ def solve_integral(a: Matrix, b: Matrix) -> Matrix | None:
                 return None
             yrow[j] = q
     x = full.Vi @ Matrix._make(ring, ybody, l)
-    assert a @ x == b, "solve_integral postcondition failed"
+    if a @ x != b:
+        raise ContradictionError("solve_integral: the solution from the SNF fails A @ X == B")
     return x
 
 

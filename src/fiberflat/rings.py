@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .errors import InputError
@@ -350,6 +351,7 @@ def localized_at(p: int) -> BaseRing:
     return BaseRing("Zloc", p)
 
 
+@cache  # kappa(q) per fiber reduction; a rejected p is not cached and raises again
 def prime_field(p: int) -> BaseRing:
     return BaseRing("Fp", p)
 

@@ -1,15 +1,16 @@
 """Towers (directed systems) of modules and complexes, with honest
 stabilization detection.
 
-A tower is given by pure stage/transition rules, memoized on first
-evaluation.  A transition rule takes only n and returns matrices; the
-tower builds each transition between its own stages n and n + 1, so the
-endpoints are never restated.  Reports never extrapolate: a quantity
-counts as stabilized only after `window` consecutive induced
-isomorphisms (the colimit then equals the value at the start of the run)
-or `window` consecutive induced zero maps (the colimit is 0: every class
-dies further up the tower).  Anything else is reported as undetermined
-at the evaluated bound.
+A tower is given by pure stage/transition rules.  Module and complex
+towers share one memoized base, which evaluates each rule once per index
+and checks each stage's ring.  A transition rule takes only n and returns
+matrices; the tower builds each transition between its own stages n and
+n + 1, so the endpoints are never restated.  One rule decides every
+report, and it never extrapolates: a quantity counts as stabilized only
+after `window` consecutive induced isomorphisms (the colimit then equals
+the value at the start of the run) or `window` consecutive induced zero
+maps (the colimit is 0: every class dies further up the tower).  Anything
+else is reported as undetermined at the evaluated bound.
 
 The galleries build three concrete towers with known colimit behavior
 and compare the computed reports against the expected values: a strictly
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from itertools import count, islice, takewhile
+from typing import Callable, Iterator, Mapping
 
 from .complexes import BoundedComplex, ChainMap
 from .errors import InputError
@@ -34,7 +36,40 @@ DEFAULT_WINDOW = 3
 DEFAULT_MAX_STAGE = 32
 
 
-class TowerModule:
+class _Tower:
+    """The memoized stages and transitions shared by both tower kinds.
+
+    stage(n) rejects n < 0, checks that the stage lives over the tower's
+    ring and evaluates the rule once; transition(n) evaluates its rule
+    once and hands the matrices to `_connect`, which builds the map
+    between the tower's own stages n and n + 1.
+    """
+
+    def __init__(self, ring: BaseRing, stage_rule: Callable, transition_rule: Callable):
+        self.ring = ring
+        self._stage_rule = stage_rule
+        self._transition_rule = transition_rule
+        self._stages: dict[int, FpModule | BoundedComplex] = {}
+        self._transitions: dict[int, ModuleMap | ChainMap] = {}
+
+    def stage(self, n: int) -> FpModule | BoundedComplex:
+        if n < 0:
+            raise InputError("stage index must be >= 0")
+        if n not in self._stages:
+            s = self._stage_rule(n)
+            if s.ring != self.ring:
+                raise InputError(f"stage {n} lives over {s.ring}, tower over {self.ring}")
+            self._stages[n] = s
+        return self._stages[n]
+
+    def transition(self, n: int) -> ModuleMap | ChainMap:
+        if n not in self._transitions:
+            source, target = self.stage(n), self.stage(n + 1)
+            self._transitions[n] = self._connect(n, source, target, self._transition_rule(n))
+        return self._transitions[n]
+
+
+class TowerModule(_Tower):
     """A directed system M_0 -> M_1 -> ... of finitely presented modules.
 
     transition_rule(n) is the matrix of M_n -> M_{n+1}, built into a
@@ -50,36 +85,21 @@ class TowerModule:
                  transition_rule: Callable[[int], Matrix],
                  all_transitions_injective: bool = False,
                  all_transitions_non_surjective: bool = False):
-        self.ring = ring
-        self._stage_rule = stage_rule
-        self._transition_rule = transition_rule
+        super().__init__(ring, stage_rule, transition_rule)
         self.all_transitions_injective = all_transitions_injective
         self.all_transitions_non_surjective = all_transitions_non_surjective
-        self._stages: dict[int, FpModule] = {}
-        self._transitions: dict[int, ModuleMap] = {}
 
-    def stage(self, n: int) -> FpModule:
-        if n < 0:
-            raise InputError("stage index must be >= 0")
-        if n not in self._stages:
-            m = self._stage_rule(n)
-            if m.ring != self.ring:
-                raise InputError(f"stage {n} lives over {m.ring}, tower over {self.ring}")
-            self._stages[n] = m
-        return self._stages[n]
-
-    def transition(self, n: int) -> ModuleMap:
-        if n not in self._transitions:
-            f = ModuleMap(self.stage(n), self.stage(n + 1), self._transition_rule(n))
-            if self.all_transitions_injective and not f.is_injective():
-                raise InputError(f"declared injective, but transition {n} is not")
-            if self.all_transitions_non_surjective and f.is_surjective():
-                raise InputError(f"declared non-surjective, but transition {n} is onto")
-            self._transitions[n] = f
-        return self._transitions[n]
+    def _connect(self, n: int, source: FpModule, target: FpModule,
+                 matrix: Matrix) -> ModuleMap:
+        f = ModuleMap(source, target, matrix)
+        if self.all_transitions_injective and not f.is_injective():
+            raise InputError(f"declared injective, but transition {n} is not")
+        if self.all_transitions_non_surjective and f.is_surjective():
+            raise InputError(f"declared non-surjective, but transition {n} is onto")
+        return f
 
 
-class TowerComplex:
+class TowerComplex(_Tower):
     """A directed system of bounded complexes with chain-map transitions.
 
     transition_rule(n) maps each degree to the matrix of that component of
@@ -87,30 +107,9 @@ class TowerComplex:
     stages.
     """
 
-    def __init__(self, ring: BaseRing,
-                 stage_rule: Callable[[int], BoundedComplex],
-                 transition_rule: Callable[[int], Mapping[int, Matrix]]):
-        self.ring = ring
-        self._stage_rule = stage_rule
-        self._transition_rule = transition_rule
-        self._stages: dict[int, BoundedComplex] = {}
-        self._transitions: dict[int, ChainMap] = {}
-
-    def stage(self, n: int) -> BoundedComplex:
-        if n < 0:
-            raise InputError("stage index must be >= 0")
-        if n not in self._stages:
-            cx = self._stage_rule(n)
-            if cx.ring != self.ring:
-                raise InputError(f"stage {n} lives over {cx.ring}, tower over {self.ring}")
-            self._stages[n] = cx
-        return self._stages[n]
-
-    def transition(self, n: int) -> ChainMap:
-        if n not in self._transitions:
-            self._transitions[n] = ChainMap(self.stage(n), self.stage(n + 1),
-                                            self._transition_rule(n))
-        return self._transitions[n]
+    def _connect(self, n: int, source: BoundedComplex, target: BoundedComplex,
+                 matrices: Mapping[int, Matrix]) -> ChainMap:
+        return ChainMap(source, target, matrices)
 
 
 @dataclass(frozen=True)
@@ -152,24 +151,17 @@ def _require_window(window: int) -> None:
 
 def _conclude(quantity: str, values: list[int], kinds: list[str],
               window: int) -> StabilizationReport:
-    iso_run = 0
-    for k in reversed(kinds):
-        if k != "iso":
-            break
-        iso_run += 1
-    if iso_run >= window:
-        at = len(kinds) - iso_run
-        return StabilizationReport(quantity, tuple(values), tuple(kinds),
-                                   "stabilized", values[at], at, len(kinds), window)
-    zero_run = 0
-    for k in reversed(kinds):
-        if k != "zero":
-            break
-        zero_run += 1
-    if zero_run >= window:
-        at = len(kinds) - zero_run
-        return StabilizationReport(quantity, tuple(values), tuple(kinds),
-                                   "stabilized", 0, at, len(kinds), window)
+    """The one stabilization rule: a trailing run of at least `window`
+    isomorphisms stabilizes at the value where the run starts; failing
+    that, such a run of zero maps stabilizes at 0.  Anything else is
+    undetermined at the evaluated bound."""
+    for kind in ("iso", "zero"):
+        at = len(kinds)
+        while at > 0 and kinds[at - 1] == kind:
+            at -= 1
+        if len(kinds) - at >= window:
+            return StabilizationReport(quantity, tuple(values), tuple(kinds), "stabilized",
+                                       values[at] if kind == "iso" else 0, at, len(kinds), window)
     return StabilizationReport(quantity, tuple(values), tuple(kinds),
                                "undetermined", None, None, len(kinds), window)
 
@@ -258,14 +250,12 @@ def tower_not_finitely_generated(t: TowerModule,
     declaration surfaces as InputError here rather than a wrong verdict.
     """
     declared = t.all_transitions_injective and t.all_transitions_non_surjective
-    checked = 0
     for n in range(max_stage):
         f = t.transition(n)
         if not f.is_injective() or f.is_surjective():
             return NotFinitelyGeneratedVerdict(
-                False, False, checked,
-                f"transition {n} is not a proper embedding; no claim")
-        checked += 1
+                False, False, n, f"transition {n} is not a proper embedding; no claim")
+    checked = max(max_stage, 0)
     if declared:
         return NotFinitelyGeneratedVerdict(
             True, True, checked,
@@ -300,7 +290,10 @@ class GalleryRow:
     label: str
     report: StabilizationReport
     expected: int
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.report.stabilized and self.report.value == self.expected
 
 
 @dataclass(frozen=True)
@@ -315,18 +308,8 @@ class GalleryReport:
     ok: bool
 
 
-def _primes_upto(bound: int) -> list[int]:
-    return [p for p in range(2, bound + 1) if is_prime(p)]
-
-
-def _nth_prime(n: int) -> int:
-    count = 0
-    p = 1
-    while count < n:
-        p += 1
-        if is_prime(p):
-            count += 1
-    return p
+def _primes() -> Iterator[int]:
+    return filter(is_prime, count(2))
 
 
 def sum_inverse_primes_tower() -> TowerModule:
@@ -337,7 +320,7 @@ def sum_inverse_primes_tower() -> TowerModule:
     return TowerModule(
         ZZ,
         lambda n: FpModule.free(ZZ, 1),
-        lambda n: Matrix(ZZ, [[_nth_prime(n + 1)]]),
+        lambda n: Matrix(ZZ, [[next(islice(_primes(), n, None))]]),
         all_transitions_injective=True,
         all_transitions_non_surjective=True,
     )
@@ -393,55 +376,42 @@ def gallery(name: str, p: int = 2, max_prime: int = 100,
         if max_prime < 2:
             raise InputError(f"max_prime must be >= 2, got {max_prime}")
         t = sum_inverse_primes_tower()
-        rows = []
-        targets = [GENERIC] + [Prime.at(q) for q in _primes_upto(max_prime)]
-        for idx, q in enumerate(targets):
-            # the (x p) step sits at transition index (idx - 1); make sure
-            # the evaluation window reaches past it
-            need = idx + window + 1
-            rep = tower_fiber(t, q, max_stage=max(max_stage, need), window=window)
-            rows.append(GalleryRow(f"h_0 at ({q.literal()})", rep, 1,
-                                   rep.stabilized and rep.value == 1))
+        targets = [GENERIC] + [Prime.at(q) for q in takewhile(lambda q: q <= max_prime, _primes())]
+        # the (x p) step of row idx sits at transition idx - 1; make sure
+        # the evaluation window reaches past it
+        rows = tuple(GalleryRow(f"h_0 at ({q.literal()})",
+                                tower_fiber(t, q, max(max_stage, idx + window + 1), window), 1)
+                     for idx, q in enumerate(targets))
         nfg = tower_not_finitely_generated(t)
         notes = (f"not finitely generated: {nfg.holds} "
                  f"({'definitive' if nfg.definitive else 'bounded'}; "
                  f"{nfg.stages_checked} stages checked)",)
         ok = all(r.ok for r in rows) and nfg.holds
-        return GalleryReport(name, ZZ, {"max_prime": max_prime}, tuple(rows), notes, ok)
+        return GalleryReport(name, ZZ, {"max_prime": max_prime}, rows, notes, ok)
 
     if name == "injective-hull":
         t = injective_hull_tower(p)
-        ring = t.ring
         maximal = Prime.at(p)
         specs = [("Tor_0 at maximal", maximal, 0, 0),
                  ("Tor_1 at maximal", maximal, 1, 1),
                  ("Tor_0 at (0)", GENERIC, 0, 0),
                  ("Tor_1 at (0)", GENERIC, 1, 0)]
-        rows = []
-        for label, q, i, expected in specs:
-            rep = tower_tor(t, q, i, max_stage=max(6, window + 2), window=window)
-            rows.append(GalleryRow(label, rep, expected,
-                                   rep.stabilized and rep.value == expected))
+        rows = tuple(GalleryRow(label, tower_tor(t, q, i, max(6, window + 2), window), expected)
+                     for label, q, i, expected in specs)
         nfg = tower_not_finitely_generated(t)
         notes = (f"not finitely generated: {nfg.holds}",)
         ok = all(r.ok for r in rows) and nfg.holds
-        return GalleryReport(name, ring, {"p": p}, tuple(rows), notes, ok)
+        return GalleryReport(name, t.ring, {"p": p}, rows, notes, ok)
 
     if name == "dvr-fraction-field":
         tc = dvr_fraction_field_tower(p)
-        maximal = Prime.at(p)
-        rows = []
-        for label, q, expected in [("H_0 at maximal", maximal, 0),
-                                   ("H_0 at (0)", GENERIC, 1)]:
-            rep = tower_complex_homology_fiber(tc, q, 0,
-                                               max_stage=max(6, window + 2),
-                                               window=window)
-            rows.append(GalleryRow(label, rep, expected,
-                                   rep.stabilized and rep.value == expected))
+        specs = [("H_0 at maximal", Prime.at(p), 0), ("H_0 at (0)", GENERIC, 1)]
+        rows = tuple(GalleryRow(label, tower_complex_homology_fiber(
+                         tc, q, 0, max(6, window + 2), window), expected)
+                     for label, q, expected in specs)
         notes = ("stage complexes are fiberwise exact at the maximal ideal "
                  "in the colimit, yet the generic homology survives",)
-        ok = all(r.ok for r in rows)
-        return GalleryReport(name, tc.ring, {"p": p}, tuple(rows), notes, ok)
+        return GalleryReport(name, tc.ring, {"p": p}, rows, notes, all(r.ok for r in rows))
 
     raise InputError(f"unknown gallery {name!r}; "
                      "known: sum-inverse-primes, injective-hull, dvr-fraction-field")

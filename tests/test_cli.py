@@ -3,7 +3,10 @@
 import dataclasses
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -724,3 +727,23 @@ def test_fuzzed_flags_end_in_a_documented_exit(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["koszul", "--elements", "2,3,5,7,11,13"],
+                                  ["--format", "json", "koszul", "--elements", "2,3,5"],
+                                  ["gallery", "dvr-fraction-field"]])
+def test_closed_stdout_is_not_a_traceback(argv):
+    """A reader that goes away (`| head -1`) must not turn a verdict into a
+    traceback.  The read end is closed before the spawn, so every write to
+    stdout fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fiberflat", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr.decode()

@@ -7,7 +7,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberflat.errors import InputError
+from fiberflat.errors import ContradictionError, InputError
 from fiberflat.linalg import (
     Matrix, _snf_full, det, field_rank, hstack, rank,
     rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix, vstack,
@@ -293,6 +293,15 @@ def test_solve_integral_examples():
     rhs = Matrix(ZZ, [[2, 4], [0, 6]])
     x = solve_integral(Matrix(ZZ, [[2, 0], [0, 3]]), rhs)
     assert x is not None and Matrix(ZZ, [[2, 0], [0, 3]]) @ x == rhs
+
+
+def test_solve_integral_rejects_a_solution_that_fails_the_check():
+    # a corrupt cached SNF (that of [[1]]) yields x = 3, and 2 * 3 != 3; the
+    # product check must survive python -O, so it is a raise, not an assert
+    a = Matrix(ZZ, [[2]])
+    a._snf = snf(Matrix(ZZ, [[1]]))
+    with pytest.raises(ContradictionError, match="solve_integral"):
+        solve_integral(a, Matrix(ZZ, [[3]]))
 
 
 @given(int_matrix(max_dim=3))

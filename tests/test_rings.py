@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fiberflat import cli
+from fiberflat import cli, rings
 from fiberflat.errors import InputError
 from fiberflat.linalg import Matrix, rank_over_fiber, reduce_matrix
 from fiberflat.modules import FpModule
@@ -14,7 +14,7 @@ from fiberflat.rings import (
     GENERIC, PRIMALITY_BOUND, Prime, QQ, ZZ, integers_mod, is_prime, localized_at,
     parse_prime, parse_ring, parse_scalar, prime_field, render_scalar,
 )
-from fiberflat.towers import TowerModule, tower_fiber, tower_tor
+from fiberflat.towers import TowerModule, sum_inverse_primes_tower, tower_fiber, tower_tor
 
 from _oracles import fraction_rank, modp_rank, reduce_entry
 
@@ -71,6 +71,27 @@ def test_residue_fields():
     assert prime_field(7).residue_field(GENERIC).literal() == "F7"
     with pytest.raises(InputError):
         ZZ.residue_field(Prime.at(6))
+
+
+def test_residue_fields_are_built_once_per_prime(monkeypatch):
+    """kappa(q) is built for every fiber reduction; building F_p again would
+    re-run Miller-Rabin on p each time.  A rejected p is never cached."""
+    prime_field(3)
+    q = Prime.at(3)
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    original = is_prime
+    monkeypatch.setattr(rings, "is_prime", counted)
+    assert tower_fiber(sum_inverse_primes_tower(), q, max_stage=8).stabilized
+    assert calls == []
+    for _ in range(2):
+        with pytest.raises(InputError):
+            prime_field(6)
+    assert calls == [6, 6]
 
 
 def _reduce_scalar(ring, q, x):

@@ -85,20 +85,32 @@ def test_alternating_tower_is_undetermined():
     assert tower_fiber(t2, Prime.at(2), max_stage=6, window=1).stabilized
 
 
+def _rank_one_towers(ring, on_stage=lambda n: None):
+    """A module tower and a complex tower over Z whose stages are rank-1
+    free over `ring`, calling on_stage(n) whenever a stage rule runs."""
+    def module_stage(n):
+        on_stage(n)
+        return FpModule.free(ring, 1)
+
+    def complex_stage(n):
+        on_stage(n)
+        return BoundedComplex.free_complex(ring, 0, [1], [])
+
+    return [TowerModule(ZZ, module_stage, lambda n: Matrix(ring, [[1]])),
+            TowerComplex(ZZ, complex_stage, lambda n: {0: Matrix(ring, [[1]])})]
+
+
 def test_stage_rules_are_memoized():
     calls = []
-
-    def stage(n):
-        calls.append(n)
-        return FpModule.free(ZZ, 1)
-
-    t = TowerModule(ZZ, stage, lambda n: Matrix(ZZ, [[1]]))
-    t.stage(3)
-    t.stage(3)
-    t.transition(3)
-    assert calls.count(3) == 1
-    with pytest.raises(InputError):
-        t.stage(-1)
+    for t in _rank_one_towers(ZZ, calls.append):
+        calls.clear()
+        t.stage(3)
+        t.stage(3)
+        f = t.transition(3)
+        assert t.transition(3) is f
+        assert calls == [3, 4]
+        with pytest.raises(InputError, match="stage index"):
+            t.stage(-1)
 
 
 def test_declared_flags_are_verified_per_stage():
@@ -118,11 +130,11 @@ def test_declared_flags_are_verified_per_stage():
 
 
 def test_mismatched_stages_are_rejected():
-    wrong_ring = TowerModule(
-        ZZ, lambda n: FpModule.free(localized_at(2), 1),
-        lambda n: Matrix(localized_at(2), [[1]]))
-    with pytest.raises(InputError):
-        wrong_ring.stage(0)
+    for wrong_ring in _rank_one_towers(localized_at(2)):
+        with pytest.raises(InputError, match="stage 0 lives over"):
+            wrong_ring.stage(0)
+        with pytest.raises(InputError, match="stage 0 lives over"):
+            wrong_ring.transition(0)
 
     # the tower builds each transition between its own stages, so a matrix
     # of the wrong shape, or one that is not a map of the stages, is refused
@@ -294,6 +306,11 @@ def test_complex_tower_needs_free_terms():
 
 # -- gallery ---------------------------------------------------------------------
 
+def _assert_rows_derive_ok(rep):
+    for row in rep.rows:
+        assert row.ok == (row.report.stabilized and row.report.value == row.expected)
+
+
 def test_gallery_sum_inverse_primes():
     rep = gallery("sum-inverse-primes", max_prime=20)
     assert rep.ok
@@ -301,6 +318,7 @@ def test_gallery_sum_inverse_primes():
     # generic point plus the eight primes up to 20
     assert len(rep.rows) == 9
     assert all(row.ok and row.expected == 1 for row in rep.rows)
+    _assert_rows_derive_ok(rep)
     assert rep.rows[0].label == "h_0 at (0)"
     assert any("not finitely generated: True" in note for note in rep.notes)
 
@@ -312,6 +330,7 @@ def test_gallery_injective_hull():
     assert expected == {"Tor_0 at maximal": 0, "Tor_1 at maximal": 1,
                         "Tor_0 at (0)": 0, "Tor_1 at (0)": 0}
     assert all(row.ok for row in rep.rows)
+    _assert_rows_derive_ok(rep)
 
 
 def test_gallery_dvr_fraction_field():
@@ -319,6 +338,7 @@ def test_gallery_dvr_fraction_field():
     assert rep.ok
     expected = {row.label: row.expected for row in rep.rows}
     assert expected == {"H_0 at maximal": 0, "H_0 at (0)": 1}
+    _assert_rows_derive_ok(rep)
 
 
 def test_gallery_rejects_bounds_that_prove_nothing():

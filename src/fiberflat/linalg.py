@@ -11,13 +11,14 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
   field_rank alone eliminates over the field itself (fraction-free, row by
   row over Q): it is the independent Gaussian route that tests check the
   SNF against.
-* One integer kernel serves every ring's SNF.  Its pivot is the nonzero
+* One integer kernel serves every ring's SNF; over Z/n and F_p it
+  eliminates modulo n.  Its pivot is the nonzero
   entry of least absolute value in the working submatrix, ties broken by
   lowest (row, col).  It eliminates D alone and records its row and column
   moves; U, V and their inverses are replayed from the moves when a caller
   first reads them, so rank and divisor queries build no witness.
 * Diagonal entries are canonical: non-negative over Z, gcd(e, n) over Z/n
-  for the kernel's integer divisor e (0 when n divides e), the convention
+  for the kernel's divisor e (0 when n divides e), the convention
   invariant factors use, pure powers of p over Z_(p), 0 or 1 over fields.
   _snf_full folds the unit part of each divisor into V and Vi.
 * Zero-dimension matrices are legal everywhere and behave as zero maps.
@@ -344,14 +345,26 @@ def _replay(n: int, moves: Sequence[tuple[int, int, int, int]],
     return rows
 
 
-def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
+def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int, mod: int):
     """Integer kernel.  Returns (D, row_moves, col_moves).
 
     Only D is eliminated.  Every elementary row or column operation on D is
     appended to row_moves or col_moves, in order, as an (op, i, j, q) move;
     the witnesses are replayed from them on first read (see SnfDecomposition).
+
+    With a modulus mod > 0 (Z/n and F_p) D is eliminated over Z/mod: every
+    updated row is reduced, entries that leave (-mod, mod) going to
+    [0, mod), and the pivot b divides an entry in the ring when gcd(b, mod)
+    does.  Euclidean remainders stay below the pivot, so it still shrinks
+    to termination; on a lift with entries in (-mod, mod), as _snf_full
+    passes, every multiplier q has |q| < mod.  With mod = 0 (Z, Z_(p), Q)
+    D is eliminated over Z.
     """
     D = [list(r) for r in a_rows]
+
+    def cut(r):
+        return [x if -mod < x < mod else x % mod for x in r]
+
     row_moves: list[tuple[int, int, int, int]] = []
     col_moves: list[tuple[int, int, int, int]] = []
 
@@ -394,6 +407,8 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
                     q = (2 * D[i][t] + b) // (2 * b)
                     if q:
                         D[i] = [x - q * y for x, y in zip(D[i], top)]
+                        if mod:
+                            D[i] = cut(D[i])
                         row_moves.append((_ADD, i, t, -q))
                 qs = [(2 * v + b) // (2 * b) for v in top[t + 1:]]
                 if any(qs):
@@ -402,16 +417,21 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int):
                         rt = r[t]
                         if rt:
                             r[t + 1:] = [x - q * rt for x, q in zip(r[t + 1:], qs)]
+                            if mod:
+                                r[t + 1:] = cut(r[t + 1:])
                 if not (any(top[t + 1:]) or any(D[i][t] for i in range(t + 1, m))):
                     break
                 place_pivot(t)
-            # Pivot must divide the remaining submatrix before t advances.
-            b = D[t][t]
-            offender = None if b == 1 else next(
-                (i for i in range(t + 1, m) if gcd(*D[i][t + 1:]) % b), None)
+            # Pivot must divide the remaining submatrix (in the ring: g =
+            # gcd(pivot, mod) divides it) before t advances.
+            g = gcd(D[t][t], mod)
+            offender = None if g == 1 else next(
+                (i for i in range(t + 1, m) if gcd(*D[i][t + 1:]) % g), None)
             if offender is None:
                 break
             D[t] = [x + y for x, y in zip(D[t], D[offender])]
+            if mod:
+                D[t] = cut(D[t])
             row_moves.append((_ADD, t, offender, 1))
         t += 1
     return D, row_moves, col_moves
@@ -432,27 +452,29 @@ def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
 
 
 def _snf_full(a: Matrix) -> SnfDecomposition:
-    """Every ring runs through the integer kernel on its integral lift.
+    """The one kernel on A's integral lift: modulo n over Z/n and F_p,
+    over Z for Z, Z_(p) and Q.
 
-    Each integer divisor d that is nonzero in the ring splits as c*u with c
+    Each kernel divisor d that is nonzero in the ring splits as c*u with c
     canonical (gcd(d, n) over Z/n and F_p, p^v over Z_(p), 1 over Q) and u
     a unit; (i, u/scale, scale/u) is kept so that V scales its row i by
     u/scale and Vi its column i by the inverse.  Over Z/n, u is d/c modulo
     n/c, stepped by n/c until it is coprime to n (each prime of c that does
-    not divide n/c rules out one residue).  Over Z/n and F_p a divisor that
-    is 0 in the ring stays 0, and such zeros trail because the integer
-    divisors form a chain.
+    not divide n/c rules out one residue).  Over Z/n and F_p the kernel's
+    pivots lie in (0, n), so its diagonal is 0 exactly past the last pivot,
+    and those zeros trail.
     """
     if a._snf is not None:
         return a._snf
     ring, m, n = a.ring, a.rows, a.cols
     kind, p = ring.kind, ring.param
     scale, lift = _integral_lift(a)
-    D, row_moves, col_moves = _snf_int(lift, m, n)
+    mod = p if kind in ("Zmod", "Fp") else 0
+    D, row_moves, col_moves = _snf_int(lift, m, n, mod)
     divisors, units = [], []
     for i in range(min(m, n)):
         d = D[i][i]
-        if kind in ("Zmod", "Fp") and d % p:
+        if mod and d:
             c = gcd(d, p)
             u = d // c % (p // c)
             while gcd(u, p) != 1:
@@ -466,9 +488,7 @@ def _snf_full(a: Matrix) -> SnfDecomposition:
             units.append((i, Fraction(d // c, scale), Fraction(scale, d // c)))
             d = c
         divisors.append(d)
-    if kind in ("Zmod", "Fp"):
-        divisors = [d % p for d in divisors]
-    elif ring.uses_fractions:
+    if ring.uses_fractions:
         divisors = [Fraction(d) for d in divisors]
     a._snf = SnfDecomposition(ring, m, n, tuple(divisors), row_moves, col_moves, units)
     return a._snf

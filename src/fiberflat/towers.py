@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, takewhile
-from typing import Callable, Iterator, Mapping
+from itertools import count, takewhile
+from typing import Callable, Mapping
 
 from .complexes import BoundedComplex, ChainMap
 from .errors import InputError
@@ -308,8 +308,18 @@ class GalleryReport:
     ok: bool
 
 
-def _primes() -> Iterator[int]:
-    return filter(is_prime, count(2))
+_PRIMES = [2]  # the primes in order, as far as any caller has asked
+
+
+def _nth_prime(n: int) -> int:
+    """The prime at index n (2 at 0), extending _PRIMES as needed, so each
+    number is tested for primality once per process."""
+    q = _PRIMES[-1]
+    while len(_PRIMES) <= n:
+        q += 1
+        if is_prime(q):
+            _PRIMES.append(q)
+    return _PRIMES[n]
 
 
 def sum_inverse_primes_tower() -> TowerModule:
@@ -320,7 +330,7 @@ def sum_inverse_primes_tower() -> TowerModule:
     return TowerModule(
         ZZ,
         lambda n: FpModule.free(ZZ, 1),
-        lambda n: Matrix(ZZ, [[next(islice(_primes(), n, None))]]),
+        lambda n: Matrix(ZZ, [[_nth_prime(n)]]),
         all_transitions_injective=True,
         all_transitions_non_surjective=True,
     )
@@ -376,7 +386,8 @@ def gallery(name: str, p: int = 2, max_prime: int = 100,
         if max_prime < 2:
             raise InputError(f"max_prime must be >= 2, got {max_prime}")
         t = sum_inverse_primes_tower()
-        targets = [GENERIC] + [Prime.at(q) for q in takewhile(lambda q: q <= max_prime, _primes())]
+        primes = takewhile(lambda q: q <= max_prime, map(_nth_prime, count()))
+        targets = [GENERIC] + [Prime.at(q) for q in primes]
         # the (x p) step of row idx sits at transition idx - 1; make sure
         # the evaluation window reaches past it
         rows = tuple(GalleryRow(f"h_0 at ({q.literal()})",

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -460,6 +461,16 @@ def test_nullhomotopy_on_a_sixteen_fold_sum_is_fast(capsys):
     payload = run_json(capsys, "nullhomotopy", _split_sequence_doc(16))
     assert payload["contractible"] is True
     assert time.perf_counter() - start < 5.0
+
+
+def test_snf_on_a_dense_96_square_over_z360_is_fast(capsys):
+    rng = random.Random(96)
+    doc = json.dumps({"version": 1, "ring": "Z/360", "matrix": {
+        "entries": [[rng.randint(-9, 9) for _ in range(96)] for _ in range(96)]}})
+    start = time.perf_counter()
+    payload = run_json(capsys, "snf", doc)
+    assert payload["verified"] is True
+    assert time.perf_counter() - start < 10.0
 
 
 def test_filtration_command(capsys):

@@ -12,7 +12,7 @@ from fiberflat.linalg import (
     Matrix, _snf_full, det, field_rank, hstack, rank,
     rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix, vstack,
 )
-from fiberflat import modules
+from fiberflat import linalg, modules
 from fiberflat.modules import FpModule, ModuleMap, matrix_bad_primes
 from fiberflat.rings import (
     GENERIC, Prime, QQ, ZZ, integers_mod, localized_at, prime_field,
@@ -146,6 +146,55 @@ def test_zmod_divisors_are_gcds_with_n():
     # the divisor 4 vanishes in kappa(2) and not in kappa(3)
     assert rank_over_fiber(Matrix(ring, [[8]]), Prime.at(2)) == 0
     assert rank_over_fiber(Matrix(ring, [[8]]), Prime.at(3)) == 1
+
+
+def _lift_over(rng, k, m, n):
+    """A random integer lift of an m x n matrix over Z/k: entries in
+    [-2k, 2k] (negative ones and ones >= k included), with zero rows and
+    columns now and then."""
+    rows = [[rng.randint(-2 * k, 2 * k) for _ in range(n)] for _ in range(m)]
+    for i in range(m):
+        if rng.random() < 0.2:
+            rows[i] = [0] * n
+    for j in range(n):
+        if rng.random() < 0.2:
+            for r in rows:
+                r[j] = 0
+    return rows
+
+
+def test_modular_kernel_divisors_match_the_integer_kernel():
+    # Over Z/k and F_p the kernel eliminates modulo k; its divisors, taken
+    # as gcd(d, k), must be those of the integer kernel (modulus 0) on the
+    # same lift, and its moves must carry the lift to its diagonal mod k.
+    rng = random.Random(16)
+    rings = [integers_mod(k) for k in (2, 4, 8, 12, 27, 360, 997, 1000)]
+    rings += [prime_field(2), prime_field(5)]
+    for ring in rings:
+        k = ring.param
+        shapes = [(0, 3), (3, 0), (0, 0)]
+        shapes += [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+        for m, n in shapes:
+            rows = _lift_over(rng, k, m, n)
+            D, row_moves, col_moves = linalg._snf_int(rows, m, n, k)
+            D0 = linalg._snf_int(rows, m, n, 0)[0]
+            r = min(m, n)
+            assert [gcd(D[i][i], k) % k for i in range(r)] == \
+                [gcd(D0[i][i], k) % k for i in range(r)]
+            ui = linalg._replay(m, row_moves)
+            vi_t = linalg._replay(n, col_moves)
+            product = [[sum(ui[i][s] * rows[s][t] * vi_t[j][t]
+                            for s in range(m) for t in range(n)) for j in range(n)]
+                       for i in range(m)]
+            assert [[x % k for x in row] for row in product] == \
+                [[x % k for x in row] for row in D]
+            assert all(D[i][j] % k == 0 for i in range(m) for j in range(n) if i != j)
+            a = Matrix(ring, rows, cols=n)
+            dec = snf(a)
+            assert dec.verify(a)
+            assert dec.elementary_divisors == tuple(gcd(D0[i][i], k) % k for i in range(r))
+            # multipliers below k keep the replayed witnesses small
+            assert all(abs(q) <= k for *_, q in dec.row_moves + dec.col_moves)
 
 
 @given(int_matrix(max_dim=4))

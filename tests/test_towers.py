@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fiberflat import towers
 from fiberflat.complexes import BoundedComplex
 from fiberflat.errors import InputError
 from fiberflat.linalg import Matrix
@@ -180,6 +181,21 @@ def test_reciprocal_primes_tower_one_zero_step_per_prime():
         assert rep.transition_kinds.count("iso") == len(rep.transition_kinds) - 1
         assert rep.transition_kinds[idx] == "zero"
         assert rep.stabilized and rep.value == 1
+
+
+def test_reciprocal_primes_transitions_test_each_number_once(monkeypatch):
+    # transitions 0..59 multiply by the primes up to p_59 = 281: every
+    # number up to 281 is tested for primality at most once in all
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(towers, "is_prime", counted)
+    t = sum_inverse_primes_tower()
+    assert [t.transition(n).matrix[0, 0] for n in range(60)][-3:] == [271, 277, 281]
+    assert len(calls) == len(set(calls)) and all(n <= 281 for n in calls)
 
 
 def test_reciprocal_primes_tower_not_finitely_generated():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from typing import Mapping, Sequence
 
 from .errors import ContradictionError, InputError
@@ -147,10 +147,8 @@ class BoundedComplex:
 
         Over Z, Z_(p) and the fields, with r the number of nonzero
         divisors, H_i = 0 exactly when r_i + r_{i+1} = n_i and every
-        nonzero divisor of d_{i+1} is a unit.  Over Z/n the image of a
-        map with divisors e_j has prod n/e_j elements (a zero divisor
-        counts 1), and H_i = 0 exactly when the images of d_i and d_{i+1}
-        together have n^{n_i}.  Other terms build homology(i).
+        nonzero divisor of d_{i+1} is a unit.  Over Z/n the rule is
+        is_exact_mod_at(i, n).  Other terms build homology(i).
 
         >>> from fiberflat.rings import ZZ, integers_mod
         >>> cx = BoundedComplex.free_complex(ZZ, 0, [1, 1], [Matrix(ZZ, [[2]])])
@@ -163,13 +161,37 @@ class BoundedComplex:
         if not (self.term(i).is_free_presentation and self.term(i - 1).is_free_presentation):
             return self.homology(i).is_zero()
         ring = self.ring
-        below, above = ([d for d in snf(self.boundary(j).matrix).elementary_divisors if d != 0]
-                        for j in (i, i + 1))
         if ring.kind == "Zmod":
-            n = ring.param
-            return prod(n // d for d in below + above) == n ** self.term(i).gens
+            return self.is_exact_mod_at(i, ring.param)
+        below, above = ([d for d in self._divisors(j) if d != 0] for j in (i, i + 1))
         return (len(below) + len(above) == self.term(i).gens
                 and all(map(ring.is_unit, above)))
+
+    def is_exact_mod_at(self, i: int, d: int) -> bool:
+        """Whether H_i(C / dC) = 0, read off C's own cached divisors, for
+        term(i) and term(i-1) free and d a canonical torsion factor: |d|
+        over Z, p^v over Z_(p), a divisor of n over Z/n.
+
+        U and V stay invertible modulo d, so the boundary d_i of C / dC,
+        a free complex over Z/d, has the divisors gcd(e, d) for e among
+        those of d_i.  Over Z/d the image of a map with divisors g_j has
+        prod d/g_j elements, and H_i = 0 exactly when the images of d_i and
+        d_{i+1} together have d^{n_i}.  Over Z/n, is_exact_at(i) is this
+        rule with d = n.
+
+        >>> from fiberflat.rings import ZZ
+        >>> cx = BoundedComplex.free_complex(ZZ, 0, [1, 1], [Matrix(ZZ, [[6]])])
+        >>> cx.is_exact_mod_at(1, 5), cx.is_exact_mod_at(1, 4)
+        (True, False)
+        """
+        divisors = self._divisors(i) + self._divisors(i + 1)
+        return prod(d // gcd(int(e), d) for e in divisors) == d ** self.term(i).gens
+
+    def _divisors(self, j: int) -> tuple:
+        """The cached elementary divisors of d_j; none outside (lo, hi]."""
+        if self.lo < j <= self.hi:
+            return snf(self._boundaries[j].matrix).elementary_divisors
+        return ()
 
     def is_exact(self) -> bool:
         return all(self.is_exact_at(i) for i in self.degrees())
@@ -192,11 +214,20 @@ class BoundedComplex:
         relations of term(j) and F_j the reduced boundary, the dimension is
           gens_i - rank[F_i | A_{i-1}] + rank A_{i-1} - rank[F_{i+1} | A_i],
         each rank taken over the residue field, and each computed once.
+        Past the ends nothing is built: below the bottom term both ranks
+        are 0, and above the top one the wall is rank A_hi.
         """
-        below = {i: reduce_matrix(self.term(i - 1).relations, q) for i in range(lo, hi + 2)}
-        wall = {i: field_rank(hstack([reduce_matrix(self.boundary(i).matrix, q), a]))
-                for i, a in below.items()}
-        return {i: self.term(i).gens - wall[i] + field_rank(below[i]) - wall[i + 1]
+        wall: dict[int, int] = {}
+        below: dict[int, int] = {}
+        for i in range(lo, hi + 2):
+            if i == self.lo:
+                wall[i] = below[i] = 0
+                continue
+            a = reduce_matrix(self._terms[i - 1].relations, q)
+            below[i] = field_rank(a)
+            wall[i] = (below[i] if i > self.hi else
+                       field_rank(hstack([reduce_matrix(self._boundaries[i].matrix, q), a])))
+        return {i: self._terms[i].gens - wall[i] + below[i] - wall[i + 1]
                 for i in range(lo, hi + 1)}
 
     def fiber_profile(self, q: Prime) -> FiberProfile:

@@ -98,7 +98,9 @@ def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -
 
 
 def _tensor_members(m: FpModule, cx: BoundedComplex) -> list[BoundedComplex]:
-    """Complexes whose homology sums to that of m tensor cx.
+    """Complexes whose homology sums to that of m tensor cx.  Only a cx
+    with a term that is not a free presentation is decided this way: for
+    free cx, _tensor_exact reads each R/(d) off cx's own divisors.
 
     With m ~ R^f + sum_j R/(d_j) from its invariant factors, m tensor cx
     is cx^f + sum_j cx/d_j cx: the list holds cx itself when f > 0, and for
@@ -120,6 +122,23 @@ def _tensor_members(m: FpModule, cx: BoundedComplex) -> list[BoundedComplex]:
     return members
 
 
+def _tensor_exact(m: FpModule, cx: BoundedComplex, skip: int | None = None) -> bool:
+    """Whether H_i(m tensor cx) = 0 in every degree i != skip.
+
+    With m ~ R^f + sum_j R/(d_j), the free part is decided as cx itself
+    (is_exact_at, when f > 0).  For free cx each torsion factor is read
+    off cx's own cached divisors (is_exact_mod_at): no base change, no new
+    ring, no new SNF, and the same Smith forms that conclusion_acyclic
+    reads.  Other cx go through _tensor_members.
+    """
+    degrees = [i for i in cx.degrees() if i != skip]
+    if not cx.is_free():
+        return all(mc.is_exact_at(i) for mc in _tensor_members(m, cx) for i in degrees)
+    inv = m.invariant_factors()
+    return ((not inv.free_rank or all(map(cx.is_exact_at, degrees)))
+            and all(cx.is_exact_mod_at(i, int(d)) for d in inv.torsion for i in degrees))
+
+
 def _fiber_profiles(cx: BoundedComplex, primes: list[Prime]) -> dict[Prime, dict[int, int]]:
     return {q: cx.fiber_profile(q).dims for q in primes}
 
@@ -134,7 +153,10 @@ class TheoremReport:
     holds and some conclusion fails, which falsifies the implementation.
     tensor_family_acyclic reads the free part of each family member as C
     itself, so for free members it repeats conclusion_acyclic and is not
-    an independent check; only the torsion parts R/(d) add one.
+    an independent check.  With free terms each torsion part R/(d) is read
+    off the same cached Smith forms of C's boundaries that
+    conclusion_acyclic reads (see _tensor_exact); the Gaussian fiber
+    profiles behind hypothesis_holds are the independent route.
     """
 
     hypothesis_holds: bool
@@ -159,9 +181,12 @@ def check_main_theorem(cx: BoundedComplex) -> TheoremReport:
     complex is acyclic away from degree 0, H_0 is flat, and M tensor C
     stays acyclic for every M in standard_module_family, the test-module
     family that route 3 of is_universally_exact reads too.  Each member M is
-    split by its invariant factors (see _tensor_members): its free part is
-    decided as C itself, which is not an independent check, and each
-    torsion factor R/(d) as C base-changed to Z/d.
+    split by its invariant factors (see _tensor_exact): its free part is
+    decided as C itself, which is not an independent check.  With free
+    terms each torsion factor R/(d) is read off C's cached elementary
+    divisors, the Smith forms conclusion_acyclic reads; otherwise C is
+    base-changed to Z/d.  The hypothesis, from Gaussian fiber ranks, is
+    the independent route.
 
     >>> from fiberflat.rings import ZZ
     >>> from fiberflat.linalg import Matrix
@@ -182,9 +207,7 @@ def check_main_theorem(cx: BoundedComplex) -> TheoremReport:
     h0 = cx.homology(0)
     conclusion_h0_flat = h0.is_flat()
     extra = tuple(p.p for p in primes if p.p is not None)
-    tensor_ok = all(mc.is_acyclic_away_from(0)
-                    for m in standard_module_family(cx.ring, extra)
-                    for mc in _tensor_members(m, cx))
+    tensor_ok = all(_tensor_exact(m, cx, skip=0) for m in standard_module_family(cx.ring, extra))
     if hypothesis and not (conclusion_acyclic and conclusion_h0_flat and tensor_ok):
         verdict = "VIOLATION"
     else:
@@ -211,12 +234,14 @@ def is_universally_exact(cx: BoundedComplex) -> UniversalExactnessReport:
     """Decide universal exactness three ways and insist they agree.
 
     Route 1: exact over the ring and every boundary image flat.  Route 2:
-    exact on every fiber.  Route 3: M tensor C stays exact for every M in
-    standard_module_family, decided through _tensor_members as in
-    check_main_theorem: the free part of M is C itself, so only the
-    torsion factors R/(d), C base-changed to Z/d, add an independent
-    check.  For bounded complexes of flat terms over the supported rings
-    these are equivalent; disagreement raises ContradictionError.
+    exact on every fiber, by Gaussian ranks.  Route 3: M tensor C stays
+    exact for every M in standard_module_family, decided through
+    _tensor_exact as in check_main_theorem: the free part of M is C
+    itself, and with free terms each torsion factor R/(d) is read off the
+    cached divisors that route 1 reads too, so route 2 is the independent
+    one; other terms are base-changed to Z/d.  For bounded complexes of
+    flat terms over the supported rings these are equivalent;
+    disagreement raises ContradictionError.
     """
     for i in cx.degrees():
         if not cx.term(i).is_flat():
@@ -230,8 +255,7 @@ def is_universally_exact(cx: BoundedComplex) -> UniversalExactnessReport:
     primes = complex_prime_set(cx)
     fiberwise = all(cx.is_fiber_exact(q) for q in primes)
     extra = tuple(p.p for p in primes if p.p is not None)
-    sampled = all(mc.is_exact() for m in standard_module_family(cx.ring, extra)
-                  for mc in _tensor_members(m, cx))
+    sampled = all(_tensor_exact(m, cx) for m in standard_module_family(cx.ring, extra))
     if not (direct == fiberwise == sampled):
         raise ContradictionError(
             f"universal exactness routes disagree: direct={direct}, "

@@ -270,29 +270,42 @@ class SnfDecomposition:
     units: list
 
     def verify(self, a: Matrix) -> bool:
-        """Recheck reconstruction, unit determinants, and the chain."""
+        """Recheck reconstruction, invertible U and V, and the chain.
+
+        Over Z/n and F_p, U @ Ui = I and V @ Vi = I modulo n prove U and V
+        invertible (a one-sided inverse over a commutative ring forces a
+        unit determinant); over Z, Z_(p) and Q, det(U) and det(V) are units.
+        """
         if self.U @ self.D @ self.V != a:
             return False
         ring = a.ring
-        if not (ring.is_unit(det(self.U)) and ring.is_unit(det(self.V))):
+        if ring.kind in ("Zmod", "Fp"):
+            if not (self.U @ self.Ui == Matrix.identity(ring, self.rows)
+                    and self.V @ self.Vi == Matrix.identity(ring, self.cols)):
+                return False
+        elif not (ring.is_unit(det(self.U)) and ring.is_unit(det(self.V))):
             return False
         return _chain_ok(ring, self.elementary_divisors)
 
-    def _lower(self, rows: list[list[int]], units: Iterable[tuple[int, Scalar]]) -> Matrix:
-        """Integer rows as a square matrix over the ring, row i times u for each (i, u)."""
+    def _lower(self, n: int, moves: list, inverse: bool,
+               units: Iterable[tuple[int, Scalar]]) -> Matrix:
+        """The moves replayed on the identity of size n, modulo the ring's
+        modulus over Z/n and F_p, as a matrix over the ring, row i times u
+        for each (i, u)."""
         ring = self.ring
         if ring.kind in ("Zmod", "Fp"):
             p = ring.param
-            body = [[x % p for x in r] for r in rows]
+            body = _replay(n, moves, inverse, p)
             for i, u in units:
-                body[i] = [x * u % p for x in rows[i]]
+                body[i] = [x * u % p for x in body[i]]
         elif ring.uses_fractions:
+            rows = _replay(n, moves, inverse)
             body = [[Fraction(x) for x in r] for r in rows]
             for i, u in units:
                 body[i] = [x * u for x in rows[i]]
         else:
-            body = rows
-        return Matrix._make(ring, body, len(rows))
+            body = _replay(n, moves, inverse)
+        return Matrix._make(ring, body, n)
 
     @cached_property
     def D(self) -> Matrix:
@@ -300,21 +313,21 @@ class SnfDecomposition:
 
     @cached_property
     def U(self) -> Matrix:
-        return self._lower(_replay(self.rows, self.row_moves, True), ()).transpose()
+        return self._lower(self.rows, self.row_moves, True, ()).transpose()
 
     @cached_property
     def Ui(self) -> Matrix:
-        return self._lower(_replay(self.rows, self.row_moves), ())
+        return self._lower(self.rows, self.row_moves, False, ())
 
     @cached_property
     def V(self) -> Matrix:
-        units = [(i, u) for i, u, _ in self.units if u != 1]
-        return self._lower(_replay(self.cols, self.col_moves, True), units)
+        return self._lower(self.cols, self.col_moves, True,
+                           [(i, u) for i, u, _ in self.units if u != 1])
 
     @cached_property
     def Vi(self) -> Matrix:
-        units = [(i, u) for i, _, u in self.units if u != 1]
-        return self._lower(_replay(self.cols, self.col_moves), units).transpose()
+        return self._lower(self.cols, self.col_moves, False,
+                           [(i, u) for i, _, u in self.units if u != 1]).transpose()
 
 
 # Kernel moves (op, i, j, q): _ADD adds q times line j to line i, _SWAP
@@ -323,9 +336,11 @@ _ADD, _SWAP, _NEG = 0, 1, 2
 
 
 def _replay(n: int, moves: Sequence[tuple[int, int, int, int]],
-            inverse: bool = False) -> list[list[int]]:
+            inverse: bool = False, mod: int = 0) -> list[list[int]]:
     """The moves applied in order as row operations to I_n; with inverse,
-    each move E is applied as (E^-1)^T instead.
+    each move E is applied as (E^-1)^T instead.  With mod > 0 every
+    replayed row is reduced into [0, mod), which gives the integer replay's
+    entries modulo mod.
 
     Replaying row moves E_1..E_k gives Ui = E_k...E_1, and with inverse the
     transpose of U = E_1^-1...E_k^-1; for column moves F_1..F_l (D = D F)
@@ -335,13 +350,15 @@ def _replay(n: int, moves: Sequence[tuple[int, int, int, int]],
     for op, i, j, q in moves:
         if op == _ADD:
             if inverse:
-                rows[j] = [x - q * y for x, y in zip(rows[j], rows[i])]
+                i, j, q = j, i, -q
+            if mod:
+                rows[i] = [(x + q * y) % mod for x, y in zip(rows[i], rows[j])]
             else:
                 rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
         elif op == _SWAP:
             rows[i], rows[j] = rows[j], rows[i]
         else:
-            rows[i] = [-x for x in rows[i]]
+            rows[i] = [-x % mod if mod else -x for x in rows[i]]
     return rows
 
 

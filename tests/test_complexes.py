@@ -13,16 +13,16 @@ from fiberflat.complexes import (
     koszul_complex, koszul_selfduality, null_homotopy, shift,
     tensor_with_module, total_tensor, truncate_geq,
 )
-from fiberflat.criteria import _tensor_members
+from fiberflat.criteria import _tensor_exact, _tensor_members
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex, random_fp_module
-from fiberflat.linalg import Matrix, field_rank, hstack, kron, reduce_matrix
+from fiberflat.linalg import Matrix, field_rank, hstack, kron, reduce_matrix, syzygy_matrix
 from fiberflat.modules import FpModule, ModuleMap
 from fiberflat.rings import (
     GENERIC, Prime, ZZ, factor_trial, integers_mod, localized_at, parse_ring,
 )
 
-from _oracles import fiber_complex, pullback_homology
+from _oracles import fiber_complex, fraction_rank, modp_rank, pullback_homology
 
 
 def two_term(ring, matrix_rows, ranks):
@@ -206,6 +206,52 @@ def test_cyclic_base_change_matches_tensor_with_module(lit):
                 assert _member_sum(members, inv.free_rank, i) == _primary_parts(want), (m, i)
 
 
+# Members R^f + sum_j R/(d_j), as (f, (d_j, ...)), with composite d_j.
+DIVISOR_RULE_MEMBERS = {
+    "Z": [(0, (4,)), (0, (6,)), (0, (8,)), (0, (9,)), (0, (12,)), (0, (25,)), (0, (45,)),
+          (1, (6,)), (2, (2, 12))],
+    "Zloc/3": [(0, (3,)), (0, (9,)), (0, (27,)), (1, (9,)), (0, (3, 9))],
+    "Z/12": [(0, (2,)), (0, (4,)), (0, (6,)), (1, (6,)), (0, (2, 6))],
+    "Z/360": [(0, (4,)), (0, (8,)), (0, (12,)), (0, (45,)), (0, (72,)), (1, (8,)), (0, (6, 60))],
+    "F5": [(1, ()), (2, ())],
+}
+
+
+@pytest.mark.parametrize("lit", sorted(DIVISOR_RULE_MEMBERS))
+def test_divisor_rule_matches_the_base_change(lit):
+    """For free C, H_i(C / dC) read off C's own divisors (is_exact_mod_at)
+    against C base-changed to Z/d (_tensor_members), decided by is_exact_at
+    and by the pullback oracle, per torsion factor and degree; and
+    _tensor_exact against the members with every degree excluded in turn,
+    and none."""
+    ring = parse_ring(lit)
+    rng = random.Random(f"divisor-rule:{lit}")
+    members = []
+    for f, ds in DIVISOR_RULE_MEMBERS[lit]:
+        m = FpModule.free(ring, f)
+        for d in ds:
+            m = m.direct_sum(FpModule.cyclic(ring, d))
+        assert m.invariant_factors().free_rank == f
+        assert m.invariant_factors().torsion == tuple(ring.canon(d) for d in ds)
+        members.append(m)
+    outcomes = set()
+    for cx in _seeded_complexes(lit, 17, count=4):
+        extra = [random_fp_module(rng, ring, max_gens=3, max_rels=3, entry_bound=12)
+                 for _ in range(2)]
+        for m in members + extra:
+            inv = m.invariant_factors()
+            based = _tensor_members(m, cx)
+            for d, mc in zip(inv.torsion, based[bool(inv.free_rank):]):
+                for i in range(cx.lo - 1, cx.hi + 2):
+                    got = cx.is_exact_mod_at(i, int(d))
+                    assert got == mc.is_exact_at(i) == pullback_homology(mc, i).is_zero(), (d, i)
+                    outcomes.add(got)
+            for skip in [None, *cx.degrees()]:
+                want = all(mc.is_exact_at(i) for mc in based for i in cx.degrees() if i != skip)
+                assert _tensor_exact(m, cx, skip) == want, (m, skip)
+    assert outcomes == (set() if ring.is_field else {True, False})
+
+
 def test_non_free_terms_take_the_homology_fallback(monkeypatch):
     base = next(cx for cx in _seeded_complexes("Z", 13) if cx.hi > cx.lo)
     cx = tensor_with_module(FpModule.cyclic(ZZ, 4), base)
@@ -236,6 +282,82 @@ def test_fiber_profile_matches_reduced_complex_homology():
             for i in cx.degrees():
                 direct = reduced.homology(i).invariant_factors().free_rank
                 assert cx.fiber_homology_dim(q, i) == direct, (p, i)
+
+
+def _fiber_dim_oracle(cx, q, i):
+    """dim H_i(kappa(q) tensor C) from its definition, with the oracles' own
+    elimination: V_j = kappa^{g_j} / im A_j, the image of d_j in V_{j-1} has
+    dimension rank[d_j | A_{j-1}] - rank A_{j-1}, and no d_j exists outside
+    (lo, hi]."""
+    def rk(blocks, height):
+        rows = [[x for b in blocks for x in b.row(r)] for r in range(height)]
+        cols = sum(b.cols for b in blocks)
+        return fraction_rank(rows, cols) if q.is_generic else modp_rank(rows, cols, q.p)
+
+    def image(j):
+        if not cx.lo < j <= cx.hi:
+            return 0
+        below = cx.term(j - 1)
+        return (rk([cx.boundary(j).matrix, below.relations], below.gens)
+                - rk([below.relations], below.gens))
+
+    here = cx.term(i)
+    return here.gens - rk([here.relations], here.gens) - image(i) - image(i + 1)
+
+
+def _with_end_relations(rng, cx):
+    """cx with random relations on its bottom term and, above it, a top
+    term with one more generator, which the top boundary kills, and as
+    relations a multiple of that generator and twice the syzygies of the
+    top boundary."""
+    ring, lo, hi = cx.ring, cx.lo, cx.hi
+    terms = {i: cx.term(i) for i in cx.degrees()}
+    bmaps = {i: cx.boundary(i).matrix for i in range(lo + 1, hi + 1)}
+    g = terms[lo].gens
+    terms[lo] = FpModule(ring, g, Matrix(ring, [[rng.randint(-6, 6) for _ in range(2)]
+                                                for _ in range(g)], cols=2))
+    if hi > lo:
+        d = bmaps[hi]
+        syz = syzygy_matrix(d)
+        rel = [[2 * x for x in r] + [0] for r in syz.to_rows()]
+        rel.append([0] * syz.cols + [rng.choice([2, 3, 4, 6])])
+        terms[hi] = FpModule(ring, d.cols + 1, Matrix(ring, rel, cols=syz.cols + 1))
+        bmaps[hi] = Matrix(ring, [list(r) + [0] for r in d.to_rows()], cols=d.cols + 1)
+    return BoundedComplex(ring, lo, hi, terms, bmaps)
+
+
+def test_fiber_dims_with_relations_in_the_end_terms(monkeypatch):
+    """Relations in the bottom and top terms: fiber_profile against
+    fiber_homology_dim, the definition-level oracle and the Euler
+    characteristic, with no zero module or zero map built on the way."""
+    rng = random.Random(109)
+    cases = [BoundedComplex(ZZ, 0, 1, {1: FpModule(ZZ, 2, Matrix(ZZ, [[2], [0]])),
+                                       0: FpModule.free(ZZ, 1)}, {1: Matrix(ZZ, [[0, 1]])})]
+    for lit in ("Z", "Z/12"):
+        cases += [_with_end_relations(rng, cx) for cx in _seeded_complexes(lit, 19, count=3)]
+    assert sum(not cx.term(cx.hi).is_free_presentation for cx in cases) >= 6
+    assert all(not cx.term(cx.lo).is_free_presentation
+               for cx in cases[1:] if cx.term(cx.lo).gens)
+
+    def no_zero_objects(*args):
+        pytest.fail("a fiber profile built a zero object")
+
+    monkeypatch.setattr(FpModule, "zero", no_zero_objects)
+    monkeypatch.setattr(ModuleMap, "zero", no_zero_objects)
+    for cx in cases:
+        primes = ([GENERIC] + [Prime.at(p) for p in (2, 3, 5)] if cx.ring == ZZ
+                  else list(cx.ring.spectrum()))
+        for q in primes:
+            profile = cx.fiber_profile(q)
+            chi = sum((-1) ** i * (cx.term(i).gens
+                                   - field_rank(reduce_matrix(cx.term(i).relations, q)))
+                      for i in cx.degrees())
+            assert sum((-1) ** i * v for i, v in profile.dims.items()) == chi
+            for i in cx.degrees():
+                oracle = _fiber_dim_oracle(cx, q, i)
+                assert profile.dims[i] == cx.fiber_homology_dim(q, i) == oracle, (q, i)
+    assert cases[0].fiber_profile(Prime.at(2)).dims == {0: 0, 1: 1}
+    assert cases[0].fiber_profile(GENERIC).dims == {0: 0, 1: 0}
 
 
 def test_fiber_dim_formula_on_module_terms():

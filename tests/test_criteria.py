@@ -27,7 +27,7 @@ from fiberflat.criteria import (
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex
 from fiberflat.linalg import Matrix
-from fiberflat import linalg, modules
+from fiberflat import criteria, linalg, modules
 from fiberflat.modules import FpModule, ModuleMap, purity_report
 from fiberflat.rings import (
     GENERIC, Prime, ZZ, QQ, integers_mod, is_prime, localized_at, prime_field,
@@ -247,6 +247,68 @@ def test_universal_exactness_decomposes_each_boundary_once(monkeypatch, ring, ra
     assert is_universally_exact(cx).verdict
     for i in range(cx.lo + 1, cx.hi + 1):
         assert computed.count(_snf_key(cx.boundary(i).matrix)) == 1
+
+
+@pytest.mark.parametrize("ring", [ZZ, integers_mod(360), localized_at(3)], ids=str)
+def test_free_tensor_family_builds_no_complex_and_no_quotient_snf(monkeypatch, ring):
+    """On a free complex every family member is read off C's own divisors:
+    neither criterion builds a BoundedComplex or runs an SNF over another
+    ring."""
+    rng = random.Random(f"no-base-change:{ring}")
+    pops = ("contractible", "hypothesis-true", "hypothesis-false") * 2
+    complexes = [random_complex(rng, ring, max_len=4, max_rank=3, entry_bound=9,
+                                population=pop).complex for pop in pops]
+    built, snf_rings = [], set()
+    original_init, original_snf = BoundedComplex.__init__, linalg._snf_full
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    def counted_snf(a):
+        if a._snf is None:
+            snf_rings.add(a.ring)
+        return original_snf(a)
+
+    monkeypatch.setattr(BoundedComplex, "__init__", counted_init)
+    for namespace in (linalg, modules):
+        monkeypatch.setattr(namespace, "_snf_full", counted_snf)
+    verdicts = set()
+    for cx in complexes:
+        rep = check_main_theorem(cx)
+        assert rep.verdict == "consistent"
+        verdicts.add(is_universally_exact(cx).verdict)
+    assert verdicts == {True, False}
+    assert built == []
+    assert snf_rings == {ring}
+
+
+def test_non_free_complexes_keep_the_base_change(monkeypatch):
+    """A complex with a term that is not a free presentation is still
+    decided through _tensor_members, once per family member and route; a
+    free complex never reaches it."""
+    seen = []
+    original = criteria._tensor_members
+
+    def counted(m, cx):
+        seen.append(cx)
+        return original(m, cx)
+
+    monkeypatch.setattr(criteria, "_tensor_members", counted)
+    free = exact_three_term()
+    check_main_theorem(free)
+    is_universally_exact(free)
+    assert seen == []
+    cases = [tensor_with_module(FpModule(ZZ, 2, Matrix(ZZ, [[1], [2]])), free),
+             tensor_with_module(FpModule.cyclic(Z12, 3), exact_three_term(Z12))]
+    for cx in cases:
+        assert not cx.is_free()
+        extra = tuple(q.p for q in complex_prime_set(cx) if q.p)
+        family = standard_module_family(cx.ring, extra)
+        seen.clear()
+        assert check_main_theorem(cx).tensor_family_acyclic
+        assert is_universally_exact(cx).tensor_sampled
+        assert len(seen) == 2 * len(family) and all(c is cx for c in seen)
 
 
 # -- bad primes ----------------------------------------------------------------

@@ -197,6 +197,40 @@ def test_modular_kernel_divisors_match_the_integer_kernel():
             assert all(abs(q) <= k for *_, q in dec.row_moves + dec.col_moves)
 
 
+def test_modular_replay_is_the_integer_replay_reduced():
+    # Over Z/k and F_p the witnesses are replayed modulo k, row by row; they
+    # must equal the integer replay reduced afterwards, entry for entry.
+    rng = random.Random(40)
+    for ring in [integers_mod(k) for k in (8, 12, 360)] + [prime_field(5)]:
+        k = ring.param
+        for _ in range(25):
+            m, n = rng.randint(0, 9), rng.randint(0, 9)
+            a = Matrix(ring, [[rng.randint(-400, 400) for _ in range(n)] for _ in range(m)],
+                       cols=n)
+            dec = snf(a)
+            for size, moves in ((m, dec.row_moves), (n, dec.col_moves)):
+                for inverse in (False, True):
+                    reduced = [[x % k for x in r] for r in linalg._replay(size, moves, inverse)]
+                    assert linalg._replay(size, moves, inverse, k) == reduced
+            integer = linalg._replay(m, dec.row_moves)
+            assert dec.Ui.to_rows() == [[x % k for x in r] for r in integer]
+            assert dec.verify(a)
+
+
+def test_verify_rejects_a_non_invertible_witness_over_z12():
+    # With A = 0, U @ D @ V = A holds whatever U and V are, so only the
+    # invertibility check can reject them: U @ Ui = I and V @ Vi = I mod 12.
+    z12 = integers_mod(12)
+    a = Matrix.zeros(z12, 2, 2)
+    for witness, bad in (("U", [[2, 0], [0, 1]]), ("V", [[1, 0], [0, 3]])):
+        dec = linalg.SnfDecomposition(z12, 2, 2, (0, 0), [], [], [])
+        assert dec.verify(a)
+        dec = linalg.SnfDecomposition(z12, 2, 2, (0, 0), [], [], [])
+        setattr(dec, witness, Matrix(z12, bad))
+        assert dec.U @ dec.D @ dec.V == a
+        assert not dec.verify(a), witness
+
+
 @given(int_matrix(max_dim=4))
 def test_determinantal_divisors_match_minor_enumeration(a):
     divisors = determinantal_divisors(a)

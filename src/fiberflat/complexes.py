@@ -50,7 +50,7 @@ class BoundedComplex:
     the zero map, so callers can index freely.
     """
 
-    __slots__ = ("ring", "lo", "hi", "_terms", "_boundaries")
+    __slots__ = ("ring", "lo", "hi", "_terms", "_boundaries", "_walls")
 
     def __init__(self, ring: BaseRing, lo: int, hi: int,
                  terms: Mapping[int, FpModule],
@@ -74,6 +74,7 @@ class BoundedComplex:
         self._terms = {i: terms[i] for i in range(lo, hi + 1)}
         self._boundaries = {i: ModuleMap(terms[i], terms[i - 1], boundaries[i])
                             for i in range(lo + 1, hi + 1)}
+        self._walls: dict[int, Matrix] = {}
         for i in range(lo + 2, hi + 1):
             dd = self._boundaries[i - 1].matrix @ self._boundaries[i].matrix
             if not self._terms[i - 2].vanishes(dd):
@@ -118,15 +119,28 @@ class BoundedComplex:
 
     # -- homology ------------------------------------------------------------
 
+    def _wall(self, j: int) -> Matrix | None:
+        """W_j = [d_j | A_{j-1}], A_j the relations of term(j), built once:
+        none at or below lo, A_hi at hi + 1 and none above.  With term(j-1)
+        free it is d_j itself (hstack), sharing d_j's cached SNF."""
+        if not self.lo < j <= self.hi + 1:
+            return None
+        wall = self._walls.get(j)
+        if wall is None:
+            below = self._terms[j - 1].relations
+            wall = self._walls[j] = (below if j > self.hi else
+                                     hstack([self._boundaries[j].matrix, below]))
+        return wall
+
     def homology(self, i: int) -> FpModule:
         """H_i = ker(d_i) / im(d_{i+1}) as a finitely presented module.
 
         With A_j the relations of term(j), the generators are the columns
         of P, generating d_i^{-1}(im A_{i-1}), and the relations are the
-        pullback of im d_{i+1} + im A_i along P.  In the bottom degree P
-        is the identity, so H_lo is presented as coker[d_{lo+1} | A_lo]
-        directly; with a free bottom term that is d_{lo+1} itself, whose
-        cached SNF is then reused.
+        pullback of the wall W_{i+1} = [d_{i+1} | A_i] along P.  In the
+        bottom degree P is the identity, so H_lo is presented as
+        coker W_{lo+1} directly; with a free bottom term that is d_{lo+1}
+        itself, whose cached SNF is then reused.
 
         >>> from fiberflat.rings import ZZ
         >>> cx = BoundedComplex.free_complex(ZZ, 0, [1, 1], [Matrix(ZZ, [[2]])])
@@ -135,20 +149,20 @@ class BoundedComplex:
         """
         if i < self.lo or i > self.hi:
             return FpModule.zero(self.ring)
-        wall = hstack([self.boundary(i + 1).matrix, self.term(i).relations])
+        wall = self._wall(i + 1)
         if i == self.lo:
             return FpModule(self.ring, self.term(i).gens, wall)
         p = _pullback(self.boundary(i).matrix, self.term(i - 1).relations)
         return FpModule(self.ring, p.cols, _pullback(p, wall))
 
     def is_exact_at(self, i: int) -> bool:
-        """Whether H_i = 0, read off the elementary divisors of d_i and
-        d_{i+1} when term(i) and term(i-1) are free.
+        """Whether H_i = 0, read off elementary divisors.
 
-        Over Z, Z_(p) and the fields, with r the number of nonzero
-        divisors, H_i = 0 exactly when r_i + r_{i+1} = n_i and every
-        nonzero divisor of d_{i+1} is a unit.  Over Z/n the rule is
-        is_exact_mod_at(i, n).  Other terms build homology(i).
+        Over Z/n the rule is is_exact_mod_at(i, n), for any terms.  Over Z,
+        Z_(p) and the fields, with term(i) and term(i-1) free and r the
+        number of nonzero divisors, H_i = 0 exactly when
+        r_i + r_{i+1} = n_i and every nonzero divisor of d_{i+1} is a unit;
+        other terms build homology(i).
 
         >>> from fiberflat.rings import ZZ, integers_mod
         >>> cx = BoundedComplex.free_complex(ZZ, 0, [1, 1], [Matrix(ZZ, [[2]])])
@@ -158,40 +172,39 @@ class BoundedComplex:
         >>> BoundedComplex.free_complex(z4, 0, [1, 1, 1], [Matrix(z4, [[2]])] * 2).is_exact_at(1)
         True
         """
-        if not (self.term(i).is_free_presentation and self.term(i - 1).is_free_presentation):
-            return self.homology(i).is_zero()
         ring = self.ring
         if ring.kind == "Zmod":
             return self.is_exact_mod_at(i, ring.param)
-        below, above = ([d for d in self._divisors(j) if d != 0] for j in (i, i + 1))
+        if not (self.term(i).is_free_presentation and self.term(i - 1).is_free_presentation):
+            return self.homology(i).is_zero()
+        below, above = ([e for e in _divisors(self._wall(j)) if e != 0] for j in (i, i + 1))
         return (len(below) + len(above) == self.term(i).gens
                 and all(map(ring.is_unit, above)))
 
     def is_exact_mod_at(self, i: int, d: int) -> bool:
-        """Whether H_i(C / dC) = 0, read off C's own cached divisors, for
-        term(i) and term(i-1) free and d a canonical torsion factor: |d|
-        over Z, p^v over Z_(p), a divisor of n over Z/n.
+        """Whether H_i(C / dC) = 0, read off the cached divisors of C's own
+        walls, for any finitely presented terms and d a canonical torsion
+        factor: |d| over Z, p^v over Z_(p), a divisor of n over Z/n.
 
-        U and V stay invertible modulo d, so the boundary d_i of C / dC,
-        a free complex over Z/d, has the divisors gcd(e, d) for e among
-        those of d_i.  Over Z/d the image of a map with divisors g_j has
-        prod d/g_j elements, and H_i = 0 exactly when the images of d_i and
-        d_{i+1} together have d^{n_i}.  Over Z/n, is_exact_at(i) is this
-        rule with d = n.
+        U and V stay invertible modulo d, so a matrix X with divisors e has
+        divisors gcd(e, d) modulo d, and its image in (Z/d)^g has
+        |im X| = prod d/gcd(e, d) elements.  In C / dC the cycles of degree
+        i number d^{g_i} |im A_{i-1}| / |im W_i| and contain im W_{i+1}, so
+        H_i = 0 exactly when |im W_i| |im W_{i+1}| = d^{g_i} |im A_{i-1}|.
+        With free terms the walls are the boundaries.  Over Z/n,
+        is_exact_at(i) is this rule with d = n.
 
         >>> from fiberflat.rings import ZZ
         >>> cx = BoundedComplex.free_complex(ZZ, 0, [1, 1], [Matrix(ZZ, [[6]])])
         >>> cx.is_exact_mod_at(1, 5), cx.is_exact_mod_at(1, 4)
         (True, False)
         """
-        divisors = self._divisors(i) + self._divisors(i + 1)
-        return prod(d // gcd(int(e), d) for e in divisors) == d ** self.term(i).gens
+        def size(x: Matrix | None) -> int:
+            return prod(d // gcd(int(e), d) for e in _divisors(x))
 
-    def _divisors(self, j: int) -> tuple:
-        """The cached elementary divisors of d_j; none outside (lo, hi]."""
-        if self.lo < j <= self.hi:
-            return snf(self._boundaries[j].matrix).elementary_divisors
-        return ()
+        gens = self._terms[i].gens if self.lo <= i <= self.hi else 0
+        below = self._terms[i - 1].relations if self.lo < i <= self.hi + 1 else None
+        return size(self._wall(i)) * size(self._wall(i + 1)) == d ** gens * size(below)
 
     def is_exact(self) -> bool:
         return all(self.is_exact_at(i) for i in self.degrees())
@@ -210,24 +223,19 @@ class BoundedComplex:
     def _fiber_dims(self, q: Prime, lo: int, hi: int) -> dict[int, int]:
         """dim over kappa(q) of H_i(kappa(q) tensor C) for lo <= i <= hi.
 
-        Works for arbitrary finitely presented terms: with A_j the reduced
-        relations of term(j) and F_j the reduced boundary, the dimension is
-          gens_i - rank[F_i | A_{i-1}] + rank A_{i-1} - rank[F_{i+1} | A_i],
-        each rank taken over the residue field, and each computed once.
-        Past the ends nothing is built: below the bottom term both ranks
-        are 0, and above the top one the wall is rank A_hi.
+        Works for arbitrary finitely presented terms: with A_j the relations
+        of term(j) and W_j the wall [d_j | A_{j-1}], the dimension is
+          gens_i - rank W_i + rank A_{i-1} - rank W_{i+1},
+        each rank taken over the residue field by Gaussian elimination, and
+        each computed once.  Past the ends nothing is built: there is no
+        wall at or below lo, nor above hi + 1.
         """
-        wall: dict[int, int] = {}
-        below: dict[int, int] = {}
-        for i in range(lo, hi + 2):
-            if i == self.lo:
-                wall[i] = below[i] = 0
-                continue
-            a = reduce_matrix(self._terms[i - 1].relations, q)
-            below[i] = field_rank(a)
-            wall[i] = (below[i] if i > self.hi else
-                       field_rank(hstack([reduce_matrix(self._boundaries[i].matrix, q), a])))
-        return {i: self._terms[i].gens - wall[i] + below[i] - wall[i + 1]
+        def rank(x: Matrix | None) -> int:
+            return field_rank(reduce_matrix(x, q)) if x is not None and x.cols else 0
+
+        wall = {j: rank(self._wall(j)) for j in range(lo, hi + 2)}
+        return {i: self._terms[i].gens - wall[i] - wall[i + 1]
+                + (rank(self._terms[i - 1].relations) if i > self.lo else 0)
                 for i in range(lo, hi + 1)}
 
     def fiber_profile(self, q: Prime) -> FiberProfile:
@@ -235,6 +243,12 @@ class BoundedComplex:
 
     def is_fiber_exact(self, q: Prime) -> bool:
         return self.fiber_profile(q).is_exact()
+
+
+def _divisors(x: Matrix | None) -> tuple:
+    """The cached elementary divisors of x; none when there is no matrix or
+    it has no columns, so a free term's relations run no SNF."""
+    return snf(x).elementary_divisors if x is not None and x.cols else ()
 
 
 class ChainMap:

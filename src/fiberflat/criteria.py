@@ -14,15 +14,15 @@ the checker raises ContradictionError instead of picking a side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .complexes import BoundedComplex, HomotopyCertificate, null_homotopy
 from .errors import ContradictionError, InputError
-from .linalg import _reduce_into, hstack
 from .modules import (
     FpModule, ModuleMap, Resolution, free_resolution, matrix_bad_primes,
     map_prime_set, module_prime_set, relevant_primes,
 )
-from .rings import BaseRing, Prime, integers_mod
+from .rings import BaseRing, Prime
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,16 @@ def bad_primes(cx: BoundedComplex) -> BadPrimeSet:
 
 def complex_prime_set(cx: BoundedComplex) -> list[Prime]:
     """Primes sufficient to decide fiberwise statements about cx: the
-    generic point plus rank-drop primes (Z, Z_(p)) of every boundary, every
-    boundary beside the relations of the term below it, and every term's
-    relations; the full finite spectrum (Z/n); the generic point (fields)."""
-    matrices = []
-    for i in range(cx.lo + 1, cx.hi + 1):
-        f = cx.boundary(i).matrix
-        matrices += [f, hstack([f, cx.term(i - 1).relations])]
-    matrices += [cx.term(i).relations for i in cx.degrees()]
+    generic point plus rank-drop primes (Z, Z_(p)) of every boundary, wall
+    [d_i | A_{i-1}] and term's relations A_i; the full finite spectrum
+    (Z/n); the generic point (fields)."""
+    inner = range(cx.lo + 1, cx.hi + 1)
+    matrices = ([cx.boundary(i).matrix for i in inner] + [cx._wall(i) for i in inner]
+                + [cx.term(i).relations for i in cx.degrees()])
     return relevant_primes(cx.ring, matrices)
+
+
+_cyclic = lru_cache(maxsize=1024)(FpModule.cyclic)
 
 
 def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -> list[FpModule]:
@@ -81,59 +82,33 @@ def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -
     R^2.  Over fields: R^2.  For flat terms composite cyclic members
     decide nothing new: C/6 is C/2 + C/3, and H_i(C/p^2) vanishes wherever
     H_i(C/p) does, by the long exact sequence of 0 -> C/p -> C/p^2 -> C/p
-    -> 0.
+    -> 0.  Each cyclic member is built, and its invariant factors found,
+    once per process; R^2 needs no SNF.
     """
     if ring.kind == "Z":
         torsion = [2, 3] + [p for p in sorted(extra_primes) if p not in (2, 3)]
-        family = [FpModule.cyclic(ring, d) for d in torsion]
+        family = [_cyclic(ring, d) for d in torsion]
         family.append(FpModule.free(ring, 2))
         return family
     if ring.kind == "Zloc":
-        return [FpModule.cyclic(ring, ring.param), FpModule.free(ring, 2)]
+        return [_cyclic(ring, ring.param), FpModule.free(ring, 2)]
     if ring.kind == "Zmod":
-        family = [FpModule.cyclic(ring, q.p) for q in ring.spectrum()]
+        family = [_cyclic(ring, q.p) for q in ring.spectrum()]
         family.append(FpModule.free(ring, 2))
         return family
     return [FpModule.free(ring, 2)]
 
 
-def _tensor_members(m: FpModule, cx: BoundedComplex) -> list[BoundedComplex]:
-    """Complexes whose homology sums to that of m tensor cx.  Only a cx
-    with a term that is not a free presentation is decided this way: for
-    free cx, _tensor_exact reads each R/(d) off cx's own divisors.
-
-    With m ~ R^f + sum_j R/(d_j) from its invariant factors, m tensor cx
-    is cx^f + sum_j cx/d_j cx: the list holds cx itself when f > 0, and for
-    each d_j, cx base-changed to R/(d_j), with every term's relations and
-    every boundary reduced.  Canonical d_j are |d| over Z, p^v over Z_(p)
-    and a divisor of n over Z/n, so R/(d_j) is Z/d_j and an entry a/b
-    becomes a * b^-1 mod d_j.  Zero and unit members give the empty list.
-    """
-    inv = m.invariant_factors()
-    members = [cx] if inv.free_rank else []
-    for d in inv.torsion:
-        quotient = integers_mod(int(d))
-        terms = {i: FpModule(quotient, cx.term(i).gens,
-                             _reduce_into(cx.term(i).relations, quotient))
-                 for i in cx.degrees()}
-        bmaps = {i: _reduce_into(cx.boundary(i).matrix, quotient)
-                 for i in range(cx.lo + 1, cx.hi + 1)}
-        members.append(BoundedComplex(quotient, cx.lo, cx.hi, terms, bmaps))
-    return members
-
-
 def _tensor_exact(m: FpModule, cx: BoundedComplex, skip: int | None = None) -> bool:
     """Whether H_i(m tensor cx) = 0 in every degree i != skip.
 
-    With m ~ R^f + sum_j R/(d_j), the free part is decided as cx itself
-    (is_exact_at, when f > 0).  For free cx each torsion factor is read
-    off cx's own cached divisors (is_exact_mod_at): no base change, no new
-    ring, no new SNF, and the same Smith forms that conclusion_acyclic
-    reads.  Other cx go through _tensor_members.
+    With m ~ R^f + sum_j R/(d_j), m tensor cx is cx^f + sum_j cx/d_j cx:
+    the free part is decided as cx itself (is_exact_at, when f > 0), and
+    each torsion factor is read off the cached divisors of cx's own walls
+    (is_exact_mod_at), for any terms: no base change, no new ring, no new
+    SNF.
     """
     degrees = [i for i in cx.degrees() if i != skip]
-    if not cx.is_free():
-        return all(mc.is_exact_at(i) for mc in _tensor_members(m, cx) for i in degrees)
     inv = m.invariant_factors()
     return ((not inv.free_rank or all(map(cx.is_exact_at, degrees)))
             and all(cx.is_exact_mod_at(i, int(d)) for d in inv.torsion for i in degrees))
@@ -153,9 +128,10 @@ class TheoremReport:
     holds and some conclusion fails, which falsifies the implementation.
     tensor_family_acyclic reads the free part of each family member as C
     itself, so for free members it repeats conclusion_acyclic and is not
-    an independent check.  With free terms each torsion part R/(d) is read
-    off the same cached Smith forms of C's boundaries that
-    conclusion_acyclic reads (see _tensor_exact); the Gaussian fiber
+    an independent check.  Each torsion part R/(d) is read off the cached
+    Smith forms of C's walls [d_i | A_{i-1}], for any terms; with free
+    terms these are the Smith forms of the boundaries that
+    conclusion_acyclic reads (see _tensor_exact).  The Gaussian fiber
     profiles behind hypothesis_holds are the independent route.
     """
 
@@ -182,11 +158,11 @@ def check_main_theorem(cx: BoundedComplex) -> TheoremReport:
     stays acyclic for every M in standard_module_family, the test-module
     family that route 3 of is_universally_exact reads too.  Each member M is
     split by its invariant factors (see _tensor_exact): its free part is
-    decided as C itself, which is not an independent check.  With free
-    terms each torsion factor R/(d) is read off C's cached elementary
-    divisors, the Smith forms conclusion_acyclic reads; otherwise C is
-    base-changed to Z/d.  The hypothesis, from Gaussian fiber ranks, is
-    the independent route.
+    decided as C itself, which is not an independent check, and each
+    torsion factor R/(d) by is_exact_mod_at, from the cached elementary
+    divisors of C's walls, for any terms (with free terms, the Smith forms
+    conclusion_acyclic reads).  The hypothesis, from Gaussian fiber ranks,
+    is the independent route.
 
     >>> from fiberflat.rings import ZZ
     >>> from fiberflat.linalg import Matrix
@@ -237,11 +213,11 @@ def is_universally_exact(cx: BoundedComplex) -> UniversalExactnessReport:
     exact on every fiber, by Gaussian ranks.  Route 3: M tensor C stays
     exact for every M in standard_module_family, decided through
     _tensor_exact as in check_main_theorem: the free part of M is C
-    itself, and with free terms each torsion factor R/(d) is read off the
-    cached divisors that route 1 reads too, so route 2 is the independent
-    one; other terms are base-changed to Z/d.  For bounded complexes of
-    flat terms over the supported rings these are equivalent;
-    disagreement raises ContradictionError.
+    itself, and each torsion factor R/(d) is read off the cached divisors
+    of C's walls, which route 1 reads too (over Z/n for any terms, else
+    for free ones), so route 2 is the independent one.  For bounded
+    complexes of flat terms over the supported rings these are
+    equivalent; disagreement raises ContradictionError.
     """
     for i in cx.degrees():
         if not cx.term(i).is_flat():

@@ -276,9 +276,14 @@ class SnfDecomposition:
         invertible (a one-sided inverse over a commutative ring forces a
         unit determinant); over Z, Z_(p) and Q, det(U) and det(V) are units.
         """
-        if self.U @ self.D @ self.V != a:
-            return False
         ring = a.ring
+        diag = [ring.canon(e) for e in self.elementary_divisors]
+        zeros = [ring.zero] * (self.cols - len(diag))
+        # U @ D with D diagonal: U's first columns scaled by D's diagonal
+        ud = a._reduced([[x * e for x, e in zip(r, diag)] + zeros for r in self.U._data],
+                        self.cols)
+        if ud @ self.V != a:
+            return False
         if ring.kind in ("Zmod", "Fp"):
             if not (self.U @ self.Ui == Matrix.identity(ring, self.rows)
                     and self.V @ self.Vi == Matrix.identity(ring, self.cols)):

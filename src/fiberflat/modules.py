@@ -104,7 +104,8 @@ class FpModule:
     def invariant_factors(self) -> InvariantFactors:
         if self._inv is not None:
             return self._inv
-        nonzero = [d for d in _snf_full(self.relations).elementary_divisors if d != 0]
+        rel = self.relations
+        nonzero = [d for d in _snf_full(rel).elementary_divisors if d != 0] if rel.cols else []
         torsion = tuple(d for d in nonzero if not self.ring.is_unit(d))
         self._inv = InvariantFactors(self.gens - len(nonzero), torsion)
         return self._inv
@@ -280,7 +281,7 @@ def matrix_bad_primes(a: Matrix) -> set[int]:
     ring = a.ring
     if ring.kind not in ("Z", "Zloc"):
         raise InputError(f"bad primes are not meaningful over {ring}")
-    nonzero = [d for d in _snf_full(a).elementary_divisors if d != 0]
+    nonzero = [d for d in _snf_full(a).elementary_divisors if d != 0] if a.cols else []
     if not nonzero:
         return set()
     last = nonzero[-1]

@@ -13,7 +13,7 @@ from fiberflat.complexes import (
     koszul_complex, koszul_selfduality, null_homotopy, shift,
     tensor_with_module, total_tensor, truncate_geq,
 )
-from fiberflat.criteria import _tensor_exact, _tensor_members
+from fiberflat.criteria import _tensor_exact
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex, random_fp_module
 from fiberflat.linalg import Matrix, field_rank, hstack, kron, reduce_matrix, syzygy_matrix
@@ -178,9 +178,12 @@ def _family_inputs(lit, rng):
 
 @pytest.mark.parametrize("lit", sorted(CYCLIC_PARAMETERS))
 def test_cyclic_base_change_matches_tensor_with_module(lit):
-    """_tensor_members against tensor_with_module through the pullback
-    oracle, on free complexes and on the same complexes with non-free flat
-    terms; and tensor_with_module against its termwise definition."""
+    """The split of _tensor_exact against tensor_with_module through the
+    pullback oracle, on free complexes and on the same complexes with
+    non-free flat terms: with M ~ R^f + sum_j R/(d_j), M tensor C has the
+    homology of C^f + sum_j C tensor R/(d_j), and is exact in degree i
+    exactly when C is (if f > 0) and is_exact_mod_at(i, d_j) holds for
+    every j; and tensor_with_module against its termwise definition."""
     ring = parse_ring(lit)
     rng = random.Random(f"members:{lit}")
     flat = FpModule(ring, 2, Matrix(ring, [[1], [2]]))  # a free module, presented non-freely
@@ -195,15 +198,18 @@ def test_cyclic_base_change_matches_tensor_with_module(lit):
             for i in cx.degrees():
                 assert tensored.term(i) == m.tensor(cx.term(i))
                 assert tensored.boundary(i).matrix == kron(ident, cx.boundary(i).matrix)
-            members = _tensor_members(m, cx)
             inv = m.invariant_factors()
-            assert len(members) == bool(inv.free_rank) + len(inv.torsion)
-            assert all(mc.ring.kind == "Zmod" for mc in members[bool(inv.free_rank):])
-            assert all(mc.is_free() == cx.is_free() for mc in members)
+            members = [cx] * bool(inv.free_rank) + [
+                tensor_with_module(FpModule.cyclic(ring, d), cx) for d in inv.torsion]
+            exact = []
             for i in cx.degrees():
                 want = pullback_homology(tensored, i)
-                assert all(mc.is_exact_at(i) for mc in members) == want.is_zero(), (m, i)
+                got = ((not inv.free_rank or cx.is_exact_at(i))
+                       and all(cx.is_exact_mod_at(i, int(d)) for d in inv.torsion))
+                assert got == want.is_zero(), (m, i)
                 assert _member_sum(members, inv.free_rank, i) == _primary_parts(want), (m, i)
+                exact.append(got)
+            assert _tensor_exact(m, cx) == all(exact), m
 
 
 # Members R^f + sum_j R/(d_j), as (f, (d_j, ...)), with composite d_j.
@@ -211,19 +217,26 @@ DIVISOR_RULE_MEMBERS = {
     "Z": [(0, (4,)), (0, (6,)), (0, (8,)), (0, (9,)), (0, (12,)), (0, (25,)), (0, (45,)),
           (1, (6,)), (2, (2, 12))],
     "Zloc/3": [(0, (3,)), (0, (9,)), (0, (27,)), (1, (9,)), (0, (3, 9))],
+    "Z/8": [(0, (2,)), (0, (4,)), (1, (2,)), (0, (2, 4))],
+    "Z/9": [(0, (3,)), (1, (3,)), (0, (3, 3))],
     "Z/12": [(0, (2,)), (0, (4,)), (0, (6,)), (1, (6,)), (0, (2, 6))],
     "Z/360": [(0, (4,)), (0, (8,)), (0, (12,)), (0, (45,)), (0, (72,)), (1, (8,)), (0, (6, 60))],
     "F5": [(1, ()), (2, ())],
 }
+# Per ring, s such that C tensor R/(s) has terms that are not free
+# presentations, not flat where the ring allows it.
+CYCLIC_TWIST = {"Z": 4, "Zloc/3": 3, "Z/8": 2, "Z/9": 3, "Z/12": 2, "Z/360": 6, "F5": 0}
 
 
 @pytest.mark.parametrize("lit", sorted(DIVISOR_RULE_MEMBERS))
 def test_divisor_rule_matches_the_base_change(lit):
-    """For free C, H_i(C / dC) read off C's own divisors (is_exact_mod_at)
-    against C base-changed to Z/d (_tensor_members), decided by is_exact_at
-    and by the pullback oracle, per torsion factor and degree; and
-    _tensor_exact against the members with every degree excluded in turn,
-    and none."""
+    """H_i(C / dC) read off the divisors of C's walls (is_exact_mod_at)
+    against C tensor R/(d) through the pullback oracle, per torsion factor
+    and degree from lo - 1 to hi + 1, on free complexes and on the same
+    complexes tensored with a flat module presented non-freely, a cyclic
+    module and a random presentation (flat or not); over Z/n also with
+    d = n (is_exact_at); and _tensor_exact against the oracle with every
+    degree excluded in turn, and none."""
     ring = parse_ring(lit)
     rng = random.Random(f"divisor-rule:{lit}")
     members = []
@@ -234,25 +247,42 @@ def test_divisor_rule_matches_the_base_change(lit):
         assert m.invariant_factors().free_rank == f
         assert m.invariant_factors().torsion == tuple(ring.canon(d) for d in ds)
         members.append(m)
-    outcomes = set()
-    for cx in _seeded_complexes(lit, 17, count=4):
-        extra = [random_fp_module(rng, ring, max_gens=3, max_rels=3, entry_bound=12)
-                 for _ in range(2)]
-        for m in members + extra:
-            inv = m.invariant_factors()
-            based = _tensor_members(m, cx)
-            for d, mc in zip(inv.torsion, based[bool(inv.free_rank):]):
+    twists = [FpModule(ring, 2, Matrix(ring, [[1], [2]])), FpModule.cyclic(ring, CYCLIC_TWIST[lit])]
+    outcomes, non_free = set(), 0
+    for k, base in enumerate(_seeded_complexes(lit, 17, count=4)):
+        complexes = [base]
+        if k % 3 == 0:
+            twist = random_fp_module(rng, ring, max_gens=2, max_rels=2, entry_bound=12)
+            complexes += [tensor_with_module(t, base) for t in twists + [twist]]
+        for cx in complexes:
+            non_free += not cx.is_free()
+            extra = [random_fp_module(rng, ring, max_gens=3, max_rels=3, entry_bound=12)
+                     for _ in range(2)]
+            for m in members + extra:
+                inv = m.invariant_factors()
+                for d in inv.torsion:
+                    quotient = tensor_with_module(FpModule.cyclic(ring, d), cx)
+                    for i in range(cx.lo - 1, cx.hi + 2):
+                        got = cx.is_exact_mod_at(i, int(d))
+                        assert got == pullback_homology(quotient, i).is_zero(), (d, i)
+                        outcomes.add(got)
+                tensored = tensor_with_module(m, cx)
+                exact = {i: pullback_homology(tensored, i).is_zero() for i in cx.degrees()}
+                for skip in [None, *cx.degrees()]:
+                    want = all(ok for i, ok in exact.items() if i != skip)
+                    assert _tensor_exact(m, cx, skip) == want, (m, skip)
+            if ring.kind == "Zmod":
                 for i in range(cx.lo - 1, cx.hi + 2):
-                    got = cx.is_exact_mod_at(i, int(d))
-                    assert got == mc.is_exact_at(i) == pullback_homology(mc, i).is_zero(), (d, i)
-                    outcomes.add(got)
-            for skip in [None, *cx.degrees()]:
-                want = all(mc.is_exact_at(i) for mc in based for i in cx.degrees() if i != skip)
-                assert _tensor_exact(m, cx, skip) == want, (m, skip)
+                    got = cx.is_exact_mod_at(i, ring.param)
+                    assert got == cx.is_exact_at(i) == pullback_homology(cx, i).is_zero(), i
+    assert non_free > 0
     assert outcomes == (set() if ring.is_field else {True, False})
 
 
 def test_non_free_terms_take_the_homology_fallback(monkeypatch):
+    """Over Z a complex with non-free terms builds H_i in is_exact_at; a
+    torsion factor R/(d) of the tensor family is read off the divisors of
+    its walls instead, with no homology built."""
     base = next(cx for cx in _seeded_complexes("Z", 13) if cx.hi > cx.lo)
     cx = tensor_with_module(FpModule.cyclic(ZZ, 4), base)
     assert not cx.is_free()
@@ -263,12 +293,11 @@ def test_non_free_terms_take_the_homology_fallback(monkeypatch):
     for i in cx.degrees():
         assert cx.is_exact_at(i) == pullback_homology(cx, i).is_zero()
     assert built == list(cx.degrees())
-    m = FpModule.cyclic(ZZ, 2)
-    [mc] = _tensor_members(m, cx)
-    assert mc.ring == integers_mod(2) and not mc.is_free()
-    tensored = tensor_with_module(m, cx)
-    for i in cx.degrees():
-        assert mc.is_exact_at(i) == pullback_homology(tensored, i).is_zero(), i
+    built.clear()
+    tensored = tensor_with_module(FpModule.cyclic(ZZ, 2), cx)
+    for i in range(cx.lo - 1, cx.hi + 2):
+        assert cx.is_exact_mod_at(i, 2) == pullback_homology(tensored, i).is_zero(), i
+    assert built == []
 
 
 def test_fiber_profile_matches_reduced_complex_homology():

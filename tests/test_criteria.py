@@ -27,7 +27,7 @@ from fiberflat.criteria import (
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex
 from fiberflat.linalg import Matrix
-from fiberflat import criteria, linalg, modules
+from fiberflat import linalg, modules
 from fiberflat.modules import FpModule, ModuleMap, purity_report
 from fiberflat.rings import (
     GENERIC, Prime, ZZ, QQ, integers_mod, is_prime, localized_at, prime_field,
@@ -283,32 +283,81 @@ def test_free_tensor_family_builds_no_complex_and_no_quotient_snf(monkeypatch, r
     assert snf_rings == {ring}
 
 
-def test_non_free_complexes_keep_the_base_change(monkeypatch):
-    """A complex with a term that is not a free presentation is still
-    decided through _tensor_members, once per family member and route; a
-    free complex never reaches it."""
+def _tensor_family_oracle(cx, skip):
+    """Whether M tensor C is exact away from skip for every M in the family,
+    through tensor_with_module and the pullback oracle."""
+    extra = tuple(q.p for q in complex_prime_set(cx) if q.p)
+    return all(pullback_homology(tensor_with_module(m, cx), i).is_zero()
+               for m in standard_module_family(cx.ring, extra)
+               for i in cx.degrees() if i != skip)
+
+
+def test_non_free_complexes_take_the_wall_rule(monkeypatch):
+    """A complex with a term that is not a free presentation is decided as a
+    free one is: each torsion member R/(d) of the family by is_exact_mod_at
+    on C itself, in every degree, and both criteria agree with M tensor C
+    through the pullback oracle."""
     seen = []
-    original = criteria._tensor_members
+    original = BoundedComplex.is_exact_mod_at
 
-    def counted(m, cx):
-        seen.append(cx)
-        return original(m, cx)
+    def counted(self, i, d):
+        seen.append((self, i, d))
+        return original(self, i, d)
 
-    monkeypatch.setattr(criteria, "_tensor_members", counted)
+    monkeypatch.setattr(BoundedComplex, "is_exact_mod_at", counted)
     free = exact_three_term()
-    check_main_theorem(free)
-    is_universally_exact(free)
-    assert seen == []
     cases = [tensor_with_module(FpModule(ZZ, 2, Matrix(ZZ, [[1], [2]])), free),
              tensor_with_module(FpModule.cyclic(Z12, 3), exact_three_term(Z12))]
     for cx in cases:
         assert not cx.is_free()
         extra = tuple(q.p for q in complex_prime_set(cx) if q.p)
-        family = standard_module_family(cx.ring, extra)
+        torsion = {int(d) for m in standard_module_family(cx.ring, extra)
+                   for d in m.invariant_factors().torsion}
         seen.clear()
-        assert check_main_theorem(cx).tensor_family_acyclic
-        assert is_universally_exact(cx).tensor_sampled
-        assert len(seen) == 2 * len(family) and all(c is cx for c in seen)
+        assert check_main_theorem(cx).tensor_family_acyclic == _tensor_family_oracle(cx, 0)
+        assert is_universally_exact(cx).tensor_sampled == _tensor_family_oracle(cx, None)
+        assert all(c is cx for c, _, _ in seen)
+        assert {(i, d) for _, i, d in seen} >= {(i, d) for d in torsion for i in cx.degrees()}
+
+
+@pytest.mark.parametrize("ring", [Z12, integers_mod(360)], ids=str)
+def test_non_free_zmod_complex_builds_no_homology_and_no_complex(monkeypatch, ring):
+    """Over Z/n exactness is read off the walls for any terms: is_exact_at
+    builds no homology, and neither criterion builds a BoundedComplex; the
+    only H_i built is the H_0 that check_main_theorem reports."""
+    rng = random.Random(f"non-free:{ring}")
+    twists = (3, 4) if ring == Z12 else (8, 9, 5)
+    complexes = []
+    for pop in ("contractible", "hypothesis-true", "hypothesis-false") * 2:
+        base = random_complex(rng, ring, max_len=4, max_rank=3, entry_bound=9,
+                              population=pop).complex
+        complexes += [tensor_with_module(FpModule.cyclic(ring, t), base) for t in twists]
+    assert not any(cx.is_free() for cx in complexes)
+    built, homology = [], []
+    original_init, original_homology = BoundedComplex.__init__, BoundedComplex.homology
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    def counted_homology(self, i):
+        homology.append(i)
+        return original_homology(self, i)
+
+    monkeypatch.setattr(BoundedComplex, "__init__", counted_init)
+    monkeypatch.setattr(BoundedComplex, "homology", counted_homology)
+    verdicts = set()
+    for cx in complexes:
+        for i in range(cx.lo - 1, cx.hi + 2):
+            assert cx.is_exact_at(i) == pullback_homology(cx, i).is_zero(), i
+        assert homology == []
+        assert check_main_theorem(cx).consistent
+        assert homology == [0]
+        homology.clear()
+        verdicts.add(is_universally_exact(cx).verdict)
+        assert homology == []
+    assert verdicts == {True, False}
+    assert built == []
 
 
 # -- bad primes ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel: SNF, ranks, divisors, solving, syzygies."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd, prod
@@ -229,6 +230,25 @@ def test_verify_rejects_a_non_invertible_witness_over_z12():
         setattr(dec, witness, Matrix(z12, bad))
         assert dec.U @ dec.D @ dec.V == a
         assert not dec.verify(a), witness
+
+
+def test_verify_rejects_an_altered_divisor():
+    # verify forms U @ D by scaling U's columns by the divisors; with the last
+    # nonzero divisor set to 0 the chain still holds and U, V are unchanged,
+    # so only the reconstruction can reject it.
+    rng = random.Random(43)
+    for ring in (ZZ, integers_mod(360), integers_mod(12), localized_at(3), prime_field(5), QQ):
+        for m, n in ((3, 3), (2, 4), (4, 2), (5, 5)):
+            a = Matrix(ring, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], cols=n)
+            dec = snf(a)
+            nonzero = [k for k, e in enumerate(dec.elementary_divisors) if e != 0]
+            if not nonzero:
+                continue
+            divisors = list(dec.elementary_divisors)
+            divisors[nonzero[-1]] = ring.zero
+            altered = dataclasses.replace(dec, elementary_divisors=tuple(divisors))
+            assert dec.verify(a)
+            assert not altered.verify(a), (ring, m, n)
 
 
 @given(int_matrix(max_dim=4))

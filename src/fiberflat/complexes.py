@@ -47,10 +47,11 @@ class BoundedComplex:
     degree i in (lo, hi] to the matrix of the map term(i) -> term(i-1),
     which the complex builds (and validates) as a ModuleMap between its own
     terms.  Outside the range term() returns the zero module and boundary()
-    the zero map, so callers can index freely.
+    the zero map, so callers can index freely.  Complexes are immutable, so
+    each boundary's wall and each H_i are built once.
     """
 
-    __slots__ = ("ring", "lo", "hi", "_terms", "_boundaries", "_walls")
+    __slots__ = ("ring", "lo", "hi", "_terms", "_boundaries", "_homology")
 
     def __init__(self, ring: BaseRing, lo: int, hi: int,
                  terms: Mapping[int, FpModule],
@@ -74,7 +75,7 @@ class BoundedComplex:
         self._terms = {i: terms[i] for i in range(lo, hi + 1)}
         self._boundaries = {i: ModuleMap(terms[i], terms[i - 1], boundaries[i])
                             for i in range(lo + 1, hi + 1)}
-        self._walls: dict[int, Matrix] = {}
+        self._homology: dict[int, FpModule] = {}
         for i in range(lo + 2, hi + 1):
             dd = self._boundaries[i - 1].matrix @ self._boundaries[i].matrix
             if not self._terms[i - 2].vanishes(dd):
@@ -120,27 +121,23 @@ class BoundedComplex:
     # -- homology ------------------------------------------------------------
 
     def _wall(self, j: int) -> Matrix | None:
-        """W_j = [d_j | A_{j-1}], A_j the relations of term(j), built once:
-        none at or below lo, A_hi at hi + 1 and none above.  With term(j-1)
-        free it is d_j itself (hstack), sharing d_j's cached SNF."""
-        if not self.lo < j <= self.hi + 1:
-            return None
-        wall = self._walls.get(j)
-        if wall is None:
-            below = self._terms[j - 1].relations
-            wall = self._walls[j] = (below if j > self.hi else
-                                     hstack([self._boundaries[j].matrix, below]))
-        return wall
+        """W_j = [d_j | A_{j-1}], A_j the relations of term(j): the wall of
+        the boundary d_j (ModuleMap.wall) for lo < j <= hi, A_hi at hi + 1
+        and none otherwise.  With term(j-1) free it is d_j itself."""
+        if self.lo < j <= self.hi:
+            return self._boundaries[j].wall
+        return self._terms[self.hi].relations if j == self.hi + 1 else None
 
     def homology(self, i: int) -> FpModule:
-        """H_i = ker(d_i) / im(d_{i+1}) as a finitely presented module.
+        """H_i = ker(d_i) / im(d_{i+1}) as a finitely presented module,
+        built once per degree.
 
         With A_j the relations of term(j), the generators are the columns
-        of P, generating d_i^{-1}(im A_{i-1}), and the relations are the
-        pullback of the wall W_{i+1} = [d_{i+1} | A_i] along P.  In the
-        bottom degree P is the identity, so H_lo is presented as
-        coker W_{lo+1} directly; with a free bottom term that is d_{lo+1}
-        itself, whose cached SNF is then reused.
+        of P = pullback of the wall W_i = [d_i | A_{i-1}], generating
+        d_i^{-1}(im A_{i-1}), and H_i is the image of P in
+        coker d_{i+1} = coker W_{i+1}.  In the bottom degree P is the
+        identity, so H_lo is coker W_{lo+1} itself; with a free bottom term
+        that is d_{lo+1}, whose cached SNF is then reused.
 
         >>> from fiberflat.rings import ZZ
         >>> cx = BoundedComplex.free_complex(ZZ, 0, [1, 1], [Matrix(ZZ, [[2]])])
@@ -149,11 +146,14 @@ class BoundedComplex:
         """
         if i < self.lo or i > self.hi:
             return FpModule.zero(self.ring)
-        wall = self._wall(i + 1)
-        if i == self.lo:
-            return FpModule(self.ring, self.term(i).gens, wall)
-        p = _pullback(self.boundary(i).matrix, self.term(i - 1).relations)
-        return FpModule(self.ring, p.cols, _pullback(p, wall))
+        h = self._homology.get(i)
+        if h is None:
+            h = FpModule(self.ring, self._terms[i].gens, self._wall(i + 1))
+            if i > self.lo:
+                p = _pullback(self._wall(i), h.gens)
+                h = ModuleMap(FpModule.free(self.ring, p.cols), h, p).image()
+            self._homology[i] = h
+        return h
 
     def is_exact_at(self, i: int) -> bool:
         """Whether H_i = 0, read off elementary divisors.
@@ -317,9 +317,7 @@ def truncate_geq(cx: BoundedComplex, k: int) -> BoundedComplex:
     terms[k] = ker
     bmaps = {i: cx.boundary(i).matrix for i in range(k + 2, cx.hi + 1)}
     if k + 1 <= cx.hi:
-        f = cx.boundary(k + 1).matrix
-        wall = hstack([incl.matrix, cx.term(k).relations])
-        sol = solve_integral(wall, f)
+        sol = solve_integral(incl.wall, cx.boundary(k + 1).matrix)
         if sol is None:
             raise ContradictionError("boundary image escapes its own kernel")
         bmaps[k + 1] = sol.submatrix(range(ker.gens), range(sol.cols))
@@ -538,9 +536,10 @@ def null_homotopy(cx: BoundedComplex) -> HomotopyCertificate | None:
     """An explicit contraction d h + h d = id, or None when none exists.
 
     One pass from lo: with h_{lo-1} = 0 and A_i the relations of term(i),
-    h_i solves d_{i+1} h_i = rhs_i = id - h_{i-1} d_i modulo A_i.  When
-    that lift is not a map of modules it is moved to h_i + P Y, with P
-    generating the pullback of im A_i along d_{i+1}, and Y and T solving
+    h_i solves d_{i+1} h_i = rhs_i = id - h_{i-1} d_i modulo A_i, on the
+    wall W_{i+1} = [d_{i+1} | A_i].  When that lift is not a map of modules
+    it is moved to h_i + P Y, with P the pullback of W_{i+1} (generating
+    d_{i+1}^{-1}(im A_i)), and Y and T solving
     P Y A_i + A_{i+1} T = -h_i A_i (row-major vectorization:
     vec(X @ Y @ Z) is kron(X, Z^T) @ vec(Y)); every lift is h_i + P Y for
     some Y, so this finds a map of modules whenever one exists.  In
@@ -560,13 +559,13 @@ def null_homotopy(cx: BoundedComplex) -> HomotopyCertificate | None:
             if not cx.term(i).vanishes(rhs):
                 return None
             break
-        d, a = cx.boundary(i + 1).matrix, cx.term(i).relations
-        sol = solve_integral(hstack([d, a]), rhs)
+        wall, a, gn = cx._wall(i + 1), cx.term(i).relations, cx.term(i + 1).gens
+        sol = solve_integral(wall, rhs)
         if sol is None:
             return None
-        h_i = sol.submatrix(range(d.cols), range(gi))
+        h_i = sol.submatrix(range(gn), range(gi))
         if a.cols and not cx.term(i + 1).vanishes(h_i @ a):
-            p = _pullback(d, a)
+            p = _pullback(wall, gn)
             system = hstack([kron(p, a.transpose()),
                              kron(cx.term(i + 1).relations, Matrix.identity(ring, a.cols))])
             target = Matrix._make(ring, [[x] for row in (-(h_i @ a)).to_rows() for x in row], 1)

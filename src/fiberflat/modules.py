@@ -8,7 +8,7 @@ the matrix does not define a map of quotients.
 
 Kernels, images, cokernels, and homology all reduce to two primitives
 from fiberflat.linalg: syzygy_matrix (column generators of a kernel) and
-solve_integral (membership in a column span).
+solve_integral (membership in a column span), applied to a map's wall.
 """
 
 from __future__ import annotations
@@ -101,13 +101,19 @@ class FpModule:
 
     # -- classification ----------------------------------------------------
 
+    def _split(self) -> tuple[list[int], dict[int, Scalar]]:
+        """(free, torsion): the generator indices whose SNF divisor is zero
+        or missing, and each non-unit nonzero divisor by its index; unit
+        divisors are in neither.  A free presentation runs no SNF."""
+        divisors = _snf_full(self.relations).elementary_divisors if self.relations.cols else ()
+        divisors += (0,) * (self.gens - len(divisors))
+        return ([i for i, d in enumerate(divisors) if d == 0],
+                {i: d for i, d in enumerate(divisors) if d != 0 and not self.ring.is_unit(d)})
+
     def invariant_factors(self) -> InvariantFactors:
-        if self._inv is not None:
-            return self._inv
-        rel = self.relations
-        nonzero = [d for d in _snf_full(rel).elementary_divisors if d != 0] if rel.cols else []
-        torsion = tuple(d for d in nonzero if not self.ring.is_unit(d))
-        self._inv = InvariantFactors(self.gens - len(nonzero), torsion)
+        if self._inv is None:
+            free, torsion = self._split()
+            self._inv = InvariantFactors(len(free), tuple(torsion.values()))
         return self._inv
 
     def is_zero(self) -> bool:
@@ -177,12 +183,12 @@ def _drop_zero_columns(a: Matrix) -> Matrix:
     return a.submatrix(range(a.rows), keep)
 
 
-def _pullback(f: Matrix, b: Matrix) -> Matrix:
-    """Column generators of {x : f @ x lies in the column span of b}."""
-    if f.rows != b.rows:
-        raise InputError("pullback needs matching heights")
-    syz = syzygy_matrix(hstack([f, b]))
-    return _drop_zero_columns(syz.submatrix(range(f.cols), range(syz.cols)))
+def _pullback(wall: Matrix, k: int) -> Matrix:
+    """Column generators of {x : f @ x lies in the column span of A}, read
+    off a map's wall [f | A] (ModuleMap.wall) with f its first k columns:
+    the top k rows of the wall's syzygies, zero columns dropped."""
+    syz = syzygy_matrix(wall)
+    return _drop_zero_columns(syz.submatrix(range(k), range(syz.cols)))
 
 
 class ModuleMap:
@@ -190,9 +196,11 @@ class ModuleMap:
 
     matrix has shape (target.gens x source.gens); construction verifies
     that every source relation is carried into the target relation span.
+    The wall [f | A], A the target's relations, is built once and read by
+    the kernel, image, injectivity, cokernel, fiber rank and prime set.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_wall")
 
     def __init__(self, source: FpModule, target: FpModule, matrix: Matrix):
         if source.ring != target.ring:
@@ -207,6 +215,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self._wall: Matrix | None = None
 
     @classmethod
     def zero(cls, source: FpModule, target: FpModule) -> "ModuleMap":
@@ -221,6 +230,14 @@ class ModuleMap:
             raise InputError("composition mismatch")
         return ModuleMap(inner.source, self.target, self.matrix @ inner.matrix)
 
+    @property
+    def wall(self) -> Matrix:
+        """[f | A], A the relations of the target, built once.  With a free
+        target it is f itself (hstack), sharing f's cached SNF."""
+        if self._wall is None:
+            self._wall = hstack([self.matrix, self.target.relations])
+        return self._wall
+
     # -- exactness primitives ---------------------------------------------
 
     def is_zero_map(self) -> bool:
@@ -232,23 +249,23 @@ class ModuleMap:
                 and self.target.vanishes(self.matrix - other.matrix))
 
     def kernel(self) -> tuple[FpModule, "ModuleMap"]:
-        """The kernel and its inclusion into the source."""
-        p = _pullback(self.matrix, self.target.relations)
-        ker = FpModule(self.source.ring, p.cols, _pullback(p, self.source.relations))
+        """The kernel and its inclusion into the source: the image of the
+        kernel's generators P, presented on P's columns."""
+        p = _pullback(self.wall, self.source.gens)
+        ker = ModuleMap(FpModule.free(self.source.ring, p.cols), self.source, p).image()
         return ker, ModuleMap(ker, self.source, p)
 
     def image(self) -> FpModule:
         """The image, presented on the images of the source generators."""
-        p = _pullback(self.matrix, self.target.relations)
-        return FpModule(self.source.ring, self.source.gens, p)
+        return FpModule(self.source.ring, self.source.gens,
+                        _pullback(self.wall, self.source.gens))
 
     def cokernel(self) -> FpModule:
-        return FpModule(self.target.ring, self.target.gens,
-                        hstack([self.target.relations, self.matrix]))
+        return FpModule(self.target.ring, self.target.gens, self.wall)
 
     def is_injective(self) -> bool:
         # the kernel's generators, as vectors on the source generators
-        return self.source.vanishes(_pullback(self.matrix, self.target.relations))
+        return self.source.vanishes(_pullback(self.wall, self.source.gens))
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_zero()
@@ -257,9 +274,7 @@ class ModuleMap:
 
     def fiber_rank(self, q: Prime) -> int:
         """Rank of the induced map kappa(q) tensor source -> kappa(q) tensor target."""
-        b = self.target.relations
-        return (rank_over_fiber(hstack([self.matrix, b]), q)
-                - rank_over_fiber(b, q))
+        return rank_over_fiber(self.wall, q) - rank_over_fiber(self.target.relations, q)
 
     def fiber_is_injective(self, q: Prime) -> bool:
         return self.fiber_rank(q) == self.source.fiber_dim(q)
@@ -296,7 +311,7 @@ def relevant_primes(ring: BaseRing, matrices: Sequence[Matrix]) -> list[Prime]:
     (over Z / Z_(p)), or the entire finite spectrum otherwise."""
     if ring.kind in ("Z", "Zloc"):
         bad: set[int] = set()
-        for a in dict.fromkeys(matrices):  # hstack([f, A]) is f when A has no columns
+        for a in dict.fromkeys(matrices):  # a wall [f | A] is f when A has no columns
             bad |= matrix_bad_primes(a)
         return [GENERIC] + [Prime.at(p) for p in sorted(bad)]
     return list(ring.spectrum())
@@ -307,8 +322,7 @@ def module_prime_set(m: FpModule) -> list[Prime]:
 
 
 def map_prime_set(f: ModuleMap) -> list[Prime]:
-    mats = [f.source.relations, f.target.relations, f.matrix,
-            hstack([f.matrix, f.target.relations])]
+    mats = [f.source.relations, f.target.relations, f.matrix, f.wall]
     return relevant_primes(f.source.ring, mats)
 
 
@@ -321,15 +335,10 @@ def _free_form(m: FpModule) -> tuple[int, Matrix, Matrix]:
     to zero, so the pair realizes an isomorphism M ~ R^rank.  Requires
     every elementary divisor of the relations to be a unit or zero.
     """
+    free_idx, torsion = m._split()
+    if torsion:
+        raise InputError("module is not free over this base; cannot take free coordinates")
     full = _snf_full(m.relations)
-    ring = m.ring
-    free_idx = []
-    for i in range(m.gens):
-        d = full.elementary_divisors[i] if i < len(full.elementary_divisors) else None
-        if d is None or d == 0:
-            free_idx.append(i)
-        elif not ring.is_unit(d):
-            raise InputError("module is not free over this base; cannot take free coordinates")
     to_free = full.Ui.submatrix(free_idx, range(m.gens))
     from_free = full.U.submatrix(range(m.gens), free_idx)
     return len(free_idx), to_free, from_free
@@ -467,27 +476,15 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
     if depth < 1:
         raise InputError("resolution depth must be >= 1")
     ring = m.ring
-    full = _snf_full(m.relations)
-    kept: list[int] = []
-    torsion_of: dict[int, Scalar] = {}
-    for i in range(m.gens):
-        d = full.elementary_divisors[i] if i < len(full.elementary_divisors) else None
-        if d is None or d == 0:
-            kept.append(i)
-        elif not ring.is_unit(d):
-            kept.append(i)
-            torsion_of[i] = d
+    free, torsion = m._split()
+    # the divisors form a chain, so the torsion generators precede the free ones
+    kept = sorted(torsion) + free
     g0 = len(kept)
-    eps_matrix = full.U.submatrix(range(m.gens), kept)
-    torsion_pos = [k for k, idx in enumerate(kept) if idx in torsion_of]
-    t = len(torsion_pos)
-    d1_body = [[ring.zero] * t for _ in range(g0)]
-    for col, pos in enumerate(torsion_pos):
-        d1_body[pos][col] = ring.canon(torsion_of[kept[pos]])
-    d1 = Matrix._make(ring, d1_body, t)
+    eps_matrix = _snf_full(m.relations).U.submatrix(range(m.gens), kept)
+    d1 = Matrix.diagonal(ring, list(torsion.values()), m=g0, n=len(torsion))
 
     boundaries: list[Matrix] = []
-    if t:
+    if torsion:
         boundaries.append(d1)
         while len(boundaries) < depth:
             nxt = syzygy_matrix(boundaries[-1])
@@ -531,8 +528,7 @@ def lift_along(f: ModuleMap, res_m: Resolution, res_n: Resolution) -> list[Matri
     """[phi_0, ..., phi_depth] lifting f along given resolutions of its
     source and target, as in lift_to_resolutions."""
     ring = f.source.ring
-    sol = solve_integral(hstack([res_n.augmentation.matrix, f.target.relations]),
-                         f.matrix @ res_m.augmentation.matrix)
+    sol = solve_integral(res_n.augmentation.wall, f.matrix @ res_m.augmentation.matrix)
     if sol is None:
         raise ContradictionError("augmentation is not surjective; resolution bug")
     cx_m, cx_n = res_m.complex, res_n.complex

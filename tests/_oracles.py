@@ -204,7 +204,8 @@ def fiber_complex(cx, q):
 def pullback_homology(cx, i):
     """H_i with generators P = pullback(d_i, A_{i-1}) and relations
     pullback(P, [d_{i+1} | A_i]), A_j the relations of term(j), in every
-    degree including the bottom one."""
-    p = _pullback(cx.boundary(i).matrix, cx.term(i - 1).relations)
+    degree including the bottom one.  Every wall [f | A] is stacked here,
+    so this route reads neither ModuleMap.wall nor BoundedComplex._wall."""
+    p = _pullback(hstack([cx.boundary(i).matrix, cx.term(i - 1).relations]), cx.term(i).gens)
     wall = hstack([cx.boundary(i + 1).matrix, cx.term(i).relations])
-    return FpModule(cx.ring, p.cols, _pullback(p, wall))
+    return FpModule(cx.ring, p.cols, _pullback(hstack([p, wall]), p.cols))

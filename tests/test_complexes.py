@@ -149,6 +149,38 @@ def _member_sum(members, free_rank, i):
     return sum(f for f, _ in parts), sorted(o for _, os in parts for o in os)
 
 
+def _non_free_complexes(lit, seed, count=4):
+    """Seeded complexes tensored with R presented as coker[1; 2] and, over
+    Z/12, with R/3: every term has relations."""
+    ring = parse_ring(lit)
+    twists = [FpModule(ring, 2, Matrix(ring, [[1], [2]]))]
+    if ring.kind == "Zmod":
+        twists.append(FpModule.cyclic(ring, 3))
+    for cx in _seeded_complexes(lit, seed, count):
+        for m in twists:
+            yield tensor_with_module(m, cx)
+
+
+@pytest.mark.parametrize("lit", ["Z", "Z/12", "Zloc/3"])
+def test_each_wall_and_homology_is_built_once(lit):
+    """A boundary's wall [d | A] is built once and is what _wall reads; with
+    a free target it is d itself; each H_i is built once."""
+    for cx in _non_free_complexes(lit, 61):
+        assert not cx.is_free()
+        for j in range(cx.lo + 1, cx.hi + 1):
+            assert cx._wall(j) is cx.boundary(j).wall is cx.boundary(j).wall
+            assert cx._wall(j) == hstack([cx.boundary(j).matrix, cx.term(j - 1).relations])
+        assert cx._wall(cx.hi + 1) is cx.term(cx.hi).relations
+        assert cx._wall(cx.lo) is None and cx._wall(cx.hi + 2) is None
+        for i in cx.degrees():
+            assert cx.homology(i) is cx.homology(i)
+    for cx in _seeded_complexes(lit, 62, 2):
+        for j in range(cx.lo + 1, cx.hi + 1):
+            f = cx.boundary(j)
+            if f.matrix.cols:
+                assert f.wall is f.matrix
+
+
 @pytest.mark.parametrize("lit", sorted(CYCLIC_PARAMETERS))
 def test_exactness_from_divisors_matches_pullback_homology(lit):
     complexes = list(_seeded_complexes(lit, 11))

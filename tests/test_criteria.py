@@ -249,6 +249,39 @@ def test_universal_exactness_decomposes_each_boundary_once(monkeypatch, ring, ra
         assert computed.count(_snf_key(cx.boundary(i).matrix)) == 1
 
 
+@pytest.mark.parametrize("ring", [ZZ, Z12, localized_at(3)], ids=str)
+def test_no_wall_of_a_non_free_complex_is_decomposed_twice(monkeypatch, ring):
+    """Both criteria and null_homotopy read each boundary's wall
+    [d_j | A_{j-1}] from the one cached matrix, so across all three no
+    matrix equal to a wall runs through the SNF kernel twice."""
+    computed = []
+    original = linalg._snf_full
+
+    def counted(a):
+        if a._snf is None:
+            computed.append(_snf_key(a))
+        return original(a)
+
+    for namespace in (linalg, modules):
+        monkeypatch.setattr(namespace, "_snf_full", counted)
+    rng = random.Random(f"walls:{ring}")
+    twist = FpModule.cyclic(ring, 3) if ring == Z12 else FpModule(ring, 2, Matrix(ring, [[1], [2]]))
+    walls = 0
+    for k in range(9):
+        pop = ("contractible", "hypothesis-true", "hypothesis-false")[k % 3]
+        cx = tensor_with_module(twist, random_complex(rng, ring, max_len=4, max_rank=3,
+                                                      entry_bound=7, population=pop).complex)
+        computed.clear()
+        check_main_theorem(cx)
+        is_universally_exact(cx)
+        null_homotopy(cx)
+        for j in range(cx.lo + 1, cx.hi + 1):
+            if cx._wall(j).cols:
+                walls += 1
+                assert computed.count(_snf_key(cx._wall(j))) <= 1, (k, j)
+    assert walls >= 20
+
+
 @pytest.mark.parametrize("ring", [ZZ, integers_mod(360), localized_at(3)], ids=str)
 def test_free_tensor_family_builds_no_complex_and_no_quotient_snf(monkeypatch, ring):
     """On a free complex every family member is read off C's own divisors:

@@ -146,6 +146,16 @@ def test_kernel_image_cokernel_on_multiplication_by_two():
     z2, z4 = FpModule.cyclic(ZZ, 2), FpModule.cyclic(ZZ, 4)
     assert ModuleMap(z2, z4, Matrix(ZZ, [[2]])).is_injective()
     assert not ModuleMap(z4, z2, Matrix(ZZ, [[1]])).is_injective()
+    # a target with relations: Z --(1, 1)--> coker[0; 4] = Z + Z/4, whose
+    # wall is [f | A] = [[1, 0], [1, 4]]
+    zz4 = FpModule(ZZ, 2, Matrix(ZZ, [[0], [4]]))
+    g = ModuleMap(z, zz4, Matrix(ZZ, [[1], [1]]))
+    assert g.wall == Matrix(ZZ, [[1, 0], [1, 4]])
+    assert g.is_injective() and g.kernel()[0].is_zero()
+    assert g.image().is_isomorphic_to(z)
+    coker_af = FpModule(ZZ, 2, Matrix(ZZ, [[0, 1], [4, 1]]))
+    assert g.cokernel().invariant_factors() == coker_af.invariant_factors()
+    assert g.cokernel().is_isomorphic_to(FpModule.cyclic(ZZ, 4))
 
 
 @pytest.mark.parametrize("ring", [ZZ, Z12, localized_at(3), prime_field(5)],

@@ -268,12 +268,15 @@ def _sorted_primes(primes) -> list[Prime]:
     return sorted(primes, key=lambda q: q.sort_key())
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], text_lines: list[str]) -> str:
+def _emit(args: argparse.Namespace, ring: BaseRing, payload: dict[str, Any],
+          text_lines: list[str]) -> str:
+    """The report: in JSON the command's own fields plus its name, the ring
+    literal and any --seed; in text the given lines."""
     if args.format == "json":
+        report = {"command": args.command, "ring": ring.literal(), **payload}
         if args.seed is not None:
-            payload = dict(payload)
-            payload["seed"] = args.seed
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            report["seed"] = args.seed
+        return json.dumps(report, sort_keys=True, separators=(",", ":"))
     return "\n".join(text_lines)
 
 
@@ -285,7 +288,6 @@ def _cmd_snf(args) -> tuple[str, int]:
     if not dec.verify(mat):
         raise ContradictionError("SNF decomposition failed re-verification")
     payload = {
-        "command": "snf", "ring": ring.literal(),
         "divisors": [render_scalar(d) for d in dec.elementary_divisors],
         "U": render_matrix(dec.U), "D": render_matrix(dec.D),
         "V": render_matrix(dec.V), "verified": True,
@@ -296,7 +298,7 @@ def _cmd_snf(args) -> tuple[str, int]:
              f"D: {render_matrix(dec.D)}",
              f"V: {render_matrix(dec.V)}",
              "reconstruction A = U D V: verified"]
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, payload, lines), 0
 
 
 def _cmd_homology(args) -> tuple[str, int]:
@@ -307,9 +309,7 @@ def _cmd_homology(args) -> tuple[str, int]:
         h = cx.homology(i)
         rows.append({"degree": i, **_module_json(h)})
         lines.append(f"H_{i} = {_module_text(h)}")
-    payload = {"command": "homology", "ring": ring.literal(),
-               "lo": cx.lo, "hi": cx.hi, "homology": rows}
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, {"lo": cx.lo, "hi": cx.hi, "homology": rows}, lines), 0
 
 
 def _primes_for(args, ring: BaseRing) -> list[Prime]:
@@ -334,21 +334,19 @@ def _cmd_fibers(args) -> tuple[str, int]:
         rows.append({"prime": q.literal(), "dims": dims})
         rendered = ", ".join(f"h_{i}={d}" for i, d in dims)
         lines.append(f"fiber at ({q.literal()}): {rendered}")
-    payload = {"command": "fibers", "ring": ring.literal(), "profiles": rows}
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, {"profiles": rows}, lines), 0
 
 
 def _cmd_badprimes(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
     bp: BadPrimeSet = bad_primes(cx)
     witness = [[p, list(degs)] for p, degs in sorted(bp.witness.items())]
-    payload = {"command": "badprimes", "ring": ring.literal(),
-               "primes": [q.p for q in bp.primes], "witness": witness}
+    payload = {"primes": [q.p for q in bp.primes], "witness": witness}
     lines = [f"ring: {ring.literal()}",
              f"bad primes: {', '.join(str(q.p) for q in bp.primes) or '(none)'}"]
     for p, degs in witness:
         lines.append(f"  {p}: rank drop in boundary degrees {degs}")
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, payload, lines), 0
 
 
 def _cmd_check_theorem(args) -> tuple[str, int]:
@@ -359,7 +357,6 @@ def _cmd_check_theorem(args) -> tuple[str, int]:
                "dims": [[i, rep.fiber_dims[q][i]] for i in sorted(rep.fiber_dims[q], reverse=True)]}
               for q in primes]
     payload = {
-        "command": "check-theorem", "ring": ring.literal(),
         "hypothesis_holds": rep.hypothesis_holds,
         "checked_primes": [q.literal() for q in primes],
         "fibers": fibers,
@@ -376,14 +373,13 @@ def _cmd_check_theorem(args) -> tuple[str, int]:
              f"conclusion: H_0 flat: {rep.conclusion_h0_flat}   [H_0 = {_module_text(rep.h0)}]",
              f"conclusion: tensor family stays acyclic: {rep.tensor_family_acyclic}",
              f"verdict: {rep.verdict}"]
-    return _emit(args, payload, lines), 0 if rep.verdict == "consistent" else 3
+    return _emit(args, ring, payload, lines), 0 if rep.verdict == "consistent" else 3
 
 
 def _cmd_check_map(args) -> tuple[str, int]:
     ring, f = load_document(args.input, "map")
     rep = purity_report(f)
     payload = {
-        "command": "check-map", "ring": ring.literal(),
         "injective_with_flat_cokernel": rep.injective_with_flat_cokernel,
         "pure": rep.pure,
         "fiberwise_injective": rep.fiberwise_injective,
@@ -395,14 +391,13 @@ def _cmd_check_map(args) -> tuple[str, int]:
              f"pure (unit elementary divisors): {rep.pure}",
              f"fiberwise injective: {rep.fiberwise_injective}",
              f"all three agree: verdict {rep.verdict}"]
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, payload, lines), 0
 
 
 def _cmd_check_universal(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
     rep = is_universally_exact(cx)
     payload = {
-        "command": "check-universal", "ring": ring.literal(),
         "direct": rep.direct, "fiberwise": rep.fiberwise,
         "tensor_sampled": rep.tensor_sampled,
         "checked_primes": [q.literal() for q in _sorted_primes(rep.checked_primes)],
@@ -413,10 +408,12 @@ def _cmd_check_universal(args) -> tuple[str, int]:
              f"exact on every fiber: {rep.fiberwise}",
              f"sampled total tensors exact: {rep.tensor_sampled}",
              f"universally exact: {rep.verdict}"]
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, payload, lines), 0
 
 
-def _tor_ext_command(args, functor: str) -> tuple[str, int]:
+def _cmd_tor_ext(args) -> tuple[str, int]:
+    """tor and ext, told apart by args.command."""
+    functor = args.command
     depth = _capped(args.depth, "--depth", MAX_DEPTH)
     ring, m = load_document(args.input, "module")
     criterion = tor_flatness_criterion if functor == "tor" else ext_flatness_criterion
@@ -436,8 +433,7 @@ def _tor_ext_command(args, functor: str) -> tuple[str, int]:
     periodic = any(cx.boundary(j).matrix == cx.boundary(j + 1).matrix
                    for j in range(1, cx.hi))
     payload = {
-        "command": functor, "ring": ring.literal(), "depth": depth,
-        "module": _module_json(m), "table": table,
+        "depth": depth, "module": _module_json(m), "table": table,
         "criterion": {
             "positive_vanishing": verdict.positive_vanishing,
             "vanishing_with_degree_zero": verdict.vanishing_with_degree_zero,
@@ -451,15 +447,7 @@ def _tor_ext_command(args, functor: str) -> tuple[str, int]:
     lines.append(verdict.describe())
     if periodic:
         lines.append("resolution repeats: consecutive syzygy boundaries coincide")
-    return _emit(args, payload, lines), 0
-
-
-def _cmd_tor(args) -> tuple[str, int]:
-    return _tor_ext_command(args, "tor")
-
-
-def _cmd_ext(args) -> tuple[str, int]:
-    return _tor_ext_command(args, "ext")
+    return _emit(args, ring, payload, lines), 0
 
 
 def _cmd_koszul(args) -> tuple[str, int]:
@@ -475,7 +463,6 @@ def _cmd_koszul(args) -> tuple[str, int]:
     if not iso:
         raise ContradictionError("self-duality map failed to be an isomorphism")
     payload = {
-        "command": "koszul", "ring": ring.literal(),
         "elements": [render_scalar(x) for x in elements],
         "ranks": [kx.term(i).gens for i in range(kx.hi, kx.lo - 1, -1)],
         "boundaries": [render_matrix(kx.boundary(i).matrix)
@@ -487,26 +474,22 @@ def _cmd_koszul(args) -> tuple[str, int]:
              f"ranks (degree {kx.hi} down to {kx.lo}): "
              + ", ".join(str(kx.term(i).gens) for i in range(kx.hi, kx.lo - 1, -1)),
              "self-duality chain isomorphism: verified"]
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, payload, lines), 0
 
 
 def _cmd_nullhomotopy(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
     cert = null_homotopy(cx)
     if cert is None:
-        payload = {"command": "nullhomotopy", "ring": ring.literal(),
-                   "contractible": False}
-        return _emit(args, payload,
+        return _emit(args, ring, {"contractible": False},
                      [f"ring: {ring.literal()}", "verdict: NONE (no null homotopy exists)"]), 0
     if not cert.verify():
         raise ContradictionError("homotopy certificate failed re-verification")
     maps = [[i, render_matrix(cert.h(i))] for i in range(cx.hi, cx.lo - 1, -1)]
-    payload = {"command": "nullhomotopy", "ring": ring.literal(),
-               "contractible": True, "maps": maps, "verified": True}
     lines = [f"ring: {ring.literal()}", "verdict: contractible (dh + hd = id verified)"]
     for i, mat in maps:
         lines.append(f"h_{i}: {mat}")
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, {"contractible": True, "maps": maps, "verified": True}, lines), 0
 
 
 def _cmd_filtration(args) -> tuple[str, int]:
@@ -527,14 +510,13 @@ def _cmd_filtration(args) -> tuple[str, int]:
         raise ContradictionError("filtration does not end at the module")
     steps = [{"stage": _module_json(stage), "quotient": q.literal()}
              for stage, q in pf.steps]
-    payload = {"command": "filtration", "ring": ring.literal(),
-               "module": _module_json(m), "steps": steps, "verified": True}
+    payload = {"module": _module_json(m), "steps": steps, "verified": True}
     lines = [f"ring: {ring.literal()}", f"module: {_module_text(m)}"]
     for k, (stage, q) in enumerate(pf.steps, start=1):
         lines.append(f"step {k}: stage {_module_text(stage)}   quotient R/({q.literal()})")
     lines.append("verified: quotient orders multiply to the torsion order; "
                  f"{generic_steps} free step(s)")
-    return _emit(args, payload, lines), 0
+    return _emit(args, ring, payload, lines), 0
 
 
 def _cmd_gallery(args) -> tuple[str, int]:
@@ -559,10 +541,9 @@ def _cmd_gallery(args) -> tuple[str, int]:
     for note in rep.notes:
         lines.append(f"note: {note}")
     lines.append(f"gallery consistent: {rep.ok}")
-    payload = {"command": "gallery", "name": rep.name, "ring": rep.ring.literal(),
-               "parameters": rep.parameters, "rows": rows,
+    payload = {"name": rep.name, "parameters": rep.parameters, "rows": rows,
                "notes": list(rep.notes), "ok": rep.ok}
-    return _emit(args, payload, lines), 0 if rep.ok else 3
+    return _emit(args, rep.ring, payload, lines), 0 if rep.ok else 3
 
 
 # -- parser -------------------------------------------------------------------
@@ -578,32 +559,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed recorded in machine reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_input(p):
-        p.add_argument("input", help="JSON document: a path, inline JSON, or - for stdin")
+    def command(name, run, summary, takes_input=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        if takes_input:
+            p.add_argument("input", help="JSON document: a path, inline JSON, or - for stdin")
         return p
 
-    with_input(sub.add_parser("snf", help="Smith normal form of a matrix document"))
-    with_input(sub.add_parser("homology", help="homology of a complex, top degree first"))
-    p = with_input(sub.add_parser("fibers", help="fiber homology profile per prime"))
+    command("snf", _cmd_snf, "Smith normal form of a matrix document")
+    command("homology", _cmd_homology, "homology of a complex, top degree first")
+    p = command("fibers", _cmd_fibers, "fiber homology profile per prime")
     p.add_argument("--primes", help="comma-separated prime literals (default: computed set)")
-    with_input(sub.add_parser("badprimes", help="primes where a boundary drops rank"))
-    with_input(sub.add_parser("check-theorem",
-                              help="fiberwise-acyclicity hypothesis and conclusions"))
-    with_input(sub.add_parser("check-map", help="three-way purity criterion for a map"))
-    with_input(sub.add_parser("check-universal", help="universal exactness, three routes"))
+    command("badprimes", _cmd_badprimes, "primes where a boundary drops rank")
+    command("check-theorem", _cmd_check_theorem, "fiberwise-acyclicity hypothesis and conclusions")
+    command("check-map", _cmd_check_map, "three-way purity criterion for a map")
+    command("check-universal", _cmd_check_universal, "universal exactness, three routes")
     for name in ("tor", "ext"):
-        p = with_input(sub.add_parser(name, help=f"{name} dimensions against residue fields"))
+        p = command(name, _cmd_tor_ext, f"{name} dimensions against residue fields")
         p.add_argument("--depth", type=int, default=1,
                        help=f"largest homological degree to examine (default 1, "
                             f"at most {MAX_DEPTH})")
         p.add_argument("--primes", help="comma-separated prime literals")
-    p = sub.add_parser("koszul", help="Koszul complex and its self-duality check")
+    p = command("koszul", _cmd_koszul, "Koszul complex and its self-duality check", False)
     p.add_argument("--ring", default="Z", help="ring literal (default Z)")
     p.add_argument("--elements", required=True,
                    help=f"comma-separated ring elements (at most {MAX_KOSZUL_ELEMENTS})")
-    with_input(sub.add_parser("nullhomotopy", help="explicit contraction or NONE"))
-    with_input(sub.add_parser("filtration", help="prime filtration of a module"))
-    p = sub.add_parser("gallery", help="prebuilt example towers with expected values")
+    command("nullhomotopy", _cmd_nullhomotopy, "explicit contraction or NONE")
+    command("filtration", _cmd_filtration, "prime filtration of a module")
+    p = command("gallery", _cmd_gallery, "prebuilt example towers with expected values", False)
     p.add_argument("name", help="sum-inverse-primes | injective-hull | dvr-fraction-field")
     p.add_argument("-p", type=int, default=2, help="prime parameter (default 2)")
     p.add_argument("--max-prime", type=int, default=100, dest="max_prime",
@@ -619,28 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "snf": _cmd_snf,
-    "homology": _cmd_homology,
-    "fibers": _cmd_fibers,
-    "badprimes": _cmd_badprimes,
-    "check-theorem": _cmd_check_theorem,
-    "check-map": _cmd_check_map,
-    "check-universal": _cmd_check_universal,
-    "tor": _cmd_tor,
-    "ext": _cmd_ext,
-    "koszul": _cmd_koszul,
-    "nullhomotopy": _cmd_nullhomotopy,
-    "filtration": _cmd_filtration,
-    "gallery": _cmd_gallery,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out, code = _DISPATCH[args.command](args)
+        out, code = args.run(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

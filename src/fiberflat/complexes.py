@@ -19,7 +19,7 @@ matrix algebra when the terms are free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, prod
 from typing import Mapping, Sequence
 
@@ -540,14 +540,16 @@ def null_homotopy(cx: BoundedComplex) -> HomotopyCertificate | None:
     wall W_{i+1} = [d_{i+1} | A_i].  When that lift is not a map of modules
     it is moved to h_i + P Y, with P the pullback of W_{i+1} (generating
     d_{i+1}^{-1}(im A_i)), and Y and T solving
-    P Y A_i + A_{i+1} T = -h_i A_i (row-major vectorization:
-    vec(X @ Y @ Z) is kron(X, Z^T) @ vec(Y)); every lift is h_i + P Y for
-    some Y, so this finds a map of modules whenever one exists.  In
-    degree hi, rhs_hi must vanish.  If k is any contraction, k_i rhs_i
-    solves degree i with a map of modules whatever h_{i-1} was, so a
-    degree with no solution proves that none exists.
-    Free terms never need the correction.  Every returned certificate
-    verifies.
+    P Y A_i + A_{i+1} T = -h_i A_i; every lift is h_i + P Y for some Y, so
+    this finds a map of modules whenever one exists.  With A_i = U D V
+    (its cached SNF), Y' = Y U and x = h_i U, the system splits by the
+    columns of D into d_j P y'_j + A_{i+1} t_j = -d_j x_j, one solve of
+    [d P | A_{i+1}] per run of equal divisors d, and Y = Y' U^-1 with Y'
+    zero past the last nonzero divisor.  In degree hi, rhs_hi must vanish.
+    If k is any contraction, k_i rhs_i solves degree i with a map of
+    modules whatever h_{i-1} was, so a degree with no solution proves that
+    none exists.  Free terms never need the correction.  Every returned
+    certificate verifies.
     """
     ring = cx.ring
     maps: dict[int, Matrix] = {}
@@ -565,16 +567,19 @@ def null_homotopy(cx: BoundedComplex) -> HomotopyCertificate | None:
             return None
         h_i = sol.submatrix(range(gn), range(gi))
         if a.cols and not cx.term(i + 1).vanishes(h_i @ a):
-            p = _pullback(wall, gn)
-            system = hstack([kron(p, a.transpose()),
-                             kron(cx.term(i + 1).relations, Matrix.identity(ring, a.cols))])
-            target = Matrix._make(ring, [[x] for row in (-(h_i @ a)).to_rows() for x in row], 1)
-            fix = solve_integral(system, target)
-            if fix is None:
-                return None
-            y = Matrix._make(ring, [[fix[r * gi + c, 0] for c in range(gi)]
-                                    for r in range(p.cols)], gi)
-            h_i = h_i + p @ y
+            p, dec = _pullback(wall, gn), snf(a)
+            xd, blocks = -(h_i @ dec.U @ dec.D), []
+            divisors = [e for e in dec.elementary_divisors if e != 0]
+            for d, run in groupby(range(len(divisors)), divisors.__getitem__):
+                run = list(run)
+                fix = solve_integral(hstack([Matrix.diagonal(ring, [d] * gn) @ p,
+                                             cx.term(i + 1).relations]),
+                                     xd.submatrix(range(gn), run))
+                if fix is None:
+                    return None
+                blocks.append(fix.submatrix(range(p.cols), range(len(run))))
+            blocks.append(Matrix.zeros(ring, p.cols, gi - len(divisors)))
+            h_i = h_i + p @ hstack(blocks) @ dec.Ui
         maps[i] = prev = h_i
     cert = HomotopyCertificate(cx, maps)
     if not cert.verify():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 from .complexes import BoundedComplex, HomotopyCertificate, null_homotopy
 from .errors import ContradictionError, InputError
@@ -73,30 +74,24 @@ def complex_prime_set(cx: BoundedComplex) -> list[Prime]:
 _cyclic = lru_cache(maxsize=1024)(FpModule.cyclic)
 
 
-def standard_module_family(ring: BaseRing, extra_primes: tuple[int, ...] = ()) -> list[FpModule]:
+def standard_module_family(ring: BaseRing, primes: Sequence[Prime]) -> list[FpModule]:
     """The one tensor test family of check_main_theorem and
-    is_universally_exact, adapted to the base ring.
+    is_universally_exact, from the checked prime set of the complex.
 
-    Over Z: Z/2, Z/3, Z^2, plus residue fields Z/p of any extra (bad)
-    primes.  Over Z_(p): R/p, R^2.  Over Z/n: R/p per prime p | n, plus
-    R^2.  Over fields: R^2.  For flat terms composite cyclic members
-    decide nothing new: C/6 is C/2 + C/3, and H_i(C/p^2) vanishes wherever
-    H_i(C/p) does, by the long exact sequence of 0 -> C/p -> C/p^2 -> C/p
-    -> 0.  Each cyclic member is built, and its invariant factors found,
-    once per process; R^2 needs no SNF.
+    R/p for every finite checked prime p (each bad prime over Z and Z_(p),
+    each p | n over Z/n), with Z/2 and Z/3 over Z and R/p over Z_(p)
+    always, then R^2; over fields R^2 alone.  For flat terms composite
+    cyclic members decide nothing new: C/6 is C/2 + C/3, and H_i(C/p^2)
+    vanishes wherever H_i(C/p) does, by the long exact sequence of
+    0 -> C/p -> C/p^2 -> C/p -> 0.  Each cyclic member is built, and its
+    invariant factors found, once per process; R^2 needs no SNF.
     """
+    torsion = {q.p for q in primes if q.p is not None}
     if ring.kind == "Z":
-        torsion = [2, 3] + [p for p in sorted(extra_primes) if p not in (2, 3)]
-        family = [_cyclic(ring, d) for d in torsion]
-        family.append(FpModule.free(ring, 2))
-        return family
-    if ring.kind == "Zloc":
-        return [_cyclic(ring, ring.param), FpModule.free(ring, 2)]
-    if ring.kind == "Zmod":
-        family = [_cyclic(ring, q.p) for q in ring.spectrum()]
-        family.append(FpModule.free(ring, 2))
-        return family
-    return [FpModule.free(ring, 2)]
+        torsion |= {2, 3}
+    elif ring.kind == "Zloc":
+        torsion.add(ring.param)
+    return [_cyclic(ring, p) for p in sorted(torsion)] + [FpModule.free(ring, 2)]
 
 
 def _tensor_exact(m: FpModule, cx: BoundedComplex, skip: int | None = None) -> bool:
@@ -182,8 +177,7 @@ def check_main_theorem(cx: BoundedComplex) -> TheoremReport:
     conclusion_acyclic = cx.is_acyclic_away_from(0)
     h0 = cx.homology(0)
     conclusion_h0_flat = h0.is_flat()
-    extra = tuple(p.p for p in primes if p.p is not None)
-    tensor_ok = all(_tensor_exact(m, cx, skip=0) for m in standard_module_family(cx.ring, extra))
+    tensor_ok = all(_tensor_exact(m, cx, skip=0) for m in standard_module_family(cx.ring, primes))
     if hypothesis and not (conclusion_acyclic and conclusion_h0_flat and tensor_ok):
         verdict = "VIOLATION"
     else:
@@ -222,16 +216,13 @@ def is_universally_exact(cx: BoundedComplex) -> UniversalExactnessReport:
     for i in cx.degrees():
         if not cx.term(i).is_flat():
             raise InputError(f"term in degree {i} is not flat")
-    direct = cx.is_exact()
-    if direct:
-        for i in range(cx.lo + 1, cx.hi + 1):
-            if not cx.boundary(i).image().is_flat():
-                direct = False
-                break
+    # exact at i, im d_i = C_i / im d_{i+1}, presented by the wall W_{i+1}
+    direct = cx.is_exact() and all(
+        FpModule(cx.ring, cx.term(i).gens, cx._wall(i + 1)).is_flat()
+        for i in range(cx.lo + 1, cx.hi + 1))
     primes = complex_prime_set(cx)
     fiberwise = all(cx.is_fiber_exact(q) for q in primes)
-    extra = tuple(p.p for p in primes if p.p is not None)
-    sampled = all(_tensor_exact(m, cx) for m in standard_module_family(cx.ring, extra))
+    sampled = all(_tensor_exact(m, cx) for m in standard_module_family(cx.ring, primes))
     if not (direct == fiberwise == sampled):
         raise ContradictionError(
             f"universal exactness routes disagree: direct={direct}, "

@@ -4,16 +4,17 @@ Most of these work on plain lists of ints or Fractions, deliberately
 bypassing the library's Matrix type and its cached decompositions, so a
 bug in the SNF kernel cannot hide behind itself.  The last section takes
 library objects: determinantal divisors and fibered complexes, which only
-tests use, computed without the SNF, and homology presented by two
-pullbacks in every degree, the route exactness is checked against.
+tests use, computed without the SNF, homology presented by two
+pullbacks in every degree, the route exactness is checked against, and
+null homotopies corrected by one Kronecker system per degree.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-from fiberflat.complexes import BoundedComplex
-from fiberflat.linalg import hstack, reduce_matrix
+from fiberflat.complexes import BoundedComplex, HomotopyCertificate
+from fiberflat.linalg import Matrix, hstack, kron, reduce_matrix, solve_integral
 from fiberflat.modules import FpModule, _pullback
 
 
@@ -209,3 +210,38 @@ def pullback_homology(cx, i):
     p = _pullback(hstack([cx.boundary(i).matrix, cx.term(i - 1).relations]), cx.term(i).gens)
     wall = hstack([cx.boundary(i + 1).matrix, cx.term(i).relations])
     return FpModule(cx.ring, p.cols, _pullback(hstack([p, wall]), p.cols))
+
+
+def kronecker_null_homotopy(cx):
+    """null_homotopy's degreewise lift with its correction as one Kronecker
+    system per degree: a lift h_i that is not a map of modules is moved to
+    h_i + P Y, P the pullback of the wall W_{i+1} = [d_{i+1} | A_i], with Y
+    and T solving P Y A_i + A_{i+1} T = -h_i A_i in row-major
+    vectorization (vec(X @ Y @ Z) is kron(X, Z^T) @ vec(Y)).  Returns the
+    certificate, unverified, or None when some degree has no solution."""
+    ring = cx.ring
+    maps = {}
+    prev = Matrix.zeros(ring, cx.term(cx.lo).gens, cx.term(cx.lo - 1).gens)
+    for i in cx.degrees():
+        gi = cx.term(i).gens
+        rhs = Matrix.identity(ring, gi) - prev @ cx.boundary(i).matrix
+        if i == cx.hi:
+            return HomotopyCertificate(cx, maps) if cx.term(i).vanishes(rhs) else None
+        wall = hstack([cx.boundary(i + 1).matrix, cx.term(i).relations])
+        a, gn = cx.term(i).relations, cx.term(i + 1).gens
+        sol = solve_integral(wall, rhs)
+        if sol is None:
+            return None
+        h_i = sol.submatrix(range(gn), range(gi))
+        if a.cols and not cx.term(i + 1).vanishes(h_i @ a):
+            p = _pullback(wall, gn)
+            system = hstack([kron(p, a.transpose()),
+                             kron(cx.term(i + 1).relations, Matrix.identity(ring, a.cols))])
+            target = Matrix(ring, [[x] for row in (-(h_i @ a)).to_rows() for x in row], cols=1)
+            fix = solve_integral(system, target)
+            if fix is None:
+                return None
+            y = Matrix(ring, [[fix[r * gi + c, 0] for c in range(gi)] for r in range(p.cols)],
+                       cols=gi)
+            h_i = h_i + p @ y
+        maps[i] = prev = h_i

@@ -21,9 +21,12 @@ from fiberflat.cli import (
     MAX_DEPTH, MAX_KOSZUL_ELEMENTS, MAX_PRIME_BOUND, MAX_RANK, MAX_STAGE,
     load_document, main, render_document,
 )
+from fiberflat.complexes import BoundedComplex, tensor_with_module
 from fiberflat.errors import InputError
-from fiberflat.modules import Resolution
-from fiberflat.rings import PRIMALITY_BOUND
+from fiberflat.generate import random_unimodular
+from fiberflat.linalg import Matrix
+from fiberflat.modules import FpModule, Resolution
+from fiberflat.rings import PRIMALITY_BOUND, ZZ
 
 # -- document corpus -----------------------------------------------------------
 
@@ -456,9 +459,34 @@ def test_nullhomotopy_json_is_pinned_on_non_free_terms(capsys):
     assert run(capsys, "--format", "json", "nullhomotopy", _split_sequence_doc(1)) == (0, expected, "")
 
 
-def test_nullhomotopy_on_a_sixteen_fold_sum_is_fast(capsys):
+@pytest.mark.parametrize("k", [16, 32, 64])
+def test_nullhomotopy_on_a_k_fold_sum_is_fast(capsys, k):
     start = time.perf_counter()
-    payload = run_json(capsys, "nullhomotopy", _split_sequence_doc(16))
+    payload = run_json(capsys, "nullhomotopy", _split_sequence_doc(k))
+    assert payload["contractible"] is True
+    assert time.perf_counter() - start < 5.0
+
+
+def _contractible_twisted_z_doc(k):
+    """A seeded contractible free Z complex of ranks [k, 2k, k] (split
+    projections in random unimodular bases) tensored with Z presented as
+    coker[1; 2], so every term has relations and the first lift is
+    corrected."""
+    rng = random.Random(k)
+    ranks = [k, 2 * k, k]
+    s1 = Matrix(ZZ, [[int(c == r + k) for c in range(2 * k)] for r in range(k)])
+    s2 = Matrix(ZZ, [[int(c == r) for c in range(k)] for r in range(2 * k)])
+    bases = [random_unimodular(rng, ZZ, n, entry_bound=9, steps=2 * n) for n in ranks]
+    mats = [bases[0][0] @ s1 @ bases[1][1], bases[1][0] @ s2 @ bases[2][1]]
+    cx = BoundedComplex.free_complex(ZZ, 0, ranks, mats)
+    twisted = tensor_with_module(FpModule(ZZ, 2, Matrix(ZZ, [[1], [2]])), cx)
+    return json.dumps(render_document(ZZ, twisted))
+
+
+def test_nullhomotopy_on_a_twisted_z_complex_of_rank_64_is_fast(capsys):
+    doc = _contractible_twisted_z_doc(32)
+    start = time.perf_counter()
+    payload = run_json(capsys, "nullhomotopy", doc)
     assert payload["contractible"] is True
     assert time.perf_counter() - start < 5.0
 

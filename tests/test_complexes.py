@@ -8,6 +8,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fiberflat.complexes
 from fiberflat.complexes import (
     BoundedComplex, ChainMap, HomotopyCertificate, cone, dual,
     koszul_complex, koszul_selfduality, null_homotopy, shift,
@@ -15,14 +16,16 @@ from fiberflat.complexes import (
 )
 from fiberflat.criteria import _tensor_exact
 from fiberflat.errors import InputError
-from fiberflat.generate import random_complex, random_fp_module
+from fiberflat.generate import random_complex, random_fp_module, random_unimodular
 from fiberflat.linalg import Matrix, field_rank, hstack, kron, reduce_matrix, syzygy_matrix
 from fiberflat.modules import FpModule, ModuleMap
 from fiberflat.rings import (
     GENERIC, Prime, ZZ, factor_trial, integers_mod, localized_at, parse_ring,
 )
 
-from _oracles import fiber_complex, fraction_rank, modp_rank, pullback_homology
+from _oracles import (
+    fiber_complex, fraction_rank, kronecker_null_homotopy, modp_rank, pullback_homology,
+)
 
 
 def two_term(ring, matrix_rows, ranks):
@@ -733,3 +736,70 @@ def test_null_homotopy_over_zmod_split_complex():
     cx = two_term(r, [[1]], [1, 1])
     cert = null_homotopy(cx)
     assert cert is not None and cert.verify()
+
+
+# -- the per-divisor correction against the Kronecker system -------------------
+
+SES_SCALARS = {"Z": [(2, 3), (3, 2), (2, 2), (4, 3), (1, 5)],
+               "Z/8": [(2, 4), (4, 2), (2, 2), (1, 2)],
+               "Z/12": [(4, 3), (3, 4), (2, 6), (2, 3), (2, 2)],
+               "Z/360": [(8, 45), (9, 40), (5, 72), (4, 6), (6, 10)],
+               "Zloc/3": [(3, 3), (9, 1), (3, 2), (1, 9)],
+               "F5": [(1, 1)]}
+
+
+def _rebased(rng, cx):
+    """cx with the generators of each term changed by a random unimodular U_j:
+    relations U_j A_j and boundaries U_{j-1} d_j U_j^-1."""
+    ring = cx.ring
+    u = {j: random_unimodular(rng, ring, cx.term(j).gens, entry_bound=3) for j in cx.degrees()}
+    terms = {j: FpModule(ring, cx.term(j).gens, u[j][0] @ cx.term(j).relations)
+             for j in cx.degrees()}
+    return BoundedComplex(ring, cx.lo, cx.hi, terms,
+                          {j: u[j - 1][0] @ cx.boundary(j).matrix @ u[j][1]
+                           for j in range(cx.lo + 1, cx.hi + 1)})
+
+
+def _correction_cases(literal, seed, count):
+    """Non-free complexes, rebased so that first lifts are often not maps of
+    modules: those of _non_free_complexes, and sums of short exact
+    sequences R/(a) -b-> R/(ab) -1-> R/(b) with an optional R -1-> R."""
+    rng = random.Random(f"kronecker:{literal}:{seed}")
+    ring = parse_ring(literal)
+    for cx in _non_free_complexes(literal, seed, count):
+        yield _rebased(rng, cx)
+    for _ in range(6 * count):
+        blocks = [rng.choice(SES_SCALARS[literal]) for _ in range(rng.randrange(1, 4))]
+        k, iso = len(blocks), rng.randrange(2)
+        rel = {2: [a for a, _ in blocks], 1: [a * b for a, b in blocks] + [0] * iso,
+               0: [b for _, b in blocks] + [0] * iso}
+        terms = {j: FpModule(ring, len(r), Matrix.diagonal(ring, r)) for j, r in rel.items()}
+        bds = {2: Matrix.diagonal(ring, [b for _, b in blocks], k + iso, k),
+               1: Matrix.identity(ring, k + iso)}
+        yield _rebased(rng, BoundedComplex(ring, 0, 2, terms, bds))
+
+
+@pytest.mark.parametrize("literal", sorted(SES_SCALARS))
+def test_null_homotopy_agrees_with_the_kronecker_correction(monkeypatch, literal):
+    corrections = []
+    original = fiberflat.complexes._pullback
+
+    def counted(wall, k):
+        corrections.append(k)
+        return original(wall, k)
+
+    monkeypatch.setattr(fiberflat.complexes, "_pullback", counted)
+    found = set()
+    for cx in _correction_cases(literal, 71, 3):
+        assert not cx.is_free()
+        cert = null_homotopy(cx)
+        ref = kronecker_null_homotopy(cx)
+        assert (cert is None) == (ref is None), cx
+        found.add(cert is not None)
+        if cert is not None:
+            assert cert.verify() and ref.verify()
+            for i in cx.degrees():
+                ModuleMap(cx.term(i), cx.term(i + 1), cert.h(i))
+    assert found == {True, False}
+    # only the correction reads the pullback; F5 has no non-unit divisor to correct
+    assert literal == "F5" or len(corrections) >= 10

@@ -27,7 +27,7 @@ from fiberflat.criteria import (
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex
 from fiberflat.linalg import Matrix
-from fiberflat import linalg, modules
+from fiberflat import linalg, modules, rings
 from fiberflat.modules import FpModule, ModuleMap, purity_report
 from fiberflat.rings import (
     GENERIC, Prime, ZZ, QQ, integers_mod, is_prime, localized_at, prime_field,
@@ -138,7 +138,7 @@ def test_main_theorem_monotone_in_tensor_family():
              for _ in range(6)]
     for spec in specs:
         assert check_main_theorem(spec.complex).hypothesis_holds
-        for m in standard_module_family(ZZ):
+        for m in standard_module_family(ZZ, [GENERIC]):
             mc = tensor_with_module(m, spec.complex)
             assert all(mc.homology(i).is_zero()
                        for i in mc.degrees() if i > 0)
@@ -212,7 +212,7 @@ def test_routes_agree_over_every_ring(ring):
             assert rep.conclusion_acyclic == all(
                 pullback_homology(cx, i).is_zero() for i in cx.degrees() if i > 0)
             assert rep.h0.is_isomorphic_to(pullback_homology(cx, 0))
-            family = standard_module_family(ring, tuple(q.p for q in rep.checked_primes if q.p))
+            family = standard_module_family(ring, rep.checked_primes)
             assert rep.tensor_family_acyclic == all(
                 pullback_homology(tensor_with_module(m, cx), i).is_zero()
                 for m in family for i in cx.degrees() if i > 0)
@@ -282,6 +282,53 @@ def test_no_wall_of_a_non_free_complex_is_decomposed_twice(monkeypatch, ring):
     assert walls >= 20
 
 
+@pytest.mark.parametrize("ring", [ZZ, Z12, localized_at(3)], ids=str)
+def test_universal_exactness_reads_flat_images_off_the_walls(monkeypatch, ring):
+    """Route 1 of is_universally_exact presents im d_i = C_i / im d_{i+1} by
+    the wall W_{i+1} once C is exact, so it builds no pullback.  H_i is
+    memoized, so after C.is_exact() nothing else in the criterion would."""
+    rng = random.Random(f"flat-images:{ring}")
+    twist = FpModule.cyclic(ring, 3) if ring == Z12 else FpModule(ring, 2, Matrix(ring, [[1], [2]]))
+    cases = []
+    for _ in range(6):
+        cx = random_complex(rng, ring, max_len=4, max_rank=3, entry_bound=7,
+                            population="contractible").complex
+        cases += [cx, tensor_with_module(twist, cx)]
+    pullbacks = []
+    original = modules._pullback
+
+    def counted(wall, k):
+        pullbacks.append(k)
+        return original(wall, k)
+
+    for cx in cases:
+        assert cx.is_exact()
+        for namespace in ("fiberflat.modules", "fiberflat.complexes"):
+            monkeypatch.setattr(f"{namespace}._pullback", counted)
+        assert is_universally_exact(cx).direct
+        monkeypatch.undo()
+    assert pullbacks == []
+    assert any(not cx.is_free() for cx in cases)
+
+
+def test_check_main_theorem_factors_the_modulus_once(monkeypatch):
+    """Over Z/n the family's members R/p come from the checked prime set,
+    so n is factored once, for the spectrum."""
+    z360 = integers_mod(360)
+    cx = random_complex(random.Random(360), z360, max_len=4, max_rank=3,
+                        entry_bound=9).complex
+    calls = []
+    original = rings.factor_trial
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(rings, "factor_trial", counted)
+    assert check_main_theorem(cx).consistent
+    assert calls == [360]
+
+
 @pytest.mark.parametrize("ring", [ZZ, integers_mod(360), localized_at(3)], ids=str)
 def test_free_tensor_family_builds_no_complex_and_no_quotient_snf(monkeypatch, ring):
     """On a free complex every family member is read off C's own divisors:
@@ -319,9 +366,8 @@ def test_free_tensor_family_builds_no_complex_and_no_quotient_snf(monkeypatch, r
 def _tensor_family_oracle(cx, skip):
     """Whether M tensor C is exact away from skip for every M in the family,
     through tensor_with_module and the pullback oracle."""
-    extra = tuple(q.p for q in complex_prime_set(cx) if q.p)
     return all(pullback_homology(tensor_with_module(m, cx), i).is_zero()
-               for m in standard_module_family(cx.ring, extra)
+               for m in standard_module_family(cx.ring, complex_prime_set(cx))
                for i in cx.degrees() if i != skip)
 
 
@@ -343,8 +389,7 @@ def test_non_free_complexes_take_the_wall_rule(monkeypatch):
              tensor_with_module(FpModule.cyclic(Z12, 3), exact_three_term(Z12))]
     for cx in cases:
         assert not cx.is_free()
-        extra = tuple(q.p for q in complex_prime_set(cx) if q.p)
-        torsion = {int(d) for m in standard_module_family(cx.ring, extra)
+        torsion = {int(d) for m in standard_module_family(cx.ring, complex_prime_set(cx))
                    for d in m.invariant_factors().torsion}
         seen.clear()
         assert check_main_theorem(cx).tensor_family_acyclic == _tensor_family_oracle(cx, 0)
@@ -581,16 +626,16 @@ def test_projective_corollary_on_non_free_projective_terms(ring, divisors):
 # -- standard test families ----------------------------------------------------
 
 def test_standard_module_family_shapes():
-    fam = standard_module_family(ZZ)
+    fam = standard_module_family(ZZ, [GENERIC])
     assert len(fam) == 3
     torsion = [m.invariant_factors().torsion for m in fam[:2]]
     assert torsion == [(2,), (3,)]
     assert fam[-1].invariant_factors().free_rank == 2
     # bad primes outside {2, 3} get their residue field appended
-    fam5 = standard_module_family(ZZ, extra_primes=(5,))
+    fam5 = standard_module_family(ZZ, [GENERIC, Prime.at(5)])
     assert any(m.invariant_factors().torsion == (5,) for m in fam5)
 
-    zl = standard_module_family(localized_at(3))
+    zl = standard_module_family(localized_at(3), localized_at(3).spectrum())
     assert [m.invariant_factors().torsion for m in zl] == [(3,), ()]
-    assert len(standard_module_family(Z12)) == 3
-    assert len(standard_module_family(QQ)) == 1
+    assert len(standard_module_family(Z12, list(Z12.spectrum()))) == 3
+    assert len(standard_module_family(QQ, [GENERIC])) == 1

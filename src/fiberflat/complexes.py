@@ -24,7 +24,9 @@ from math import gcd, prod
 from typing import Mapping, Sequence
 
 from .errors import ContradictionError, InputError
-from .linalg import Matrix, field_rank, hstack, kron, reduce_matrix, snf, solve_integral
+from .linalg import (
+    Matrix, _block_matrix, field_rank, hstack, kron, reduce_matrix, snf, solve_integral,
+)
 from .modules import FpModule, ModuleMap, _pullback
 from .rings import BaseRing, Prime
 
@@ -47,8 +49,10 @@ class BoundedComplex:
     degree i in (lo, hi] to the matrix of the map term(i) -> term(i-1),
     which the complex builds (and validates) as a ModuleMap between its own
     terms.  Outside the range term() returns the zero module and boundary()
-    the zero map, so callers can index freely.  Complexes are immutable, so
-    each boundary's wall and each H_i are built once.
+    the zero map, so callers can index freely.  Equal terms are kept as one
+    module, so they share one relations matrix and its cached SNF.
+    Complexes are immutable, so each boundary's wall and each H_i are built
+    once.
     """
 
     __slots__ = ("ring", "lo", "hi", "_terms", "_boundaries", "_homology")
@@ -72,8 +76,9 @@ class BoundedComplex:
         self.ring = ring
         self.lo = lo
         self.hi = hi
-        self._terms = {i: terms[i] for i in range(lo, hi + 1)}
-        self._boundaries = {i: ModuleMap(terms[i], terms[i - 1], boundaries[i])
+        shared: dict[FpModule, FpModule] = {}
+        self._terms = {i: shared.setdefault(terms[i], terms[i]) for i in range(lo, hi + 1)}
+        self._boundaries = {i: ModuleMap(self._terms[i], self._terms[i - 1], boundaries[i])
                             for i in range(lo + 1, hi + 1)}
         self._homology: dict[int, FpModule] = {}
         for i in range(lo + 2, hi + 1):
@@ -324,28 +329,6 @@ def truncate_geq(cx: BoundedComplex, k: int) -> BoundedComplex:
     return BoundedComplex(cx.ring, k, cx.hi, terms, bmaps)
 
 
-def _block_matrix(ring: BaseRing, row_dims: Sequence[int], col_dims: Sequence[int],
-                  blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
-    rows = sum(row_dims)
-    cols = sum(col_dims)
-    body = [[ring.zero] * cols for _ in range(rows)]
-    row_off = [0]
-    for d in row_dims:
-        row_off.append(row_off[-1] + d)
-    col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
-    for (bi, bj), mat in blocks.items():
-        if mat.rows != row_dims[bi] or mat.cols != col_dims[bj]:
-            raise InputError("block shape mismatch")
-        r0, c0 = row_off[bi], col_off[bj]
-        for i in range(mat.rows):
-            row = body[r0 + i]
-            for j in range(mat.cols):
-                row[c0 + j] = mat[i, j]
-    return Matrix._make(ring, body, cols)
-
-
 def cone(f: ChainMap) -> BoundedComplex:
     """Mapping cone: cone(f)_i = C_{i-1} (+) D_i, d(c, x) = (-dc, dx - fc).
 
@@ -358,16 +341,11 @@ def cone(f: ChainMap) -> BoundedComplex:
     lo = min(cx.lo + 1, dx.lo)
     hi = max(cx.hi + 1, dx.hi)
     terms = {i: cx.term(i - 1).direct_sum(dx.term(i)) for i in range(lo, hi + 1)}
-    bmaps = {}
-    for i in range(lo + 1, hi + 1):
-        gc, gd = cx.term(i - 1).gens, dx.term(i).gens
-        row_dims = [cx.term(i - 2).gens, dx.term(i - 1).gens]
-        blocks: dict[tuple[int, int], Matrix] = {}
-        dc = cx.boundary(i - 1).matrix
-        blocks[(0, 0)] = -dc
-        blocks[(1, 0)] = -f.at(i - 1).matrix
-        blocks[(1, 1)] = dx.boundary(i).matrix
-        bmaps[i] = _block_matrix(ring, row_dims, [gc, gd], blocks)
+    bmaps = {i: _block_matrix(ring, [cx.term(i - 2).gens, dx.term(i - 1).gens],
+                              [cx.term(i - 1).gens, dx.term(i).gens],
+                              {(0, 0): -cx.boundary(i - 1).matrix, (1, 0): -f.at(i - 1).matrix,
+                               (1, 1): dx.boundary(i).matrix})
+             for i in range(lo + 1, hi + 1)}
     return BoundedComplex(ring, lo, hi, terms, bmaps)
 
 
@@ -387,19 +365,10 @@ def total_tensor(g: BoundedComplex, c: BoundedComplex) -> BoundedComplex:
         raise InputError("tensor needs a common ring")
     ring = g.ring
     lo, hi = g.lo + c.lo, g.hi + c.hi
-
-    def parts(n: int) -> list[int]:
-        return [p for p in range(max(g.lo, n - c.hi), min(g.hi, n - c.lo) + 1)]
-
-    terms: dict[int, FpModule] = {}
-    layout: dict[int, list[int]] = {}
-    for n in range(lo, hi + 1):
-        ps = parts(n)
-        layout[n] = ps
-        acc = FpModule.zero(ring)
-        for p in ps:
-            acc = acc.direct_sum(g.term(p).tensor(c.term(n - p)))
-        terms[n] = acc
+    layout = {n: list(range(max(g.lo, n - c.hi), min(g.hi, n - c.lo) + 1))
+              for n in range(lo, hi + 1)}
+    terms = {n: FpModule.direct_sum(*(g.term(p).tensor(c.term(n - p)) for p in ps))
+             for n, ps in layout.items()}
     bmaps = {}
     for n in range(lo + 1, hi + 1):
         src_ps, tgt_ps = layout[n], layout[n - 1]

@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContradictionError, InputError
 from .rings import BaseRing, Prime, Scalar
@@ -39,7 +40,7 @@ from .rings import BaseRing, Prime, Scalar
 __all__ = [
     "Matrix", "SnfDecomposition", "snf", "rank", "rank_over_fiber",
     "solve_integral", "syzygy_matrix", "reduce_matrix", "field_rank", "det",
-    "hstack", "vstack", "kron",
+    "hstack", "kron",
 ]
 
 
@@ -221,14 +222,20 @@ def hstack(blocks: Sequence[Matrix]) -> Matrix:
     return Matrix._make(ring, body, sum(b.cols for b in blocks))
 
 
-def vstack(blocks: Sequence[Matrix]) -> Matrix:
-    blocks = [b for b in blocks]
-    if not blocks:
-        raise InputError("vstack of nothing")
-    ring, n = blocks[0].ring, blocks[0].cols
-    if any(b.ring != ring or b.cols != n for b in blocks):
-        raise InputError("vstack blocks must share ring and width")
-    return Matrix._make(ring, [r for b in blocks for r in b._data], n)
+def _block_matrix(ring: BaseRing, row_dims: Sequence[int], col_dims: Sequence[int],
+                  blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
+    """The one block assembler: blocks[(bi, bj)] in block row bi and block
+    column bj, of heights row_dims and widths col_dims, zero elsewhere;
+    each row of a block is copied in by slice."""
+    row_off, col_off = [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
+    body = [[ring.zero] * col_off[-1] for _ in range(row_off[-1])]
+    for (bi, bj), mat in blocks.items():
+        if mat.ring != ring or (mat.rows, mat.cols) != (row_dims[bi], col_dims[bj]):
+            raise InputError("block ring or shape mismatch")
+        c0, c1 = col_off[bj], col_off[bj + 1]
+        for row, src in zip(body[row_off[bi]:], mat._data):
+            row[c0:c1] = src
+    return Matrix._make(ring, body, col_off[-1])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContradictionError, InputError
 from .linalg import (
-    Matrix, hstack, kron, rank_over_fiber, snf, solve_integral, syzygy_matrix, _reduce_into,
-    _snf_full,
+    Matrix, hstack, kron, rank_over_fiber, snf, solve_integral, syzygy_matrix, _block_matrix,
+    _reduce_into, _snf_full,
 )
 from .rings import BaseRing, GENERIC, Prime, Scalar, factor_trial, integers_mod
 
@@ -151,15 +151,19 @@ class FpModule:
 
     # -- constructions ---------------------------------------------------------
 
-    def direct_sum(self, other: "FpModule") -> "FpModule":
-        if self.ring != other.ring:
-            raise InputError("direct sum needs a common ring")
-        a, b = self.relations, other.relations
-        top = hstack([a, Matrix.zeros(self.ring, a.rows, b.cols)])
-        bot = hstack([Matrix.zeros(self.ring, b.rows, a.cols), b])
-        body = top.to_rows() + bot.to_rows()
-        return FpModule(self.ring, self.gens + other.gens,
-                        Matrix(self.ring, body, cols=a.cols + b.cols))
+    def direct_sum(self, *others: "FpModule") -> "FpModule":
+        """self (+) others, its relations block-diagonal in summand order;
+        a summand over another ring is an InputError.
+
+        >>> from fiberflat.rings import ZZ
+        >>> FpModule.cyclic(ZZ, 2).direct_sum(FpModule.free(ZZ, 1), FpModule.cyclic(ZZ, 3))
+        FpModule(Z, free=1, torsion=[6])
+        """
+        summands = (self, *others)
+        gens = [m.gens for m in summands]
+        rels = _block_matrix(self.ring, gens, [m.relations.cols for m in summands],
+                             {(k, k): m.relations for k, m in enumerate(summands)})
+        return FpModule(self.ring, sum(gens), rels)
 
     def tensor(self, other: "FpModule") -> "FpModule":
         """M tensor N presented on pairs (i, j) -> i * other.gens + j.

@@ -21,7 +21,7 @@ from fiberflat.cli import (
     MAX_DEPTH, MAX_KOSZUL_ELEMENTS, MAX_PRIME_BOUND, MAX_RANK, MAX_STAGE,
     load_document, main, render_document,
 )
-from fiberflat.complexes import BoundedComplex, tensor_with_module
+from fiberflat.complexes import BoundedComplex, HomotopyCertificate, tensor_with_module
 from fiberflat.errors import InputError
 from fiberflat.generate import random_unimodular
 from fiberflat.linalg import Matrix
@@ -429,6 +429,16 @@ def test_koszul_command(capsys):
     assert run(capsys, "koszul", "--elements", "1/2")[0] == 2
 
 
+@pytest.mark.parametrize("ring, elements", [("Z", "-2,3"), ("Q", "-1/2,4"), ("Z/12", "-6"),
+                                            ("Z", "2,-3")])
+def test_koszul_reads_a_negative_first_element_after_a_space(capsys, ring, elements):
+    """argparse alone reads -2,3, which is no plain negative number, as an
+    option string and exits 2; both spellings must give the same report."""
+    spaced = run(capsys, "--format", "json", "koszul", "--ring", ring, "--elements", elements)
+    joined = run(capsys, "--format", "json", "koszul", "--ring", ring, f"--elements={elements}")
+    assert spaced == joined and spaced[0] == 0
+
+
 def test_nullhomotopy_command(capsys):
     payload = run_json(capsys, "nullhomotopy", IDENTITY_CX)
     assert payload["contractible"] is True and payload["verified"] is True
@@ -439,6 +449,20 @@ def test_nullhomotopy_command(capsys):
     assert payload["contractible"] is False
     code, out, _ = run(capsys, "nullhomotopy", TIMES_TWO_CX)
     assert code == 0 and "NONE" in out
+
+
+def test_nullhomotopy_verifies_its_certificate_once(capsys, monkeypatch):
+    calls = []
+    original = HomotopyCertificate.verify
+
+    def counted(cert):
+        calls.append(cert)
+        return original(cert)
+
+    monkeypatch.setattr(HomotopyCertificate, "verify", counted)
+    payload = run_json(capsys, "nullhomotopy", _split_sequence_doc(2))
+    assert payload["contractible"] is True and payload["verified"] is True
+    assert len(calls) == 1
 
 
 def _split_sequence_doc(k):
@@ -650,8 +674,8 @@ def test_failed_reverification_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "snf", json.dumps(DOCS["matrix"]))
     assert code == 3 and "fatal" in err and out == ""
 
-    cert = SimpleNamespace(verify=lambda: False)
-    monkeypatch.setattr("fiberflat.cli.null_homotopy", lambda cx: cert)
+    # null_homotopy verifies its certificate, the one check before printing
+    monkeypatch.setattr(HomotopyCertificate, "verify", lambda self: False)
     assert run(capsys, "nullhomotopy", IDENTITY_CX)[0] == 3
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from fiberflat.cli import load_document
 from fiberflat.complexes import (
     BoundedComplex,
     koszul_complex,
@@ -34,6 +35,7 @@ from fiberflat.rings import (
 )
 
 from _oracles import pullback_homology
+from test_cli import _contractible_twisted_z_doc
 
 Z12 = integers_mod(12)
 
@@ -280,6 +282,54 @@ def test_no_wall_of_a_non_free_complex_is_decomposed_twice(monkeypatch, ring):
                 walls += 1
                 assert computed.count(_snf_key(cx._wall(j))) <= 1, (k, j)
     assert walls >= 20
+
+
+def _equal_term_builders():
+    """Builders of non-free complexes with two equal terms built separately:
+    tensor_with_module of seeded complexes with equal ranks in two degrees,
+    over Z, Z/12 and Z_(3), and a document parsed by load_document."""
+    builders = []
+    for ring in (ZZ, Z12, localized_at(3)):
+        rng = random.Random(f"equal-terms:{ring}")
+        twist = FpModule.cyclic(ring, 3) if ring == Z12 else FpModule(ring, 2, Matrix(ring, [[1], [2]]))
+        made = 0
+        while made < 6:
+            pop = ("contractible", "hypothesis-true", "hypothesis-false")[made % 3]
+            cx = random_complex(rng, ring, max_len=4, max_rank=3, entry_bound=7,
+                                population=pop).complex
+            ranks = [cx.term(i).gens for i in cx.degrees()]
+            if len(set(ranks)) < len(ranks):
+                builders.append(lambda twist=twist, cx=cx: tensor_with_module(twist, cx))
+                made += 1
+    doc = _contractible_twisted_z_doc(8)
+    return builders + [lambda: load_document(doc, "complex")[1]]
+
+
+def test_no_matrix_of_a_complex_with_equal_terms_is_decomposed_twice(monkeypatch):
+    """BoundedComplex keeps one module per distinct term, so equal terms
+    share one relations matrix and its cached SNF: from the complex's
+    construction on, through both criteria and null_homotopy, no matrix
+    runs through the SNF kernel twice, whether its terms came from
+    tensor_with_module or from a document."""
+    computed = []
+    original = linalg._snf_full
+
+    def counted(a):
+        if a._snf is None:
+            computed.append(_snf_key(a))
+        return original(a)
+
+    for namespace in (linalg, modules):
+        monkeypatch.setattr(namespace, "_snf_full", counted)
+    for k, build in enumerate(_equal_term_builders()):
+        computed.clear()
+        cx = build()
+        check_main_theorem(cx)
+        is_universally_exact(cx)
+        null_homotopy(cx)
+        rels = [_snf_key(cx.term(i).relations) for i in cx.degrees()]
+        assert len(set(rels)) < len(rels) and not cx.is_free(), k
+        assert len(computed) == len(set(computed)), k
 
 
 @pytest.mark.parametrize("ring", [ZZ, Z12, localized_at(3)], ids=str)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from fiberflat.errors import ContradictionError, InputError
 from fiberflat.linalg import (
-    Matrix, _snf_full, det, field_rank, hstack, rank,
-    rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix, vstack,
+    Matrix, _block_matrix, _snf_full, det, field_rank, hstack, rank,
+    rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix,
 )
 from fiberflat import linalg, modules
 from fiberflat.modules import FpModule, ModuleMap, matrix_bad_primes
@@ -489,6 +489,17 @@ def test_hstack_returns_a_lone_wide_block_itself():
     assert hstack([a, a]) == Matrix(ZZ, [[1, 2, 1, 2], [3, 4, 3, 4]])
 
 
+def test_block_matrix_places_blocks_and_checks_their_shape():
+    a, b = Matrix(ZZ, [[1, 2], [3, 4]]), Matrix(ZZ, [[5], [6]])
+    m = _block_matrix(ZZ, [2, 2], [2, 1], {(0, 0): a, (1, 1): b, (1, 0): -a})
+    assert m == Matrix(ZZ, [[1, 2, 0], [3, 4, 0], [-1, -2, 5], [-3, -4, 6]])
+    assert _block_matrix(ZZ, [0, 2], [0, 1], {(1, 1): b}) == b
+    assert _block_matrix(ZZ, [], [], {}) == Matrix.zeros(ZZ, 0, 0)
+    for blocks in ({(0, 0): b}, {(0, 1): a}, {(0, 0): Matrix(integers_mod(4), [[1, 2], [3, 0]])}):
+        with pytest.raises(InputError):
+            _block_matrix(ZZ, [2, 2], [2, 1], blocks)
+
+
 def test_empty_matrix_edge_cases():
     a = Matrix.zeros(ZZ, 0, 3)
     b = Matrix.zeros(ZZ, 3, 0)
@@ -501,7 +512,6 @@ def test_empty_matrix_edge_cases():
     x = solve_integral(b, Matrix.zeros(ZZ, 3, 1))
     assert x is not None and x.rows == 0
     assert hstack([a, a]).cols == 6
-    assert vstack([b, b]).rows == 6
 
 
 def test_matrix_validation():

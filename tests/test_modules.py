@@ -89,6 +89,31 @@ def test_tensor_with_free_and_zero():
     assert FpModule.cyclic(ZZ, 0).tensor(m).is_isomorphic_to(m)
 
 
+@pytest.mark.parametrize("ring", [ZZ, Z12, localized_at(3), QQ], ids=str)
+def test_direct_sum_of_many_is_the_pairwise_chain(ring):
+    """One block-diagonal call over any number of summands equals the
+    pairwise chain by content, and both equal relations placed entry by
+    entry."""
+    rng = random.Random(f"direct-sum:{ring}")
+    for _ in range(20):
+        parts = [random_fp_module(rng, ring, max_gens=3, max_rels=3) for _ in range(3)]
+        a, b, c = parts
+        three = a.direct_sum(b, c)
+        assert three == a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c))
+        gens, cols = sum(m.gens for m in parts), sum(m.relations.cols for m in parts)
+        body = [[0] * cols for _ in range(gens)]
+        r0 = c0 = 0
+        for m in parts:
+            for i in range(m.gens):
+                for j in range(m.relations.cols):
+                    body[r0 + i][c0 + j] = m.relations[i, j]
+            r0, c0 = r0 + m.gens, c0 + m.relations.cols
+        assert three == FpModule(ring, gens, Matrix(ring, body, cols=cols))
+        assert a.direct_sum() == a
+    with pytest.raises(InputError):
+        FpModule.cyclic(ring, 2).direct_sum(FpModule.free(ring, 1), FpModule.cyclic(Z4, 2))
+
+
 def test_fiber_dimensions():
     m = FpModule.cyclic(ZZ, 4)
     assert m.fiber_dim(Prime.at(2)) == 1

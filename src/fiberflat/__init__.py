@@ -12,8 +12,8 @@ from .rings import (
     integers_mod, localized_at, parse_prime, parse_ring, prime_field,
 )
 from .linalg import (
-    Matrix, SnfDecomposition, det, field_rank, rank,
-    rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix,
+    Matrix, SnfDecomposition, det, field_rank, rank_over_fiber, reduce_matrix,
+    snf, solve_integral, syzygy_matrix,
 )
 from .modules import (
     FpModule, InvariantFactors, ModuleMap, PrimeFiltration, PurityReport,

@@ -14,11 +14,14 @@ where the payload is exactly one of
              d to d-1;
   "matrix":  {"entries": rows, "cols": optional column count}.
 
-Scalars are JSON integers or "a/b" strings.  Ring literals: Z, Q, Z/<n>,
-Zloc/<p>, F<p>.
+Scalars are JSON integers or strings "a" or "a/b" (a an optionally signed
+decimal integer, b a positive one).  Ring literals: Z, Q, Z/<n>, Zloc/<p>,
+F<p>.
 
 Every size the CLI accepts is capped (see the MAX_* constants below); a
-value above its cap is malformed input.
+value above its cap is malformed input.  An integer in the input may have
+at most the interpreter's int/str digit limit (4300 digits by default);
+results are printed whatever their size.
 
 Machine output (--format json) is canonical: sorted keys, no spaces, so
 identical inputs yield byte-identical reports.  Primes are listed with
@@ -35,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
@@ -61,6 +65,26 @@ MAX_DEPTH = 64               # tor / ext --depth
 MAX_KOSZUL_ELEMENTS = 8      # koszul --elements
 MAX_PRIME_BOUND = 1000       # gallery --max-prime
 MAX_STAGE = 256              # gallery --max-stage
+
+
+# Integers in the input are read under the interpreter's int/str digit
+# limit (4300 digits by default; before Python 3.10.7 there is none, read
+# as 0).  main lifts it for the rest of a run, so results of any size print.
+INPUT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextmanager
+def _int_digits(limit: int):
+    """int <-> str conversions limited to limit digits (0: none) in the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # -- document handling -------------------------------------------------------
@@ -200,14 +224,15 @@ _PAYLOAD_PARSERS = {
 
 
 def load_document(source: str, expect: str) -> tuple[BaseRing, Any]:
-    obj = _load_json(source)
-    ring = _doc_ring(obj)
-    present = [k for k in _PAYLOAD_PARSERS if k in obj]
-    if len(present) != 1:
-        raise InputError(f"document must carry exactly one payload, found {present}")
-    if present[0] != expect:
-        raise InputError(f"this command needs a '{expect}' document, got '{present[0]}'")
-    return ring, _PAYLOAD_PARSERS[expect](ring, obj[expect])
+    with _int_digits(INPUT_DIGITS):
+        obj = _load_json(source)
+        ring = _doc_ring(obj)
+        present = [k for k in _PAYLOAD_PARSERS if k in obj]
+        if len(present) != 1:
+            raise InputError(f"document must carry exactly one payload, found {present}")
+        if present[0] != expect:
+            raise InputError(f"this command needs a '{expect}' document, got '{present[0]}'")
+        return ring, _PAYLOAD_PARSERS[expect](ring, obj[expect])
 
 
 def render_module_payload(m: FpModule) -> dict[str, Any]:
@@ -313,14 +338,16 @@ def _cmd_homology(args) -> tuple[str, int]:
 
 
 def _primes_for(args, ring: BaseRing) -> list[Prime]:
+    """The distinct points named by --primes, each checked to lie in Spec R."""
     if not args.primes:
         return []
     out = []
-    for tok in args.primes.split(","):
-        q = parse_prime(tok.strip())
-        ring.residue_field(q)
-        out.append(q)
-    return out
+    with _int_digits(INPUT_DIGITS):
+        for tok in args.primes.split(","):
+            q = parse_prime(tok.strip())
+            ring.residue_field(q)
+            out.append(q)
+    return list(dict.fromkeys(out))
 
 
 def _cmd_fibers(args) -> tuple[str, int]:
@@ -451,10 +478,11 @@ def _cmd_tor_ext(args) -> tuple[str, int]:
 
 
 def _cmd_koszul(args) -> tuple[str, int]:
-    ring = parse_ring(args.ring)
-    tokens = [tok.strip() for tok in args.elements.split(",") if tok.strip()]
-    _capped(len(tokens), "number of --elements", MAX_KOSZUL_ELEMENTS)
-    elements = [parse_scalar(ring, tok) for tok in tokens]
+    with _int_digits(INPUT_DIGITS):
+        ring = parse_ring(args.ring)
+        tokens = [tok.strip() for tok in args.elements.split(",") if tok.strip()]
+        _capped(len(tokens), "number of --elements", MAX_KOSZUL_ELEMENTS)
+        elements = [parse_scalar(ring, tok) for tok in tokens]
     if not elements:
         raise InputError("need at least one element")
     kx = koszul_complex(ring, elements)
@@ -608,7 +636,8 @@ def main(argv: list[str] | None = None) -> int:
         argv[k:k + 2] = [f"--elements={argv[k + 1]}"]
     args = build_parser().parse_args(argv)
     try:
-        out, code = args.run(args)
+        with _int_digits(0):
+            out, code = args.run(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

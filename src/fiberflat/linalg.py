@@ -5,12 +5,13 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 
 * ``snf(A)`` returns A's cached U, D, V with A = U @ D @ V, det(U) and
   det(V) units, and the diagonal of D a divisibility chain with trailing zeros.
-* SNF, det and matrix products run on integral
-  lifts (_integral_lift): canonical representatives over Z/n and F_p, the
-  matrix times the lcm of its denominators (a unit) over Z_(p) and Q.
-  field_rank alone eliminates over the field itself (fraction-free, row by
-  row over Q): it is the independent Gaussian route that tests check the
-  SNF against.
+* SNF, det, field_rank and matrix products run on integral lifts
+  (_integral_lift): canonical representatives over Z/n and F_p, the matrix
+  times the lcm of its denominators (a unit) over Z_(p) and Q.
+* det and field_rank share one row elimination, _bareiss: fraction-free
+  over Z for det and for field_rank over Q, modulo p for field_rank over
+  F_p.  It never calls the SNF kernel: it is the independent Gaussian route
+  that tests check the SNF against.
 * One integer kernel serves every ring's SNF; over Z/n and F_p it
   eliminates modulo n.  Its pivot is the nonzero
   entry of least absolute value in the working submatrix, ties broken by
@@ -38,7 +39,7 @@ from .errors import ContradictionError, InputError
 from .rings import BaseRing, Prime, Scalar
 
 __all__ = [
-    "Matrix", "SnfDecomposition", "snf", "rank", "rank_over_fiber",
+    "Matrix", "SnfDecomposition", "snf", "rank_over_fiber",
     "solve_integral", "syzygy_matrix", "reduce_matrix", "field_rank", "det",
     "hstack", "kron",
 ]
@@ -156,8 +157,8 @@ class Matrix:
     def _reduced(self, body: list[list[Scalar]], cols: int) -> "Matrix":
         """A matrix over this ring from integer-combination entries: the one
         place where results are reduced modulo n over Z/n and F_p."""
-        if self.ring.kind in ("Zmod", "Fp"):
-            mod = self.ring.param
+        mod = _modulus(self.ring)
+        if mod:
             body = [[x % mod for x in r] for r in body]
         return Matrix._make(self.ring, body, cols)
 
@@ -206,32 +207,38 @@ class Matrix:
             raise InputError("shape mismatch")
 
 
+def _modulus(ring: BaseRing) -> int:
+    """n over Z/n and F_p, where entries are reduced modulo n; 0 otherwise."""
+    return ring.param if ring.kind in ("Zmod", "Fp") else 0
+
+
 def hstack(blocks: Sequence[Matrix]) -> Matrix:
-    """Blocks side by side.  A lone block of nonzero width is returned as
-    is (matrices are immutable), so its cached SNF is reused."""
-    blocks = [b for b in blocks]
+    """Blocks side by side: one block row of _block_matrix, so a lone
+    block of nonzero width is returned as is."""
     if not blocks:
         raise InputError("hstack of nothing")
-    ring, m = blocks[0].ring, blocks[0].rows
-    if any(b.ring != ring or b.rows != m for b in blocks):
-        raise InputError("hstack blocks must share ring and height")
-    wide = [b for b in blocks if b.cols]
-    if len(wide) == 1:
-        return wide[0]
-    body = [[x for b in blocks for x in b._data[i]] for i in range(m)]
-    return Matrix._make(ring, body, sum(b.cols for b in blocks))
+    return _block_matrix(blocks[0].ring, [blocks[0].rows], [b.cols for b in blocks],
+                         {(0, j): b for j, b in enumerate(blocks)})
 
 
 def _block_matrix(ring: BaseRing, row_dims: Sequence[int], col_dims: Sequence[int],
                   blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
     """The one block assembler: blocks[(bi, bj)] in block row bi and block
     column bj, of heights row_dims and widths col_dims, zero elsewhere;
-    each row of a block is copied in by slice."""
+    each row of a block is copied in by slice.  A block that fills the
+    whole matrix is returned as is (matrices are immutable), so its cached
+    SNF is reused."""
     row_off, col_off = [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
-    body = [[ring.zero] * col_off[-1] for _ in range(row_off[-1])]
+    shape, whole = (row_off[-1], col_off[-1]), None
     for (bi, bj), mat in blocks.items():
         if mat.ring != ring or (mat.rows, mat.cols) != (row_dims[bi], col_dims[bj]):
             raise InputError("block ring or shape mismatch")
+        if (mat.rows, mat.cols) == shape:
+            whole = mat
+    if whole is not None:
+        return whole
+    body = [[ring.zero] * col_off[-1] for _ in range(row_off[-1])]
+    for (bi, bj), mat in blocks.items():
         c0, c1 = col_off[bj], col_off[bj + 1]
         for row, src in zip(body[row_off[bi]:], mat._data):
             row[c0:c1] = src
@@ -291,7 +298,7 @@ class SnfDecomposition:
                         self.cols)
         if ud @ self.V != a:
             return False
-        if ring.kind in ("Zmod", "Fp"):
+        if _modulus(ring):
             if not (self.U @ self.Ui == Matrix.identity(ring, self.rows)
                     and self.V @ self.Vi == Matrix.identity(ring, self.cols)):
                 return False
@@ -301,22 +308,15 @@ class SnfDecomposition:
 
     def _lower(self, n: int, moves: list, inverse: bool,
                units: Iterable[tuple[int, Scalar]]) -> Matrix:
-        """The moves replayed on the identity of size n, modulo the ring's
-        modulus over Z/n and F_p, as a matrix over the ring, row i times u
+        """The moves replayed on the identity of size n (modulo the ring's
+        modulus over Z/n and F_p) as a matrix over the ring, row i times u
         for each (i, u)."""
         ring = self.ring
-        if ring.kind in ("Zmod", "Fp"):
-            p = ring.param
-            body = _replay(n, moves, inverse, p)
-            for i, u in units:
-                body[i] = [x * u % p for x in body[i]]
-        elif ring.uses_fractions:
-            rows = _replay(n, moves, inverse)
-            body = [[Fraction(x) for x in r] for r in rows]
-            for i, u in units:
-                body[i] = [x * u for x in rows[i]]
-        else:
-            body = _replay(n, moves, inverse)
+        body = _replay(n, moves, inverse, _modulus(ring))
+        if ring.uses_fractions:
+            body = [[Fraction(x) for x in r] for r in body]
+        for i, u in units:
+            body[i] = [ring.canon(x * u) for x in body[i]]
         return Matrix._make(ring, body, n)
 
     @cached_property
@@ -469,8 +469,7 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int, mod: int):
 def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
     """(scale, rows): integer rows equal to scale * A entrywise.
 
-    The only place a whole matrix is cleared of denominators (field_rank
-    clears them row by row).  Over Z_(p) and Q the scale is
+    The only place denominators are cleared.  Over Z_(p) and Q the scale is
     the lcm of the denominators, a unit in both rings; over Z, Z/n and F_p
     it is 1 and the rows are A's own canonical representatives, not a copy.
     """
@@ -498,7 +497,7 @@ def _snf_full(a: Matrix) -> SnfDecomposition:
     ring, m, n = a.ring, a.rows, a.cols
     kind, p = ring.kind, ring.param
     scale, lift = _integral_lift(a)
-    mod = p if kind in ("Zmod", "Fp") else 0
+    mod = _modulus(ring)
     D, row_moves, col_moves = _snf_int(lift, m, n, mod)
     divisors, units = [], []
     for i in range(min(m, n)):
@@ -536,11 +535,6 @@ def snf(a: Matrix) -> SnfDecomposition:
     return _snf_full(a)
 
 
-def rank(a: Matrix) -> int:
-    """Rank over the fraction field: the number of nonzero divisors."""
-    return sum(1 for d in _snf_full(a).elementary_divisors if d != 0)
-
-
 def rank_over_fiber(a: Matrix, q: Prime) -> int:
     """Rank of the image of A in the residue field at q.
 
@@ -561,7 +555,7 @@ def rank_over_fiber(a: Matrix, q: Prime) -> int:
 
 
 def det(a: Matrix) -> Scalar:
-    """Exact determinant: integer Bareiss on the integral lift.
+    """Exact determinant: _bareiss on the integral lift.
 
     Over Z/n and F_p the integer determinant of the canonical lift is
     reduced; over Z_(p) and Q the lift is scale * A, so det(A) is the
@@ -569,26 +563,9 @@ def det(a: Matrix) -> Scalar:
     """
     if a.rows != a.cols:
         raise InputError(f"determinant of non-square {a.rows}x{a.cols}")
-    ring, n = a.ring, a.rows
-    if n == 0:
-        return ring.one
     scale, lift = _integral_lift(a)
-    mat = [list(r) for r in lift]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if piv is None:
-                return ring.zero
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return ring.canon(Fraction(sign * mat[n - 1][n - 1], scale ** n))
+    rk, sign, last = _bareiss(lift, a.cols)
+    return a.ring.canon(Fraction(sign * last, scale ** a.rows) if rk == a.rows else 0)
 
 
 def solve_integral(a: Matrix, b: Matrix) -> Matrix | None:
@@ -675,45 +652,49 @@ def reduce_matrix(a: Matrix, q: Prime) -> Matrix:
 
 
 def field_rank(a: Matrix) -> int:
-    """Gaussian-elimination rank over Q or F_p.
+    """Gaussian-elimination rank over Q or F_p: _bareiss on the integral
+    lift, modulo p over F_p.
 
     An independent route from rank_over_fiber's divisor counting; the two
-    are cross-checked by the test suite.  Over Q each row is scaled by the
-    lcm of its denominators and eliminated fraction-free (Bareiss 1968):
-    every update (b*x - f*y) // prev divides exactly by the previous pivot.
+    are cross-checked by the test suite.
     """
-    ring = a.ring
-    if not ring.is_field:
-        raise InputError(f"field_rank needs a field, got {ring}")
-    p = ring.param if ring.kind == "Fp" else None
-    if p is None:
-        rows = []
-        for r in a._data:
-            s = lcm(1, *(x.denominator for x in r))
-            rows.append([x.numerator * (s // x.denominator) for x in r])
-    else:
-        rows = [list(r) for r in a._data]
-    rk, prev = 0, 1
-    for j in range(a.cols):
-        piv = next((i for i in range(rk, a.rows) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
+    if not a.ring.is_field:
+        raise InputError(f"field_rank needs a field, got {a.ring}")
+    return _bareiss(_integral_lift(a)[1], a.cols, _modulus(a.ring))[0]
+
+
+def _bareiss(a_rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> tuple[int, int, int]:
+    """Forward elimination on a copy of the rows: modulo a prime p, or
+    fraction-free over Z with p = 0 (Bareiss 1968), where each update
+    (b*x - f*y) // prev divides exactly.  Only entries right of a pivot are
+    updated.  Returns (rank, sign of the row swaps, last pivot); a square
+    matrix of full rank has determinant sign * last pivot."""
+    rows = [list(r) for r in a_rows]
+    m = len(rows)
+    rk, sign, prev = 0, 1, 1
+    for j in range(cols):
+        if rk == m:
+            break
+        if not rows[rk][j]:
+            piv = next((i for i in range(rk + 1, m) if rows[i][j]), None)
+            if piv is None:
+                continue
+            rows[rk], rows[piv] = rows[piv], rows[rk]
+            sign = -sign
         top = rows[rk]
         b = top[j]
-        if p is not None:
+        if p:
             inv = pow(b, -1, p)
-            for i in range(rk + 1, a.rows):
-                f = rows[i][j]
-                if f:
-                    fac = (f * inv) % p
-                    rows[i] = [(x - fac * y) % p for x, y in zip(rows[i], top)]
+            for r in rows[rk + 1:]:
+                if r[j]:
+                    f = r[j] * inv % p
+                    for k in range(j + 1, cols):
+                        r[k] = (r[k] - f * top[k]) % p
         else:
-            for i in range(rk + 1, a.rows):
-                f = rows[i][j]
-                rows[i] = [(b * x - f * y) // prev for x, y in zip(rows[i], top)]
-            prev = b
+            for r in rows[rk + 1:]:
+                f = r[j]
+                for k in range(j + 1, cols):
+                    r[k] = (b * r[k] - f * top[k]) // prev
+        prev = b
         rk += 1
-        if rk == a.rows:
-            break
-    return rk
+    return rk, sign, prev

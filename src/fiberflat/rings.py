@@ -17,6 +17,7 @@ floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -379,18 +380,29 @@ def parse_ring(text: str) -> BaseRing:
     raise InputError(f"bad ring literal {text!r}")
 
 
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_scalar(ring: BaseRing, obj: object) -> Scalar:
-    """Parse a JSON-level entry: an int, or "a/b" / "a" as a string."""
+    """Parse a JSON-level entry: an int, or a string "a" or "a/b" with a an
+    optionally signed decimal integer and b a positive one.  Each part is
+    read with int(), so the interpreter's digit limit applies to it.
+
+    >>> parse_scalar(QQ, "-4/6"), parse_scalar(ZZ, "+7")
+    (Fraction(-2, 3), 7)
+    """
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise InputError(f"bad matrix entry {obj!r}")
     if isinstance(obj, str):
-        try:
-            value = Fraction(obj)
+        match = _SCALAR.fullmatch(obj)
+        if match is None:
+            raise InputError(f"bad matrix entry {obj!r}")
+        num, den = match.groups()
+        try:  # int() refuses a part past the digit limit
+            obj = Fraction(int(num), int(den)) if den else int(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad matrix entry {obj!r}") from exc
-    else:
-        value = obj
-    return ring.canon(value)
+    return ring.canon(obj)
 
 
 def render_scalar(x: Scalar) -> int | str:

@@ -163,6 +163,53 @@ def test_malformed_fields_exit_2(capsys, command, text):
     assert err.startswith("input error:")
 
 
+def test_results_past_the_digit_limit_are_printed(capsys):
+    # A = 10^4000 + 1 and B = 10^4000 + 3 have 4001 digits, within the input
+    # limit; the divisor A*B = 10^8000 + 4*10^4000 + 3 has 8001.
+    a, b = "1" + "0" * 3999 + "1", "1" + "0" * 3999 + "3"
+    product = "1" + "0" * 3999 + "4" + "0" * 3999 + "3"
+    matrix = _doc("Z", "matrix", {"entries": [[int(a), 0], [0, int(b)]]})
+    complex_doc = _doc("Z", "complex", {"lo": 0, "hi": 1, "ranks_or_terms": [2, 2],
+                                        "boundaries": [[[int(a), 0], [0, int(b)]]]})
+    code, out, err = run(capsys, "snf", matrix)
+    assert (code, err) == (0, "") and f"elementary divisors: 1, {product}\n" in out
+    code, out, err = run(capsys, "--format", "json", "snf", matrix)
+    assert (code, err) == (0, "") and f'"divisors":[1,{product}]' in out
+    code, out, err = run(capsys, "homology", complex_doc)
+    assert (code, err) == (0, "") and out.endswith(f"H_0 = R/{product}\n")
+    code, out, err = run(capsys, "--format", "json", "homology", complex_doc)
+    assert (code, err) == (0, "") and f'"torsion":[{product}]' in out
+    # input integers are still held to the limit, also after a run
+    assert run(capsys, "snf", _doc("Z", "matrix", {"entries": [[product]]}))[0] == 2
+    assert run(capsys, "snf", matrix.replace(a, a + "0" * 300, 1))[0] == 2
+
+
+@pytest.mark.parametrize("entry", ["1e100000000", "1e10000000", "1e5000", "1.5", " 7 ",
+                                   "1_000", "1e-3", "1/-2", "0x10", "9" * 4301])
+def test_scalar_strings_outside_the_grammar_exit_2(capsys, entry):
+    # Only "a" and "a/b" are scalars; each must be refused at once, before
+    # an exponent is expanded or a digit string past the limit is read.
+    runs = [["snf", _doc("Q", "matrix", {"entries": [[entry]]})]]
+    if entry == entry.strip():  # koszul strips the spaces around an element
+        runs.append(["koszul", "--ring", "Q", f"--elements={entry}"])
+    for argv in runs:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "") and err.startswith("input error: bad matrix entry")
+
+
+def test_repeated_primes_print_once(capsys):
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "--format", fmt, "fibers", "--primes", "2,2,0",
+                           json.dumps(DOCS["complex"]))
+        assert code == 0 and out.count('"prime":"2"' if fmt == "json" else "fiber at (2)") == 1
+        assert out.count('"prime":"0"' if fmt == "json" else "fiber at (0)") == 1
+        code, out, _ = run(capsys, "--format", fmt, "tor", "--primes", "3,3",
+                           _doc("Z", "module", {"generators": 1, "relations": [[3]]}))
+        assert code == 0 and out.count('"prime":"3"' if fmt == "json" else "at (3)") == 1
+
+
 def test_input_error_paths(capsys):
     code, out, err = run(capsys, "snf", "{broken json")
     assert code == 2 and "input error" in err

@@ -3,14 +3,14 @@
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fiberflat.errors import ContradictionError, InputError
 from fiberflat.linalg import (
-    Matrix, _block_matrix, _snf_full, det, field_rank, hstack, rank,
+    Matrix, _block_matrix, _snf_full, det, field_rank, hstack,
     rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix,
 )
 from fiberflat import linalg, modules
@@ -280,7 +280,7 @@ def test_rank_drop_iff_prime_divides_last_divisor(a):
 
 @given(int_matrix())
 def test_field_rank_routes_agree(a):
-    assert rank(a) == fraction_rank(a.to_rows(), a.cols)
+    assert rank_over_fiber(a, GENERIC) == fraction_rank(a.to_rows(), a.cols)
     for p in (2, 5):
         reduced = reduce_matrix(a, Prime.at(p))
         assert field_rank(reduced) == modp_rank(a.to_rows(), a.cols, p)
@@ -316,7 +316,8 @@ def test_witnesses_are_built_only_when_read(ring, monkeypatch):
     def fresh():
         return Matrix(ring, [[2, 4, 4], [-6, 6, 12], [10, 4, 16], [2, 0, 2]])
 
-    for read in (rank, lambda a: rank_over_fiber(a, Prime.at(3)), matrix_bad_primes,
+    for read in (lambda a: rank_over_fiber(a, GENERIC),
+                 lambda a: rank_over_fiber(a, Prime.at(3)), matrix_bad_primes,
                  lambda a: FpModule(ring, a.rows, a).invariant_factors(),
                  lambda a: snf(a).elementary_divisors):
         a = fresh()
@@ -350,10 +351,32 @@ def low_rank_q_matrix(draw):
             for row in left], n
 
 
+F = Fraction
+# A singular matrix, a zero column, a zero leading entry that forces a row
+# swap, and the 0 x 0 matrix, each with fractional entries.
+ELIMINATION_EDGES = [
+    [[F(1, 2), F(1)], [F(3, 2), F(3)]],
+    [[F(0), F(1, 2), F(2)], [F(0), F(3), F(-1, 4)], [F(0), F(5), F(7)]],
+    [[F(0), F(2), F(1, 2)], [F(1, 2), F(1), F(1)], [F(3), F(0), F(1)]],
+    [],
+]
+
+
 @given(low_rank_q_matrix())
+@example(case=(ELIMINATION_EDGES[0], 2))
+@example(case=(ELIMINATION_EDGES[1], 3))
+@example(case=(ELIMINATION_EDGES[2], 3))
+@example(case=(ELIMINATION_EDGES[3], 0))
 def test_field_rank_over_q_matches_fraction_elimination(case):
     rows, n = case
     assert field_rank(Matrix(QQ, rows, cols=n)) == fraction_rank(rows, n)
+    # The generic fiber over Z and Z_(3) of the matrix times the lcm of its
+    # denominators, or of their powers of 3: the rank is the same.
+    s = lcm(1, *(x.denominator for r in rows for x in r))
+    s3 = gcd(s, 3 ** s.bit_length())
+    for ring, scale in ((ZZ, s), (localized_at(3), s3)):
+        a = Matrix(ring, [[x * scale for x in r] for r in rows], cols=n)
+        assert field_rank(reduce_matrix(a, GENERIC)) == fraction_rank(rows, n)
 
 
 @st.composite
@@ -469,16 +492,46 @@ def test_det_is_multiplicative(pair):
 fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
-@pytest.mark.parametrize("ring", [QQ, localized_at(3)], ids=["QQ", "Zloc3"])
+@pytest.mark.parametrize("ring", [QQ, localized_at(3), ZZ], ids=["QQ", "Zloc3", "ZZ"])
 @settings(max_examples=60)
 @given(rows=st.integers(min_value=0, max_value=4).flatmap(
     lambda n: st.lists(st.lists(fraction, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example(rows=ELIMINATION_EDGES[0])
+@example(rows=ELIMINATION_EDGES[1])
+@example(rows=ELIMINATION_EDGES[2])
+@example(rows=ELIMINATION_EDGES[3])
 def test_det_with_fractional_entries_matches_laplace(ring, rows):
-    # over Z_(3) denominators divisible by 3 are not ring elements
+    # over Z_(3) denominators divisible by 3 are not ring elements, and
+    # over Z no denominator is: those entries are scaled into the ring
     if ring.kind == "Zloc":
         rows = [[x if x.denominator % 3 else x * 3 for x in r] for r in rows]
+    elif ring == ZZ:
+        rows = [[x * x.denominator for x in r] for r in rows]
     d = det(Matrix(ring, rows, cols=len(rows)))
-    assert d == naive_det(rows) and isinstance(d, Fraction)
+    assert d == naive_det(rows) and isinstance(d, Fraction) == ring.uses_fractions
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS + [integers_mod(8), localized_at(2)], ids=str)
+def test_det_and_field_rank_never_call_the_snf(ring, monkeypatch):
+    # They are the independent routes that tests check the SNF against.
+    def no_snf(a):
+        raise AssertionError("the SNF kernel was called")
+
+    monkeypatch.setattr(linalg, "_snf_full", no_snf)
+    rng = random.Random(f"no-snf:{ring}")
+    points = (GENERIC, Prime.at(2), Prime.at(3)) if ring == ZZ else ring.spectrum()
+    for _ in range(20):
+        n = rng.randint(0, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 5, 7]) if ring.uses_fractions else 1)
+                 for _ in range(n)] for _ in range(rng.randint(0, 6))]
+        a = Matrix(ring, rows, cols=n)
+        if a.rows == a.cols:
+            assert det(a) == ring.canon(naive_det(rows))
+        for q in points:
+            k = ring.residue_field(q).param
+            expected = fraction_rank(rows, n) if k is None else modp_rank(
+                [[x.numerator * pow(x.denominator, -1, k) for x in r] for r in rows], n, k)
+            assert field_rank(reduce_matrix(a, q)) == expected
 
 
 def test_hstack_returns_a_lone_wide_block_itself():
@@ -487,6 +540,10 @@ def test_hstack_returns_a_lone_wide_block_itself():
     assert hstack([Matrix.zeros(ZZ, a.rows, 0), a]) is a
     assert hstack([a]) is a
     assert hstack([a, a]) == Matrix(ZZ, [[1, 2, 1, 2], [3, 4, 3, 4]])
+    for blocks in ([a, Matrix.zeros(ZZ, 3, 0)], [a, Matrix(ZZ, [[5]])],
+                   [Matrix.zeros(ZZ, 1, 0), a], [a, Matrix(integers_mod(4), [[1], [2]])]):
+        with pytest.raises(InputError):
+            hstack(blocks)
 
 
 def test_block_matrix_places_blocks_and_checks_their_shape():
@@ -504,7 +561,7 @@ def test_empty_matrix_edge_cases():
     a = Matrix.zeros(ZZ, 0, 3)
     b = Matrix.zeros(ZZ, 3, 0)
     assert snf(a).elementary_divisors == ()
-    assert rank(a) == 0 and rank(b) == 0
+    assert rank_over_fiber(a, GENERIC) == 0 and rank_over_fiber(b, GENERIC) == 0
     assert (a @ b).rows == 0 and (a @ b).cols == 0
     assert (b @ a).rows == 3 and (b @ a).cols == 3
     assert det(Matrix.zeros(ZZ, 0, 0)) == 1

@@ -68,17 +68,14 @@ MAX_STAGE = 256              # gallery --max-stage
 
 
 # Integers in the input are read under the interpreter's int/str digit
-# limit (4300 digits by default; before Python 3.10.7 there is none, read
-# as 0).  main lifts it for the rest of a run, so results of any size print.
-INPUT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# limit (4300 digits by default).  main lifts it for the rest of a run, so
+# results of any size print.
+INPUT_DIGITS = sys.get_int_max_str_digits()
 
 
 @contextmanager
 def _int_digits(limit: int):
     """int <-> str conversions limited to limit digits (0: none) in the block."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:

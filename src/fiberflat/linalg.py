@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -225,24 +224,25 @@ def _block_matrix(ring: BaseRing, row_dims: Sequence[int], col_dims: Sequence[in
                   blocks: Mapping[tuple[int, int], Matrix]) -> Matrix:
     """The one block assembler: blocks[(bi, bj)] in block row bi and block
     column bj, of heights row_dims and widths col_dims, zero elsewhere;
-    each row of a block is copied in by slice.  A block that fills the
-    whole matrix is returned as is (matrices are immutable), so its cached
-    SNF is reused."""
-    row_off, col_off = [0, *accumulate(row_dims)], [0, *accumulate(col_dims)]
-    shape, whole = (row_off[-1], col_off[-1]), None
+    each row is its blocks' rows, or zeros, concatenated.  A block that
+    fills the whole matrix is returned as is (matrices are immutable), so
+    its cached SNF is reused."""
+    shape = (sum(row_dims), sum(col_dims))
     for (bi, bj), mat in blocks.items():
         if mat.ring != ring or (mat.rows, mat.cols) != (row_dims[bi], col_dims[bj]):
             raise InputError("block ring or shape mismatch")
+    for mat in blocks.values():
         if (mat.rows, mat.cols) == shape:
-            whole = mat
-    if whole is not None:
-        return whole
-    body = [[ring.zero] * col_off[-1] for _ in range(row_off[-1])]
-    for (bi, bj), mat in blocks.items():
-        c0, c1 = col_off[bj], col_off[bj + 1]
-        for row, src in zip(body[row_off[bi]:], mat._data):
-            row[c0:c1] = src
-    return Matrix._make(ring, body, col_off[-1])
+            return mat
+    body = []
+    for bi, h in enumerate(row_dims):
+        rows = [[] for _ in range(h)]
+        for bj, w in enumerate(col_dims):
+            mat = blocks.get((bi, bj))
+            for row, src in zip(rows, [[ring.zero] * w] * h if mat is None else mat._data):
+                row += src
+        body += rows
+    return Matrix._make(ring, body, shape[1])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -55,7 +55,7 @@ from .modules import (
     FpModule, ModuleMap, prime_filtration, purity_report,
 )
 from .rings import (
-    BaseRing, Prime, parse_prime, parse_ring, parse_scalar, render_scalar,
+    BaseRing, Prime, parse_prime, parse_ring, parse_scalar, quoted, render_scalar,
 )
 from .towers import DEFAULT_MAX_STAGE, DEFAULT_WINDOW, gallery
 
@@ -115,13 +115,13 @@ def _json_int(obj: Any, what: str, minimum: int | None = None,
               cap: int | None = None) -> int:
     """obj as a JSON integer; true and false are rejected, not read as 1 and 0."""
     if type(obj) is not int or (minimum is not None and obj < minimum):
-        raise InputError(f"bad {what} {obj!r}")
+        raise InputError(f"bad {what} {quoted(obj)}")
     return obj if cap is None else _capped(obj, what, cap)
 
 
 def _json_list(obj: Any, what: str) -> list:
     if not isinstance(obj, list):
-        raise InputError(f"'{what}' must be a list, got {obj!r}")
+        raise InputError(f"'{what}' must be a list, got {quoted(obj)}")
     return obj
 
 
@@ -130,11 +130,11 @@ def _doc_ring(obj: Any) -> BaseRing:
         raise InputError("document must be a JSON object")
     version = obj.get("version", 1)
     if type(version) is not int or version != 1:
-        raise InputError(f"unsupported document version {version!r}")
+        raise InputError(f"unsupported document version {quoted(version)}")
     if "ring" not in obj:
         raise InputError("document is missing the ring literal")
     if not isinstance(obj["ring"], str):
-        raise InputError(f"ring literal must be a string, got {obj['ring']!r}")
+        raise InputError(f"ring literal must be a string, got {quoted(obj['ring'])}")
     return parse_ring(obj["ring"])
 
 

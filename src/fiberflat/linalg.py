@@ -8,20 +8,28 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 * SNF, det, field_rank and matrix products run on integral lifts
   (_integral_lift): canonical representatives over Z/n and F_p, the matrix
   times the lcm of its denominators (a unit) over Z_(p) and Q.
-* det and field_rank share one row elimination, _bareiss: fraction-free
-  over Z for det and for field_rank over Q, modulo p for field_rank over
-  F_p.  It never calls the SNF kernel: it is the independent Gaussian route
-  that tests check the SNF against.
-* One integer kernel serves every ring's SNF; over Z/n and F_p it
-  eliminates modulo n.  Its pivot is the nonzero
-  entry of least absolute value in the working submatrix, ties broken by
-  lowest (row, col).  It eliminates D alone and records its row and column
-  moves; U, V and their inverses are replayed from the moves when a caller
-  first reads them, so rank and divisor queries build no witness.
+* det, field_rank and the minor route share one row elimination, _bareiss:
+  fraction-free over Z for det, for field_rank over Q and for the minors,
+  modulo p for field_rank over F_p.  It never calls the SNF kernel, so
+  field_rank stays the independent Gaussian route that tests check fiber
+  ranks against.
+* One kernel eliminates for every ring: modulo n over Z/n and F_p, over Z
+  otherwise.  Its pivot is the nonzero entry of least absolute value in
+  the working submatrix, ties broken by lowest (row, col).  It eliminates
+  D alone and records its row and column moves; U, V and their inverses
+  are replayed from the moves when a caller first reads them.
+* Divisors over Z/n, F_p and of square Z matrices come from that kernel
+  at once.  Over Z (not square), Z_(p) and Q they come from the minor
+  route, _minor_divisors: the rank and two maximal minors from _bareiss,
+  then the kernel modulo their gcd, so nothing is eliminated over Z.  The
+  integer kernel runs on the lift only when a witness is first read, and
+  its divisors must equal the minor route's (ContradictionError otherwise):
+  it is the second route for divisors, so rank and divisor queries build no
+  witness and run no integer elimination.
 * Diagonal entries are canonical: non-negative over Z, gcd(e, n) over Z/n
   for the kernel's divisor e (0 when n divides e), the convention
   invariant factors use, pure powers of p over Z_(p), 0 or 1 over fields.
-  _snf_full folds the unit part of each divisor into V and Vi.
+  _kernel folds the unit part of each divisor into V and Vi.
 * Zero-dimension matrices are legal everywhere and behave as zero maps.
 """
 
@@ -273,15 +281,32 @@ class SnfDecomposition:
     """A = U @ D @ V with unit-determinant U, V and canonical diagonal D,
     cached on A: the divisors at once, and each of U, Ui (= U^-1), V, Vi
     (= V^-1) replayed from the kernel's moves, reduced into the ring, and
-    kept the first time a caller reads it.  Ui @ A @ Vi = D."""
+    kept the first time a caller reads it.  Ui @ A @ Vi = D.
+
+    scale and lift are A's integral lift.  Where the divisors came from the
+    minor route (_minor_divisors) the moves are None until a witness is
+    first read; the integer kernel then runs on the lift, and divisors that
+    differ from the minor route's raise ContradictionError.
+    """
 
     ring: BaseRing
     rows: int
     cols: int
     elementary_divisors: tuple[Scalar, ...]
-    row_moves: list
-    col_moves: list
-    units: list
+    scale: int
+    lift: Sequence[Sequence[int]]
+    row_moves: list | None = None
+    col_moves: list | None = None
+    units: list | None = None
+
+    def _moves(self) -> tuple[list, list, list]:
+        if self.units is None:
+            divisors, moves = _kernel(self.ring, self.scale, self.lift, self.rows, self.cols)
+            if divisors != self.elementary_divisors:
+                raise ContradictionError(
+                    "snf: the integer kernel's divisors differ from the minor route's")
+            self.row_moves, self.col_moves, self.units = moves
+        return self.row_moves, self.col_moves, self.units
 
     def verify(self, a: Matrix) -> bool:
         """Recheck reconstruction, invertible U and V, and the chain.
@@ -325,21 +350,22 @@ class SnfDecomposition:
 
     @cached_property
     def U(self) -> Matrix:
-        return self._lower(self.rows, self.row_moves, True, ()).transpose()
+        return self._lower(self.rows, self._moves()[0], True, ()).transpose()
 
     @cached_property
     def Ui(self) -> Matrix:
-        return self._lower(self.rows, self.row_moves, False, ())
+        return self._lower(self.rows, self._moves()[0], False, ())
 
     @cached_property
     def V(self) -> Matrix:
-        return self._lower(self.cols, self.col_moves, True,
-                           [(i, u) for i, u, _ in self.units if u != 1])
+        _, col_moves, units = self._moves()
+        return self._lower(self.cols, col_moves, True, [(i, u) for i, u, _ in units if u != 1])
 
     @cached_property
     def Vi(self) -> Matrix:
-        return self._lower(self.cols, self.col_moves, False,
-                           [(i, u) for i, _, u in self.units if u != 1]).transpose()
+        _, col_moves, units = self._moves()
+        return self._lower(self.cols, col_moves, False,
+                           [(i, u) for i, _, u in units if u != 1]).transpose()
 
 
 # Kernel moves (op, i, j, q): _ADD adds q times line j to line i, _SWAP
@@ -480,8 +506,55 @@ def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
 
 
 def _snf_full(a: Matrix) -> SnfDecomposition:
-    """The one kernel on A's integral lift: modulo n over Z/n and F_p,
-    over Z for Z, Z_(p) and Q.
+    """A's cached decomposition: divisors from the minor route over Z
+    (not square), Z_(p) and Q, with the kernel's moves left to the first
+    witness read; divisors and moves from the kernel at once otherwise."""
+    if a._snf is not None:
+        return a._snf
+    ring, m, n = a.ring, a.rows, a.cols
+    scale, lift = _integral_lift(a)
+    divisors, moves = _minor_divisors(ring, lift, m, n), ()
+    if divisors is None:
+        divisors, moves = _kernel(ring, scale, lift, m, n)
+    a._snf = SnfDecomposition(ring, m, n, divisors, scale, lift, *moves)
+    return a._snf
+
+
+def _minor_divisors(ring: BaseRing, lift: Sequence[Sequence[int]],
+                    m: int, n: int) -> tuple[Scalar, ...] | None:
+    """The divisors over Z, Z_(p) and Q from two maximal minors of the
+    lift; None over Z/n and F_p and for a square Z matrix, which the kernel
+    takes.
+
+    _bareiss gives the rank r and its last pivot, a nonzero r x r minor
+    D1 up to sign.  Where another maximal minor exists it runs again on the
+    lift with rows and columns reversed for D2.  s_1...s_r divides every
+    r x r minor, so each s_i divides g = gcd(D1, D2), and the kernel
+    modulo g gives gcd(s_i, g) = s_i: Smith forms commute with reduction
+    (Newman 1972, ch. II; Domich, Kannan and Trotter 1987).  Over Z_(p)
+    only the p-part of g counts, and over Q the divisors are r ones.  A
+    square Z matrix has one maximal minor, and on dense ones the kernel
+    modulo |det| is slower than over Z.
+    """
+    kind = ring.kind
+    if _modulus(ring) or (kind == "Z" and m == n):
+        return None
+    r, _, g = _bareiss(lift, n)
+    g = ring.param ** ring.valuation(g) if kind == "Zloc" else abs(g)
+    if kind != "Q" and g != 1 and r < max(m, n):
+        g = gcd(g, _bareiss([row[::-1] for row in reversed(lift)], n)[2])
+    if kind == "Q" or g == 1:
+        head = [1] * r
+    else:
+        D = _snf_int([[x % g for x in row] for row in lift], m, n, g)[0]
+        head = [gcd(D[i][i], g) for i in range(r)]
+    divisors = head + [0] * (min(m, n) - r)
+    return tuple(map(Fraction, divisors)) if ring.uses_fractions else tuple(divisors)
+
+
+def _kernel(ring: BaseRing, scale: int, lift: Sequence[Sequence[int]], m: int, n: int):
+    """The one kernel on an integral lift, modulo n over Z/n and F_p and
+    over Z for Z, Z_(p) and Q: (divisors, (row_moves, col_moves, units)).
 
     Each kernel divisor d that is nonzero in the ring splits as c*u with c
     canonical (gcd(d, n) over Z/n and F_p, p^v over Z_(p), 1 over Q) and u
@@ -492,11 +565,7 @@ def _snf_full(a: Matrix) -> SnfDecomposition:
     pivots lie in (0, n), so its diagonal is 0 exactly past the last pivot,
     and those zeros trail.
     """
-    if a._snf is not None:
-        return a._snf
-    ring, m, n = a.ring, a.rows, a.cols
     kind, p = ring.kind, ring.param
-    scale, lift = _integral_lift(a)
     mod = _modulus(ring)
     D, row_moves, col_moves = _snf_int(lift, m, n, mod)
     divisors, units = [], []
@@ -517,9 +586,8 @@ def _snf_full(a: Matrix) -> SnfDecomposition:
             d = c
         divisors.append(d)
     if ring.uses_fractions:
-        divisors = [Fraction(d) for d in divisors]
-    a._snf = SnfDecomposition(ring, m, n, tuple(divisors), row_moves, col_moves, units)
-    return a._snf
+        divisors = map(Fraction, divisors)
+    return tuple(divisors), (row_moves, col_moves, units)
 
 
 def snf(a: Matrix) -> SnfDecomposition:

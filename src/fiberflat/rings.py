@@ -125,12 +125,26 @@ class Prime:
 GENERIC = Prime()
 
 
+QUOTE_LIMIT = 64
+
+
+def quoted(obj: object) -> str:
+    """repr(obj) for an error message.  Past QUOTE_LIMIT characters only
+    its first QUOTE_LIMIT and a length (a string's own, else the repr's)
+    are quoted, so an input of megabytes does not reach stderr whole."""
+    text = repr(obj)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    size = len(obj) if isinstance(obj, str) else len(text)
+    return f"{text[:QUOTE_LIMIT]}... ({size} characters)"
+
+
 def parse_prime(text: str) -> Prime:
     """Parse a prime literal: "0" for the generic point, else a prime."""
     try:
         value = int(text)
     except ValueError as exc:
-        raise InputError(f"bad prime literal {text!r}") from exc
+        raise InputError(f"bad prime literal {quoted(text)}") from exc
     return GENERIC if value == 0 else Prime.at(value)
 
 
@@ -375,9 +389,9 @@ def parse_ring(text: str) -> BaseRing:
             try:
                 param = int(text[len(prefix):])
             except ValueError as exc:
-                raise InputError(f"bad ring literal {text!r}") from exc
+                raise InputError(f"bad ring literal {quoted(text)}") from exc
             return make(param)
-    raise InputError(f"bad ring literal {text!r}")
+    raise InputError(f"bad ring literal {quoted(text)}")
 
 
 _SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -392,16 +406,16 @@ def parse_scalar(ring: BaseRing, obj: object) -> Scalar:
     (Fraction(-2, 3), 7)
     """
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise InputError(f"bad matrix entry {obj!r}")
+        raise InputError(f"bad matrix entry {quoted(obj)}")
     if isinstance(obj, str):
         match = _SCALAR.fullmatch(obj)
         if match is None:
-            raise InputError(f"bad matrix entry {obj!r}")
+            raise InputError(f"bad matrix entry {quoted(obj)}")
         num, den = match.groups()
         try:  # int() refuses a part past the digit limit
             obj = Fraction(int(num), int(den)) if den else int(num)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad matrix entry {obj!r}") from exc
+            raise InputError(f"bad matrix entry {quoted(obj)}") from exc
     return ring.canon(obj)
 
 

@@ -199,6 +199,25 @@ def test_scalar_strings_outside_the_grammar_exit_2(capsys, entry):
         assert (code, out) == (2, "") and err.startswith("input error: bad matrix entry")
 
 
+MEGABYTE = "1" * 10 ** 6
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["snf", _doc("Z", "matrix", {"entries": [[MEGABYTE]]})], "bad matrix entry"),
+    (["snf", _doc("Z", "matrix", {"entries": [[MEGABYTE + "x"]]})], "bad matrix entry"),
+    (["snf", _doc("Z/" + MEGABYTE, "matrix", {"entries": [[1]]})], "bad ring literal"),
+    (["fibers", "--primes", MEGABYTE, json.dumps(DOCS["complex"])], "bad prime literal"),
+    (["homology", _doc("Z", "complex", {"lo": 0, "hi": 1, "ranks_or_terms": [1, 1],
+                                        "boundaries": MEGABYTE})], "'boundaries' must be a list"),
+], ids=["digits", "letters", "ring", "primes", "list"])
+def test_a_megabyte_string_is_quoted_by_a_prefix(capsys, argv, message):
+    # A string of any length is refused with one short stderr line: a prefix
+    # of it and its length, not the string.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and message in err
+    assert err.count("\n") == 1 and len(err) < 200 and " characters)" in err
+
+
 def test_repeated_primes_print_once(capsys):
     for fmt in ("text", "json"):
         code, out, _ = run(capsys, "--format", fmt, "fibers", "--primes", "2,2,0",

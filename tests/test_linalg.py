@@ -14,6 +14,8 @@ from fiberflat.linalg import (
     rank_over_fiber, reduce_matrix, snf, solve_integral, syzygy_matrix,
 )
 from fiberflat import linalg, modules
+from fiberflat.complexes import BoundedComplex
+from fiberflat.generate import random_unimodular
 from fiberflat.modules import FpModule, ModuleMap, matrix_bad_primes
 from fiberflat.rings import (
     GENERIC, Prime, QQ, ZZ, integers_mod, localized_at, prime_field,
@@ -224,9 +226,9 @@ def test_verify_rejects_a_non_invertible_witness_over_z12():
     z12 = integers_mod(12)
     a = Matrix.zeros(z12, 2, 2)
     for witness, bad in (("U", [[2, 0], [0, 1]]), ("V", [[1, 0], [0, 3]])):
-        dec = linalg.SnfDecomposition(z12, 2, 2, (0, 0), [], [], [])
+        dec = linalg.SnfDecomposition(z12, 2, 2, (0, 0), 1, a.to_rows(), [], [], [])
         assert dec.verify(a)
-        dec = linalg.SnfDecomposition(z12, 2, 2, (0, 0), [], [], [])
+        dec = linalg.SnfDecomposition(z12, 2, 2, (0, 0), 1, a.to_rows(), [], [], [])
         setattr(dec, witness, Matrix(z12, bad))
         assert dec.U @ dec.D @ dec.V == a
         assert not dec.verify(a), witness
@@ -235,7 +237,8 @@ def test_verify_rejects_a_non_invertible_witness_over_z12():
 def test_verify_rejects_an_altered_divisor():
     # verify forms U @ D by scaling U's columns by the divisors; with the last
     # nonzero divisor set to 0 the chain still holds and U, V are unchanged,
-    # so only the reconstruction can reject it.
+    # so only the reconstruction can reject it.  The altered copy keeps the
+    # kernel's moves, which verifying the original first has run.
     rng = random.Random(43)
     for ring in (ZZ, integers_mod(360), integers_mod(12), localized_at(3), prime_field(5), QQ):
         for m, n in ((3, 3), (2, 4), (4, 2), (5, 5)):
@@ -246,9 +249,124 @@ def test_verify_rejects_an_altered_divisor():
                 continue
             divisors = list(dec.elementary_divisors)
             divisors[nonzero[-1]] = ring.zero
-            altered = dataclasses.replace(dec, elementary_divisors=tuple(divisors))
             assert dec.verify(a)
+            altered = dataclasses.replace(dec, elementary_divisors=tuple(divisors))
             assert not altered.verify(a), (ring, m, n)
+
+
+MINOR_ROUTE_RINGS = [ZZ, localized_at(2), localized_at(3), QQ]
+Q100 = 2 ** 100 - 15  # a 100-bit prime
+
+
+def _kernel_divisors(ring, a):
+    """The canonical divisors of the integer kernel (modulus 0) on A's lift."""
+    _, lift = linalg._integral_lift(a)
+    D = linalg._snf_int(lift, a.rows, a.cols, 0)[0]
+    out = []
+    for i in range(min(a.rows, a.cols)):
+        d = abs(D[i][i])
+        if ring.kind == "Q":
+            d = int(d != 0)
+        elif ring.kind == "Zloc" and d:
+            c = 1
+            while d % (c * ring.param) == 0:
+                c *= ring.param
+            d = c
+        out.append(Fraction(d) if ring.uses_fractions else d)
+    return tuple(out)
+
+
+def _minor_route_cases(rng):
+    """(m, n, rows): 0 x k, k x 0, zero, rank-deficient, square and
+    non-square shapes up to 12 x 12 with entries in [-400, 400], and
+    planted divisors diag(1, ..., 1, 2^a 3^b q) with q a 100-bit prime."""
+    cases = [(0, 4, []), (4, 0, [[]] * 4), (0, 0, []), (3, 5, [[0] * 5] * 3)]
+    for _ in range(60):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        rows = [[rng.randint(-400, 400) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.4:  # rank-deficient: a row a combination of two others
+            rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[m // 2])]
+        cases.append((m, n, rows))
+    for m, n in ((5, 7), (7, 5), (12, 10), (1, 3), (6, 6), (9, 12)):
+        planted = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3) * Q100
+        body = [[0] * n for _ in range(m)]
+        for i in range(min(m, n)):
+            body[i][i] = planted if i == min(m, n) - 1 else 1
+        u, _ = random_unimodular(rng, ZZ, m, entry_bound=400, steps=3 * m)
+        v, _ = random_unimodular(rng, ZZ, n, entry_bound=400, steps=3 * n)
+        cases.append((m, n, (u @ Matrix(ZZ, body, cols=n) @ v).to_rows()))
+    return cases
+
+
+@pytest.mark.parametrize("ring", MINOR_ROUTE_RINGS, ids=str)
+def test_minor_route_divisors_match_the_integer_kernel(ring, monkeypatch):
+    # Over Z (not square), Z_(p) and Q the divisors come from two maximal
+    # minors and the kernel modulo their gcd; they must be the integer
+    # kernel's, and the planted 100-bit divisor must take the modular path.
+    moduli = []
+    original = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int",
+                        lambda rows, m, n, mod: moduli.append(mod) or original(rows, m, n, mod))
+    rng = random.Random(f"minor-route:{ring}")
+    planted = 0
+    for m, n, rows in _minor_route_cases(rng):
+        if ring.uses_fractions and rows and rng.random() < 0.5:
+            rows = [[Fraction(x, rng.choice([1, 5, 7])) for x in r] for r in rows]
+        a = Matrix(ring, rows, cols=n)
+        del moduli[:]
+        divisors = snf(a).elementary_divisors
+        if ring != ZZ or m != n:
+            assert 0 not in moduli  # the integer kernel waits for a witness read
+        assert divisors == _kernel_divisors(ring, a), (ring, m, n)
+        if ring == ZZ and m != n and divisors and divisors[-1] and divisors[-1] % Q100 == 0:
+            assert any(mod and mod % Q100 == 0 for mod in moduli)
+            planted += 1
+        assert snf(a).verify(a)
+    assert planted == (5 if ring == ZZ else 0)
+
+
+def test_prime_set_and_exactness_run_no_integer_kernel(monkeypatch):
+    # On a free Z complex with non-square boundaries the prime set and the
+    # rank rule read divisors only, so the integer kernel never runs.
+    rng = random.Random(25)
+    k = 6
+    ranks = [k + 2, 2 * k, k]
+    scalars = [2, 5] + [1] * (k - 2)
+    s1 = Matrix(ZZ, [[scalars[r] if c == r + k else 0 for c in range(2 * k)]
+                     for r in range(k + 2)])
+    s2 = Matrix(ZZ, [[int(c == r) for c in range(k)] for r in range(2 * k)])
+    bases = [random_unimodular(rng, ZZ, n, entry_bound=9, steps=2 * n) for n in ranks]
+    mats = [bases[0][0] @ s1 @ bases[1][1], bases[1][0] @ s2 @ bases[2][1]]
+    cx = BoundedComplex.free_complex(ZZ, 0, ranks, mats)
+    integer_runs = []
+    original = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int", lambda rows, m, n, mod: (
+        integer_runs.append((m, n)) if mod == 0 else None) or original(rows, m, n, mod))
+    primes = set().union(*(matrix_bad_primes(cx.boundary(i).matrix) for i in (1, 2)))
+    exact = [cx.is_exact_at(i) for i in cx.degrees()]
+    assert primes == {2, 5} and exact == [False, True, True]
+    assert integer_runs == []
+    snf(cx.boundary(1).matrix).U  # a witness read runs it
+    assert integer_runs == [(k + 2, 2 * k)]
+
+
+@pytest.mark.parametrize("ring", MINOR_ROUTE_RINGS, ids=str)
+def test_a_wrong_minor_route_divisor_is_caught_at_the_first_witness_read(ring, monkeypatch):
+    # The integer kernel that builds the witnesses is the second route: a
+    # minor route that returns a wrong divisor is refused at the first read.
+    original = linalg._minor_divisors
+
+    def wrong(*args):
+        divisors = list(original(*args))
+        divisors[0] *= ring.param or 2
+        return tuple(divisors)
+
+    monkeypatch.setattr(linalg, "_minor_divisors", wrong)
+    for rows in ([[2, 4, 4], [-6, 6, 12]], [[1, 0], [0, 1], [1, 1]]):
+        for witness in ("U", "V", "Ui", "Vi"):
+            a = Matrix(ring, rows)
+            with pytest.raises(ContradictionError):
+                getattr(snf(a), witness)
 
 
 @given(int_matrix(max_dim=4))

@@ -232,11 +232,16 @@ class BoundedComplex:
         of term(j) and W_j the wall [d_j | A_{j-1}], the dimension is
           gens_i - rank W_i + rank A_{i-1} - rank W_{i+1},
         each rank taken over the residue field by Gaussian elimination, and
-        each computed once.  Past the ends nothing is built: there is no
-        wall at or below lo, nor above hi + 1.
+        each computed once; at the generic point that is the rank over Q of
+        the matrix itself, with no copy reduced into Q.  Past the ends
+        nothing is built: there is no wall at or below lo, nor above hi + 1.
         """
+        self.ring.residue_field(q)  # rejects a point outside Spec R
+
         def rank(x: Matrix | None) -> int:
-            return field_rank(reduce_matrix(x, q)) if x is not None and x.cols else 0
+            if x is None or not x.cols:
+                return 0
+            return field_rank(x if q.is_generic else reduce_matrix(x, q))
 
         wall = {j: rank(self._wall(j)) for j in range(lo, hi + 2)}
         return {i: self._terms[i].gens - wall[i] - wall[i + 1]

@@ -9,23 +9,24 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
   (_integral_lift): canonical representatives over Z/n and F_p, the matrix
   times the lcm of its denominators (a unit) over Z_(p) and Q.
 * det, field_rank and the minor route share one row elimination, _bareiss:
-  fraction-free over Z for det, for field_rank over Q and for the minors,
-  modulo p for field_rank over F_p.  It never calls the SNF kernel, so
-  field_rank stays the independent Gaussian route that tests check fiber
-  ranks against.
+  fraction-free over Z for det, for the minors and for field_rank over Q
+  (the rank over Q of a matrix over Z or Z_(p) too), modulo p for
+  field_rank over F_p.  It never calls the SNF kernel, so field_rank stays
+  the independent Gaussian route that tests check fiber ranks against.
 * One kernel eliminates for every ring: modulo n over Z/n and F_p, over Z
   otherwise.  Its pivot is the nonzero entry of least absolute value in
   the working submatrix, ties broken by lowest (row, col).  It eliminates
   D alone and records its row and column moves; U, V and their inverses
   are replayed from the moves when a caller first reads them.
-* Divisors over Z/n, F_p and of square Z matrices come from that kernel
-  at once.  Over Z (not square), Z_(p) and Q they come from the minor
-  route, _minor_divisors: the rank and two maximal minors from _bareiss,
-  then the kernel modulo their gcd, so nothing is eliminated over Z.  The
-  integer kernel runs on the lift only when a witness is first read, and
-  its divisors must equal the minor route's (ContradictionError otherwise):
-  it is the second route for divisors, so rank and divisor queries build no
-  witness and run no integer elimination.
+* Divisors over Z/n and F_p come from that kernel at once.  Over Z, Z_(p)
+  and Q they come from the minor route, _minor_divisors, whatever the
+  shape: the rank and two minors from _bareiss (the last two pivots of one
+  pass where the maximal minor is unique, the last pivots of two passes
+  otherwise), then the kernel modulo their gcd, so nothing is eliminated
+  over Z.  The integer kernel runs on the lift only when a witness is
+  first read, and its divisors must equal the minor route's
+  (ContradictionError otherwise): it is the second route for divisors, so
+  rank and divisor queries build no witness and run no integer elimination.
 * Diagonal entries are canonical: non-negative over Z, gcd(e, n) over Z/n
   for the kernel's divisor e (0 when n divides e), the convention
   invariant factors use, pure powers of p over Z_(p), 0 or 1 over fields.
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -506,48 +507,49 @@ def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
 
 
 def _snf_full(a: Matrix) -> SnfDecomposition:
-    """A's cached decomposition: divisors from the minor route over Z
-    (not square), Z_(p) and Q, with the kernel's moves left to the first
-    witness read; divisors and moves from the kernel at once otherwise."""
+    """A's cached decomposition: divisors and moves from the kernel at once
+    over Z/n and F_p; over Z, Z_(p) and Q divisors from the minor route,
+    with the kernel's moves left to the first witness read."""
     if a._snf is not None:
         return a._snf
     ring, m, n = a.ring, a.rows, a.cols
     scale, lift = _integral_lift(a)
-    divisors, moves = _minor_divisors(ring, lift, m, n), ()
-    if divisors is None:
+    if _modulus(ring):
         divisors, moves = _kernel(ring, scale, lift, m, n)
+    else:
+        divisors, moves = _minor_divisors(ring, lift, m, n), ()
     a._snf = SnfDecomposition(ring, m, n, divisors, scale, lift, *moves)
     return a._snf
 
 
 def _minor_divisors(ring: BaseRing, lift: Sequence[Sequence[int]],
-                    m: int, n: int) -> tuple[Scalar, ...] | None:
-    """The divisors over Z, Z_(p) and Q from two maximal minors of the
-    lift; None over Z/n and F_p and for a square Z matrix, which the kernel
-    takes.
+                    m: int, n: int) -> tuple[Scalar, ...]:
+    """The divisors over Z, Z_(p) and Q from two minors of the lift.
 
-    _bareiss gives the rank r and its last pivot, a nonzero r x r minor
-    D1 up to sign.  Where another maximal minor exists it runs again on the
-    lift with rows and columns reversed for D2.  s_1...s_r divides every
-    r x r minor, so each s_i divides g = gcd(D1, D2), and the kernel
-    modulo g gives gcd(s_i, g) = s_i: Smith forms commute with reduction
-    (Newman 1972, ch. II; Domich, Kannan and Trotter 1987).  Over Z_(p)
-    only the p-part of g counts, and over Q the divisors are r ones.  A
-    square Z matrix has one maximal minor, and on dense ones the kernel
-    modulo |det| is slower than over Z.
+    _bareiss gives the rank r and its last pivot, a nonzero r x r minor D1
+    up to sign; d_r = s_1...s_r divides every r x r minor.  Where another
+    maximal minor exists, a second pass on the lift with rows and columns
+    reversed gives D2, and each s_i (i <= r) divides g = gcd(D1, D2).  Where
+    the r x r minor is unique (r = m = n), the pivot before D1 is a nonzero
+    (r-1)-minor D0 (Bareiss pivots are leading minors), so s_i divides
+    g = gcd(D0, D1) for i < r, and s_r = |D1| / (s_1...s_{r-1}).  The
+    kernel modulo g gives gcd(s_i, g) = s_i: Smith forms commute with
+    reduction (Newman 1972, ch. II; Domich, Kannan and Trotter 1987).  Over
+    Z_(p) only p-parts count, and over Q the divisors are r ones.
     """
-    kind = ring.kind
-    if _modulus(ring) or (kind == "Z" and m == n):
-        return None
-    r, _, g = _bareiss(lift, n)
-    g = ring.param ** ring.valuation(g) if kind == "Zloc" else abs(g)
-    if kind != "Q" and g != 1 and r < max(m, n):
-        g = gcd(g, _bareiss([row[::-1] for row in reversed(lift)], n)[2])
-    if kind == "Q" or g == 1:
-        head = [1] * r
-    else:
+    # x's canonical associate: |x| over Z, its p-part over Z_(p), 1 over Q
+    part = {"Z": abs, "Q": lambda x: 1}.get(ring.kind, lambda x: ring.param ** ring.valuation(x))
+    r, _, last, before = _bareiss(lift, n)
+    unique = r == m == n
+    g = part(last)
+    if g != 1:
+        g = gcd(g, before if unique else _bareiss([row[::-1] for row in reversed(lift)], n)[2])
+    head = [1] * r
+    if g != 1:
         D = _snf_int([[x % g for x in row] for row in lift], m, n, g)[0]
         head = [gcd(D[i][i], g) for i in range(r)]
+    if unique and r:
+        head[-1] = part(last) // prod(head[:-1])
     divisors = head + [0] * (min(m, n) - r)
     return tuple(map(Fraction, divisors)) if ring.uses_fractions else tuple(divisors)
 
@@ -632,7 +634,7 @@ def det(a: Matrix) -> Scalar:
     if a.rows != a.cols:
         raise InputError(f"determinant of non-square {a.rows}x{a.cols}")
     scale, lift = _integral_lift(a)
-    rk, sign, last = _bareiss(lift, a.cols)
+    rk, sign, last, _ = _bareiss(lift, a.cols)
     return a.ring.canon(Fraction(sign * last, scale ** a.rows) if rk == a.rows else 0)
 
 
@@ -721,25 +723,28 @@ def reduce_matrix(a: Matrix, q: Prime) -> Matrix:
 
 def field_rank(a: Matrix) -> int:
     """Gaussian-elimination rank over Q or F_p: _bareiss on the integral
-    lift, modulo p over F_p.
+    lift, modulo p over F_p.  A matrix over Z or Z_(p) takes its rank over
+    Q, the residue field at the generic point, with no Fraction copy.
 
     An independent route from rank_over_fiber's divisor counting; the two
     are cross-checked by the test suite.
     """
-    if not a.ring.is_field:
-        raise InputError(f"field_rank needs a field, got {a.ring}")
+    if a.ring.kind == "Zmod":
+        raise InputError(f"field_rank needs a field or a domain, got {a.ring}")
     return _bareiss(_integral_lift(a)[1], a.cols, _modulus(a.ring))[0]
 
 
-def _bareiss(a_rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> tuple[int, int, int]:
+def _bareiss(a_rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> tuple[int, int, int, int]:
     """Forward elimination on a copy of the rows: modulo a prime p, or
     fraction-free over Z with p = 0 (Bareiss 1968), where each update
     (b*x - f*y) // prev divides exactly.  Only entries right of a pivot are
-    updated.  Returns (rank, sign of the row swaps, last pivot); a square
-    matrix of full rank has determinant sign * last pivot."""
+    updated.  Returns (rank, sign of the row swaps, last pivot, the pivot
+    before it, or 1 when the rank is at most 1).  Over Z the k-th
+    pivot is a nonzero k x k minor up to sign, and a square matrix of full
+    rank has determinant sign * last pivot."""
     rows = [list(r) for r in a_rows]
     m = len(rows)
-    rk, sign, prev = 0, 1, 1
+    rk, sign, before, prev = 0, 1, 1, 1
     for j in range(cols):
         if rk == m:
             break
@@ -763,6 +768,6 @@ def _bareiss(a_rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> tuple[in
                 f = r[j]
                 for k in range(j + 1, cols):
                     r[k] = (b * r[k] - f * top[k]) // prev
-        prev = b
+        before, prev = prev, b
         rk += 1
-    return rk, sign, prev
+    return rk, sign, prev, before

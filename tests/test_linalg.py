@@ -276,11 +276,22 @@ def _kernel_divisors(ring, a):
     return tuple(out)
 
 
+def _planted(rng, m, n, chain):
+    """U @ diag(1, ..., 1, *chain) @ V, m x n, for seeded unimodular U and V."""
+    d = Matrix.diagonal(ZZ, [1] * (min(m, n) - len(chain)) + chain, m, n)
+    u, _ = random_unimodular(rng, ZZ, m, entry_bound=400, steps=3 * m)
+    v, _ = random_unimodular(rng, ZZ, n, entry_bound=400, steps=3 * n)
+    return (u @ d @ v).to_rows()
+
+
 def _minor_route_cases(rng):
-    """(m, n, rows): 0 x k, k x 0, zero, rank-deficient, square and
-    non-square shapes up to 12 x 12 with entries in [-400, 400], and
-    planted divisors diag(1, ..., 1, 2^a 3^b q) with q a 100-bit prime."""
-    cases = [(0, 4, []), (4, 0, [[]] * 4), (0, 0, []), (3, 5, [[0] * 5] * 3)]
+    """(m, n, rows): 0 x k, k x 0, 0 x 0, 1 x 1, zero, rank-deficient,
+    square and non-square shapes up to 12 x 12 with entries in [-400, 400],
+    planted divisors diag(1, ..., 1, 2^a 3^b q) with q a 100-bit prime, and
+    planted square chains diag(1, ..., 1, 6, 6q)."""
+    cases = [(0, 4, []), (4, 0, [[]] * 4), (0, 0, []), (3, 5, [[0] * 5] * 3),
+             (1, 1, [[0]]), (1, 1, [[-7]]), (1, 1, [[12 * Q100]]), (3, 3, [[0] * 3] * 3),
+             (3, 3, [[2, 4, 6], [1, 1, 1], [5, 7, 9]])]
     for _ in range(60):
         m, n = rng.randint(1, 12), rng.randint(1, 12)
         rows = [[rng.randint(-400, 400) for _ in range(n)] for _ in range(m)]
@@ -289,45 +300,47 @@ def _minor_route_cases(rng):
         cases.append((m, n, rows))
     for m, n in ((5, 7), (7, 5), (12, 10), (1, 3), (6, 6), (9, 12)):
         planted = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3) * Q100
-        body = [[0] * n for _ in range(m)]
-        for i in range(min(m, n)):
-            body[i][i] = planted if i == min(m, n) - 1 else 1
-        u, _ = random_unimodular(rng, ZZ, m, entry_bound=400, steps=3 * m)
-        v, _ = random_unimodular(rng, ZZ, n, entry_bound=400, steps=3 * n)
-        cases.append((m, n, (u @ Matrix(ZZ, body, cols=n) @ v).to_rows()))
+        cases.append((m, n, _planted(rng, m, n, [planted])))
+    for n in (2, 3, 5, 8, 12):
+        cases.append((n, n, _planted(rng, n, n, [6, 6 * Q100])))
     return cases
 
 
 @pytest.mark.parametrize("ring", MINOR_ROUTE_RINGS, ids=str)
 def test_minor_route_divisors_match_the_integer_kernel(ring, monkeypatch):
-    # Over Z (not square), Z_(p) and Q the divisors come from two maximal
+    # Over Z, Z_(p) and Q, whatever the shape, the divisors come from two
     # minors and the kernel modulo their gcd; they must be the integer
-    # kernel's, and the planted 100-bit divisor must take the modular path.
+    # kernel's.  A planted 100-bit divisor of a non-square matrix must take
+    # the modular path; in a planted square chain (6, 6q) the kernel runs
+    # modulo a multiple of 6, and the last divisor is |det| / (s_1...s_{n-1}).
     moduli = []
     original = linalg._snf_int
     monkeypatch.setattr(linalg, "_snf_int",
                         lambda rows, m, n, mod: moduli.append(mod) or original(rows, m, n, mod))
     rng = random.Random(f"minor-route:{ring}")
-    planted = 0
+    planted = squares = 0
     for m, n, rows in _minor_route_cases(rng):
         if ring.uses_fractions and rows and rng.random() < 0.5:
             rows = [[Fraction(x, rng.choice([1, 5, 7])) for x in r] for r in rows]
         a = Matrix(ring, rows, cols=n)
         del moduli[:]
         divisors = snf(a).elementary_divisors
-        if ring != ZZ or m != n:
-            assert 0 not in moduli  # the integer kernel waits for a witness read
+        assert 0 not in moduli  # the integer kernel waits for a witness read
         assert divisors == _kernel_divisors(ring, a), (ring, m, n)
         if ring == ZZ and m != n and divisors and divisors[-1] and divisors[-1] % Q100 == 0:
             assert any(mod and mod % Q100 == 0 for mod in moduli)
             planted += 1
+        if ring == ZZ and m == n and divisors[-2:] == (6, 6 * Q100):
+            assert any(mod % 6 == 0 for mod in moduli)
+            squares += 1
         assert snf(a).verify(a)
-    assert planted == (5 if ring == ZZ else 0)
+    assert (planted, squares) == ((5, 5) if ring == ZZ else (0, 0))
 
 
 def test_prime_set_and_exactness_run_no_integer_kernel(monkeypatch):
-    # On a free Z complex with non-square boundaries the prime set and the
-    # rank rule read divisors only, so the integer kernel never runs.
+    # On free Z complexes the prime set and the rank rule read divisors
+    # only, for square and non-square boundaries alike, so the integer
+    # kernel never runs.
     rng = random.Random(25)
     k = 6
     ranks = [k + 2, 2 * k, k]
@@ -338,6 +351,10 @@ def test_prime_set_and_exactness_run_no_integer_kernel(monkeypatch):
     bases = [random_unimodular(rng, ZZ, n, entry_bound=9, steps=2 * n) for n in ranks]
     mats = [bases[0][0] @ s1 @ bases[1][1], bases[1][0] @ s2 @ bases[2][1]]
     cx = BoundedComplex.free_complex(ZZ, 0, ranks, mats)
+    u, _ = random_unimodular(rng, ZZ, k, entry_bound=9, steps=2 * k)
+    v, _ = random_unimodular(rng, ZZ, k, entry_bound=9, steps=2 * k)
+    chain = Matrix.diagonal(ZZ, [1] * (k - 2) + [6, 42])
+    square = BoundedComplex.free_complex(ZZ, 0, [k, k], [u @ chain @ v])
     integer_runs = []
     original = linalg._snf_int
     monkeypatch.setattr(linalg, "_snf_int", lambda rows, m, n, mod: (
@@ -345,9 +362,12 @@ def test_prime_set_and_exactness_run_no_integer_kernel(monkeypatch):
     primes = set().union(*(matrix_bad_primes(cx.boundary(i).matrix) for i in (1, 2)))
     exact = [cx.is_exact_at(i) for i in cx.degrees()]
     assert primes == {2, 5} and exact == [False, True, True]
+    assert matrix_bad_primes(square.boundary(1).matrix) == {2, 3, 7}
+    assert [square.is_exact_at(i) for i in square.degrees()] == [False, True]
     assert integer_runs == []
     snf(cx.boundary(1).matrix).U  # a witness read runs it
-    assert integer_runs == [(k + 2, 2 * k)]
+    snf(square.boundary(1).matrix).Vi
+    assert integer_runs == [(k + 2, 2 * k), (k, k)]
 
 
 @pytest.mark.parametrize("ring", MINOR_ROUTE_RINGS, ids=str)
@@ -650,6 +670,11 @@ def test_det_and_field_rank_never_call_the_snf(ring, monkeypatch):
             expected = fraction_rank(rows, n) if k is None else modp_rank(
                 [[x.numerator * pow(x.denominator, -1, k) for x in r] for r in rows], n, k)
             assert field_rank(reduce_matrix(a, q)) == expected
+        if ring.kind == "Zmod":
+            with pytest.raises(InputError):
+                field_rank(a)
+        elif not ring.is_field:  # over Z and Z_(p): the rank over Q, with no Fraction copy
+            assert field_rank(a) == fraction_rank(rows, n)
 
 
 def test_hstack_returns_a_lone_wide_block_itself():

@@ -39,7 +39,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Any
 
 from .complexes import (
@@ -525,7 +524,7 @@ def _cmd_filtration(args) -> tuple[str, int]:
         product *= q.p
     expected = 1
     for d in inv.torsion:
-        expected *= int(Fraction(d)) if ring.uses_fractions else int(d)
+        expected *= int(d)
     generic_steps = sum(1 for _, q in pf.steps if q.is_generic)
     if product != expected or generic_steps != inv.free_rank:
         raise ContradictionError("filtration failed re-verification")

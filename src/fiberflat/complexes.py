@@ -433,7 +433,7 @@ def koszul_complex(ring: BaseRing, elements: Sequence[object]) -> BoundedComplex
         for j, s in enumerate(upper):
             for pos, t in enumerate(s):
                 reduced = s[:pos] + s[pos + 1:]
-                coeff = xs[t] if pos % 2 == 0 else ring.neg(xs[t])
+                coeff = xs[t] if pos % 2 == 0 else ring.canon(-xs[t])
                 body[pos_of[reduced]][j] = coeff
         mats.append(Matrix._make(ring, body, len(upper)))
     return BoundedComplex.free_complex(ring, 0, ranks, mats)

@@ -127,7 +127,11 @@ class TheoremReport:
     Smith forms of C's walls [d_i | A_{i-1}], for any terms; with free
     terms these are the Smith forms of the boundaries that
     conclusion_acyclic reads (see _tensor_exact).  The Gaussian fiber
-    profiles behind hypothesis_holds are the independent route.
+    profiles behind hypothesis_holds are the independent route, except at
+    the generic point of Z, Z_(p) and Q: there the hypothesis's rank
+    (field_rank) and the divisors (the minor route) run the same
+    elimination loop, _bareiss, and the one route that does not share it
+    is the integer kernel, which runs only when a witness is read.
     """
 
     hypothesis_holds: bool

@@ -68,6 +68,8 @@ class Matrix:
 
     def __init__(self, ring: BaseRing, data: Iterable[Iterable[object]],
                  cols: int | None = None):
+        if cols is not None and cols < 0:
+            raise InputError("negative column count")
         body = [list(r) for r in data]
         self.ring = ring
         self.rows = len(body)
@@ -265,16 +267,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 # -- Smith normal form ------------------------------------------------------
 
 def _chain_ok(ring: BaseRing, divisors: Sequence[Scalar]) -> bool:
-    seen_zero = False
-    for i, d in enumerate(divisors):
-        if d == 0:
-            seen_zero = True
-        elif seen_zero:
-            return False  # trailing zeros only
-        if i + 1 < len(divisors) and ring.try_divide(divisors[i + 1], d) is None:
-            if not (d == 0 and divisors[i + 1] == 0):
-                return False
-    return True
+    """Each divisor divides the next; only 0 follows a 0, so zeros trail."""
+    return all(b == 0 if a == 0 else ring.try_divide(b, a) is not None
+               for a, b in zip(divisors, divisors[1:]))
 
 
 @dataclass(eq=False, repr=False)
@@ -567,8 +562,7 @@ def _kernel(ring: BaseRing, scale: int, lift: Sequence[Sequence[int]], m: int, n
     pivots lie in (0, n), so its diagonal is 0 exactly past the last pivot,
     and those zeros trail.
     """
-    kind, p = ring.kind, ring.param
-    mod = _modulus(ring)
+    p, mod = ring.param, _modulus(ring)
     D, row_moves, col_moves = _snf_int(lift, m, n, mod)
     divisors, units = [], []
     for i in range(min(m, n)):
@@ -581,9 +575,7 @@ def _kernel(ring: BaseRing, scale: int, lift: Sequence[Sequence[int]], m: int, n
             units.append((i, u, pow(u, -1, p)))
             d = c
         elif ring.uses_fractions and d:
-            c = 1
-            while kind == "Zloc" and d % (c * p) == 0:
-                c *= p
+            c = p ** ring.valuation(d) if ring.kind == "Zloc" else 1
             units.append((i, Fraction(d // c, scale), Fraction(scale, d // c)))
             d = c
         divisors.append(d)

@@ -14,7 +14,6 @@ solve_integral (membership in a column span), applied to a map's wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Sequence
 
@@ -23,7 +22,7 @@ from .linalg import (
     Matrix, hstack, kron, rank_over_fiber, snf, solve_integral, syzygy_matrix, _block_matrix,
     _reduce_into, _snf_full,
 )
-from .rings import BaseRing, GENERIC, Prime, Scalar, factor_trial, integers_mod
+from .rings import BaseRing, GENERIC, Prime, Scalar, integers_mod
 
 if TYPE_CHECKING:
     from .complexes import BoundedComplex
@@ -60,12 +59,12 @@ class FpModule:
     def __init__(self, ring: BaseRing, gens: int, relations: Matrix | None = None):
         if relations is None:
             relations = Matrix.zeros(ring, gens, 0)
+        if gens < 0:
+            raise InputError("negative generator count")
         if relations.ring != ring:
             raise InputError(f"relations over {relations.ring}, module over {ring}")
         if relations.rows != gens:
             raise InputError(f"{gens} generators but relations have {relations.rows} rows")
-        if gens < 0:
-            raise InputError("negative generator count")
         self.ring = ring
         self.gens = gens
         self.relations = relations
@@ -301,12 +300,7 @@ def matrix_bad_primes(a: Matrix) -> set[int]:
     if ring.kind not in ("Z", "Zloc"):
         raise InputError(f"bad primes are not meaningful over {ring}")
     nonzero = [d for d in _snf_full(a).elementary_divisors if d != 0] if a.cols else []
-    if not nonzero:
-        return set()
-    last = nonzero[-1]
-    if ring.kind == "Z":
-        return set(factor_trial(abs(int(last)))) if abs(int(last)) > 1 else set()
-    return {ring.param} if not ring.is_unit(last) else set()
+    return set(ring.factor(nonzero[-1])) if nonzero else set()
 
 
 def relevant_primes(ring: BaseRing, matrices: Sequence[Matrix]) -> list[Prime]:
@@ -358,7 +352,7 @@ def _pure_by_divisors(f: ModuleMap) -> bool:
     """
     ring = f.source.ring
     if ring.kind == "Zmod":
-        factors = factor_trial(ring.param)
+        factors = ring.factor(0)
         if len(factors) > 1:
             results = []
             for p, e in sorted(factors.items()):
@@ -591,15 +585,10 @@ def prime_filtration(m: FpModule) -> PrimeFiltration:
         return FpModule(ring, len(entries) + free_count, rel)
 
     for d in inv.torsion:
-        if ring.kind == "Z":
-            fac = factor_trial(int(d))
-        else:
-            fac = {ring.param: ring.valuation(d)}
         partial: Scalar = ring.one
-        for p in sorted(fac):
-            for _ in range(fac[p]):
-                partial = ring.canon(Fraction(partial) * p) if ring.uses_fractions \
-                    else partial * p
+        for p, e in ring.factor(d).items():
+            for _ in range(e):
+                partial = ring.canon(partial * p)
                 steps.append((stage(partial, 0), Prime.at(p)))
         completed.append(d)
     for j in range(1, inv.free_rank + 1):

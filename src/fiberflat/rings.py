@@ -232,11 +232,6 @@ class BaseRing:
     def one(self) -> Scalar:
         return Fraction(1) if self.uses_fractions else 1
 
-    def neg(self, a: Scalar) -> Scalar:
-        if self.kind in ("Zmod", "Fp"):
-            return (-a) % self.param  # type: ignore[operator]
-        return -a
-
     def is_unit(self, a: Scalar) -> bool:
         """Units: +-1 in Z, residues coprime to n in Z/n, valuation-0 in Z_(p).
 
@@ -289,25 +284,41 @@ class BaseRing:
             return q if q.denominator % self.param != 0 else None  # type: ignore[operator]
         return self.canon(q)
 
-    def valuation(self, x: Scalar, p: int | None = None) -> int | None:
-        """p-adic valuation of x; None for x = 0.  Defaults to this ring's p."""
-        if p is None:
-            if self.kind not in ("Zloc", "Fp"):
-                raise InputError(f"{self} has no implied prime for valuations")
-            p = self.param
-        x = self.canon(x)
-        if x == 0:
+    def valuation(self, x: Scalar) -> int | None:
+        """v_p(x) for x in Z_(p); None for x = 0.
+
+        >>> localized_at(2).valuation(Fraction(12, 5))
+        2
+        """
+        if self.kind != "Zloc":
+            raise InputError(f"valuations are taken in Z_(p), not in {self}")
+        num, v = self.canon(x).numerator, 0  # a canonical denominator is prime to p
+        if num == 0:
             return None
-        num = Fraction(x).numerator
-        den = Fraction(x).denominator
-        v = 0
-        while num % p == 0:
-            num //= p
+        while num % self.param == 0:  # type: ignore[operator]
+            num //= self.param  # type: ignore[operator]
             v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
         return v
+
+    def factor(self, x: Scalar) -> dict[int, int]:
+        """The primes of R that divide x, as {p: exponent}: |x| factored
+        over Z, {p: v_p(x)} over Z_(p), gcd(x, n) factored over Z/n (n
+        itself for x = 0), and nothing over a field.  The one caller of
+        factor_trial; x = 0 is rejected over Z and Z_(p).
+
+        >>> ZZ.factor(-12), integers_mod(12).factor(0), localized_at(3).factor(Fraction(18, 5))
+        ({2: 2, 3: 1}, {2: 2, 3: 1}, {3: 2})
+        """
+        if self.kind == "Zloc":
+            v = self.valuation(x)
+            if v is None:
+                raise InputError(f"cannot factor 0 in {self}")
+            return {self.param: v} if v else {}  # type: ignore[dict-item]
+        if self.is_field:
+            return {}
+        x = self.canon(x)
+        n = abs(x) if self.kind == "Z" else gcd(x, self.param)  # type: ignore[arg-type]
+        return factor_trial(n) if n != 1 else {}  # type: ignore[arg-type]
 
     # -- spectrum and residue fields ---------------------------------------
 
@@ -323,7 +334,7 @@ class BaseRing:
         if self.kind == "Z":
             raise InputError(f"Spec {self} is infinite and cannot be enumerated")
         if self.kind == "Zmod":
-            return tuple(Prime.at(p) for p in factor_trial(self.param))
+            return tuple(Prime.at(p) for p in self.factor(0))
         if self.kind == "Zloc":
             return (GENERIC, Prime.at(self.param))
         return (GENERIC,)

@@ -73,8 +73,8 @@ class TowerModule(_Tower):
     """A directed system M_0 -> M_1 -> ... of finitely presented modules.
 
     transition_rule(n) is the matrix of M_n -> M_{n+1}, built into a
-    ModuleMap between the tower's own stages.  declared_flags may assert
-    that every transition is injective and/or non-surjective; each
+    ModuleMap between the tower's own stages.  strictly_increasing
+    declares every transition injective and not surjective; each
     evaluated transition is checked against the declaration and a
     violation is an input error (the declaration is the caller's claim
     about all stages, checkable only stage by stage).
@@ -83,19 +83,18 @@ class TowerModule(_Tower):
     def __init__(self, ring: BaseRing,
                  stage_rule: Callable[[int], FpModule],
                  transition_rule: Callable[[int], Matrix],
-                 all_transitions_injective: bool = False,
-                 all_transitions_non_surjective: bool = False):
+                 strictly_increasing: bool = False):
         super().__init__(ring, stage_rule, transition_rule)
-        self.all_transitions_injective = all_transitions_injective
-        self.all_transitions_non_surjective = all_transitions_non_surjective
+        self.strictly_increasing = strictly_increasing
 
     def _connect(self, n: int, source: FpModule, target: FpModule,
                  matrix: Matrix) -> ModuleMap:
         f = ModuleMap(source, target, matrix)
-        if self.all_transitions_injective and not f.is_injective():
-            raise InputError(f"declared injective, but transition {n} is not")
-        if self.all_transitions_non_surjective and f.is_surjective():
-            raise InputError(f"declared non-surjective, but transition {n} is onto")
+        if self.strictly_increasing:
+            if not f.is_injective():
+                raise InputError(f"declared injective, but transition {n} is not")
+            if f.is_surjective():
+                raise InputError(f"declared non-surjective, but transition {n} is onto")
         return f
 
 
@@ -232,8 +231,9 @@ class NotFinitelyGeneratedVerdict:
 
     holds=True means: every checked transition embeds its stage as a
     proper submodule of the next, so the union over the declared tower
-    cannot be finitely generated.  definitive marks whether the flags
-    were declared for all stages (versus only checked up to the bound).
+    cannot be finitely generated.  definitive marks whether the tower
+    was declared strictly increasing at every stage (versus only checked
+    up to the bound).
     """
 
     holds: bool
@@ -246,17 +246,16 @@ def tower_not_finitely_generated(t: TowerModule,
                                  max_stage: int = 8) -> NotFinitelyGeneratedVerdict:
     """Sound non-finite-generation verdict for strictly increasing towers.
 
-    Evaluating transition(n) re-verifies any declared flags, so a lying
+    Evaluating transition(n) re-verifies the declaration, so a lying
     declaration surfaces as InputError here rather than a wrong verdict.
     """
-    declared = t.all_transitions_injective and t.all_transitions_non_surjective
     for n in range(max_stage):
         f = t.transition(n)
         if not f.is_injective() or f.is_surjective():
             return NotFinitelyGeneratedVerdict(
                 False, False, n, f"transition {n} is not a proper embedding; no claim")
     checked = max(max_stage, 0)
-    if declared:
+    if t.strictly_increasing:
         return NotFinitelyGeneratedVerdict(
             True, True, checked,
             "strictly increasing union by declaration, verified per evaluated stage")
@@ -331,8 +330,7 @@ def sum_inverse_primes_tower() -> TowerModule:
         ZZ,
         lambda n: FpModule.free(ZZ, 1),
         lambda n: Matrix(ZZ, [[_nth_prime(n)]]),
-        all_transitions_injective=True,
-        all_transitions_non_surjective=True,
+        strictly_increasing=True,
     )
 
 
@@ -345,8 +343,7 @@ def injective_hull_tower(p: int) -> TowerModule:
         ring,
         lambda n: FpModule.cyclic(ring, Fraction(p) ** (n + 1)),
         lambda n: Matrix(ring, [[p]]),
-        all_transitions_injective=True,
-        all_transitions_non_surjective=True,
+        strictly_increasing=True,
     )
 
 

@@ -482,6 +482,8 @@ def test_chain_map_validation_and_iso():
         ChainMap(c, d, {0: Matrix(ZZ, [[1]]), 1: Matrix(ZZ, [[-1]])})
     ident = ChainMap(c, c, {i: Matrix.identity(ZZ, 1) for i in c.degrees()})
     assert ident.is_isomorphism()
+    assert not ChainMap(c, c, {i: Matrix(ZZ, [[2]]) for i in c.degrees()}).is_isomorphism()
+    assert not ChainMap(two_term(ZZ, [[1]], [1, 1]), c, {}).is_isomorphism()
     # into Z --1--> Z/2 the square d.f_1 - f_0.d = 1 - x is a nonzero
     # matrix; it commutes exactly when 1 - x vanishes in Z/2
     one = two_term(ZZ, [[1]], [1, 1])
@@ -539,6 +541,16 @@ def test_truncation_preserves_upper_homology():
         assert full.homology(i).is_isomorphic_to(tensored.homology(i))
     empty = truncate_geq(tensored, 5)
     assert empty.term(5).is_zero()
+    # Below the top degree d_{k+1} is lifted through ker(d_k) -> C_k.
+    for cx in (koszul_complex(ZZ, [4, 6]), koszul_complex(ZZ, [2, 6, 10]),
+               tensor_with_module(FpModule.cyclic(ZZ, 2), koszul_complex(ZZ, [4, 6]))):
+        for k in range(cx.lo + 1, cx.hi):
+            t = truncate_geq(cx, k)
+            assert (t.lo, t.hi) == (k, cx.hi)
+            incl = cx.boundary(k).kernel()[1]
+            assert incl.matrix @ t.boundary(k + 1).matrix == cx.boundary(k + 1).matrix
+            for i in range(k, cx.hi + 1):
+                assert t.homology(i).is_isomorphic_to(cx.homology(i)), (k, i)
 
 
 def test_tensor_with_module_known_homology():

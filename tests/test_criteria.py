@@ -555,8 +555,8 @@ def test_prime_sets_factor_each_matrix_once(monkeypatch):
     d = Matrix(ZZ, [[2, 6 + n], [1, 3 + n]])  # Smith form diag(1, n)
     cx = two_term(ZZ, d.to_rows(), [2, 2])
     calls = []
-    factor = modules.factor_trial
-    monkeypatch.setattr(modules, "factor_trial", lambda k: calls.append(k) or factor(k))
+    factor = rings.factor_trial
+    monkeypatch.setattr(rings, "factor_trial", lambda k: calls.append(k) or factor(k))
     free = FpModule.free(ZZ, 2)
     for run in (lambda: check_main_theorem(cx), lambda: is_universally_exact(cx),
                 lambda: purity_report(ModuleMap(free, free, d))):

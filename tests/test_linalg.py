@@ -234,6 +234,32 @@ def test_verify_rejects_a_non_invertible_witness_over_z12():
         assert not dec.verify(a), witness
 
 
+def test_verify_rejects_a_non_unimodular_witness_over_domains():
+    # Over Z, Z_(p) and Q only the determinant check can reject a witness
+    # when A = 0: U and V must have unit determinants.
+    for ring, p in ((ZZ, 2), (localized_at(3), 3), (QQ, 0)):
+        a = Matrix.zeros(ring, 2, 2)
+        lift = [[0, 0], [0, 0]]
+        for witness, bad in (("U", [[p, 0], [0, 1]]), ("V", [[1, 2], [2, 4]])):
+            dec = linalg.SnfDecomposition(ring, 2, 2, (ring.zero,) * 2, 1, lift, [], [], [])
+            assert dec.verify(a)
+            dec = linalg.SnfDecomposition(ring, 2, 2, (ring.zero,) * 2, 1, lift, [], [], [])
+            setattr(dec, witness, Matrix(ring, bad))
+            assert dec.U @ dec.D @ dec.V == a
+            assert not dec.verify(a), (ring, witness)
+
+
+def test_chain_check_rejects_a_broken_chain_and_a_leading_zero():
+    z12 = integers_mod(12)
+    assert linalg._chain_ok(ZZ, (1, 2, 6, 0, 0))
+    assert linalg._chain_ok(z12, (2, 4, 0))
+    assert not linalg._chain_ok(ZZ, (2, 3))  # 2 does not divide 3
+    assert not linalg._chain_ok(z12, (4, 2))
+    assert not linalg._chain_ok(localized_at(3), (Fraction(3), Fraction(1)))
+    for ring, late in ((ZZ, 2), (QQ, Fraction(1)), (z12, 3), (z12, 12)):
+        assert not linalg._chain_ok(ring, (0, late)), (ring, late)  # a zero before a nonzero
+
+
 def test_verify_rejects_an_altered_divisor():
     # verify forms U @ D by scaling U's columns by the divisors; with the last
     # nonzero divisor set to 0 the chain still holds and U, V are unchanged,
@@ -723,6 +749,8 @@ def test_matrix_validation():
         Matrix(ZZ, [[1]]) @ Matrix(ZZ, [[1, 2], [3, 4]])
     with pytest.raises(InputError):
         Matrix(ZZ, [[1]]) + Matrix(integers_mod(4), [[1]])
+    with pytest.raises(InputError, match="negative column count"):
+        Matrix(ZZ, [], cols=-3)
 
 
 def test_rank_over_fiber_rejects_foreign_primes():

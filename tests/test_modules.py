@@ -24,6 +24,13 @@ Z12 = integers_mod(12)
 Z4 = integers_mod(4)
 
 
+def test_presentation_counts_are_checked_in_order():
+    with pytest.raises(InputError, match="negative generator count"):
+        FpModule(ZZ, -1)
+    with pytest.raises(InputError, match="2 generators but relations have 1 rows"):
+        FpModule(ZZ, 2, Matrix(ZZ, [[2]]))
+
+
 def test_invariant_factor_classification():
     m = FpModule(ZZ, 2, Matrix(ZZ, [[2, 0], [0, 3]]))
     inv = m.invariant_factors()

@@ -1,7 +1,9 @@
 """Ring layer: literals, arithmetic, residue fields, spectra."""
 
 import json
+import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +13,8 @@ from fiberflat.errors import InputError
 from fiberflat.linalg import Matrix, rank_over_fiber, reduce_matrix
 from fiberflat.modules import FpModule
 from fiberflat.rings import (
-    GENERIC, PRIMALITY_BOUND, Prime, QQ, ZZ, integers_mod, is_prime, localized_at,
-    parse_prime, parse_ring, parse_scalar, prime_field, render_scalar,
+    GENERIC, PRIMALITY_BOUND, Prime, QQ, ZZ, factor_trial, integers_mod, is_prime,
+    localized_at, parse_prime, parse_ring, parse_scalar, prime_field, render_scalar,
 )
 from fiberflat.towers import TowerModule, sum_inverse_primes_tower, tower_fiber, tower_tor
 
@@ -199,8 +201,35 @@ def test_units():
 def test_valuation():
     assert localized_at(2).valuation(Fraction(12, 5)) == 2
     assert localized_at(2).valuation(Fraction(0)) is None
-    assert ZZ.valuation(40, 2) == 3
-    assert ZZ.valuation(40, 3) == 0
+    with pytest.raises(InputError, match="valuations are taken in Z_"):
+        ZZ.valuation(40)
+
+
+def test_factor_agrees_with_factor_trial_and_valuation():
+    """BaseRing.factor names the primes of R dividing x: the product of p^e
+    is |x| over Z, the p-part over Z_(p), gcd(x, n) over Z/n, and 1 over
+    the fields."""
+    rng = random.Random(27)
+    for _ in range(300):
+        x = rng.choice([1, -1]) * rng.randint(1, 10 ** 7)
+        fac = ZZ.factor(x)
+        assert fac == factor_trial(abs(x)) and prod(p ** e for p, e in fac.items()) == abs(x)
+        n = rng.randint(2, 10 ** 5)
+        for y in (x, 0):
+            fac = integers_mod(n).factor(y)
+            assert fac == factor_trial(gcd(y, n))
+            assert prod(p ** e for p, e in fac.items()) == gcd(y, n)
+        for p in (2, 3, 5, 7):
+            ring = localized_at(p)
+            y = Fraction(x, rng.choice([d for d in (1, 2, 3, 5, 7, 11) if d % p]))
+            fac, v = ring.factor(y), ring.valuation(y)
+            assert fac == ({p: v} if v else {}) and v == factor_trial(abs(x)).get(p, 0)
+            assert prod(q ** e for q, e in fac.items()) == p ** v
+        assert prime_field(7).factor(x) == {} and QQ.factor(Fraction(x, 3)) == {}
+    assert integers_mod(360).factor(0) == {2: 3, 3: 2, 5: 1}
+    for ring in (ZZ, localized_at(3)):
+        with pytest.raises(InputError, match="factor"):
+            ring.factor(0)
 
 
 def test_is_prime_matches_a_sieve():

@@ -118,15 +118,15 @@ def test_declared_flags_are_verified_per_stage():
     lying = TowerModule(
         ZZ, lambda n: FpModule.free(ZZ, 1),
         lambda n: Matrix(ZZ, [[0]]),
-        all_transitions_injective=True)
-    with pytest.raises(InputError):
+        strictly_increasing=True)
+    with pytest.raises(InputError, match="declared injective, but transition 0 is not"):
         lying.transition(0)
 
     onto = TowerModule(
         ZZ, lambda n: FpModule.free(ZZ, 1),
         lambda n: Matrix(ZZ, [[1]]),
-        all_transitions_non_surjective=True)
-    with pytest.raises(InputError):
+        strictly_increasing=True)
+    with pytest.raises(InputError, match="declared non-surjective, but transition 0 is onto"):
         tower_fiber(onto, GENERIC, max_stage=4)
 
 

@@ -6,6 +6,9 @@ forms, Tor/Ext fiber dimensions, null-homotopy certificates, and tower
 stabilization reports.  See the README for the CLI surface.
 """
 
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
+
 from .errors import ContradictionError, InputError
 from .rings import (
     GENERIC, BaseRing, Prime, ZZ, QQ,
@@ -22,9 +25,9 @@ from .modules import (
     purity_report, tor_fiber,
 )
 from .complexes import (
-    BoundedComplex, ChainMap, FiberProfile, HomotopyCertificate, cone, dual,
-    koszul_complex, koszul_selfduality, null_homotopy, shift,
-    tensor_with_module, total_tensor, truncate_geq,
+    DEFAULT_MAX_STAGE, DEFAULT_WINDOW, BoundedComplex, ChainMap, FiberProfile,
+    HomotopyCertificate, cone, dual, koszul_complex, koszul_selfduality,
+    null_homotopy, shift, tensor_with_module, total_tensor, truncate_geq,
 )
 from .criteria import (
     BadPrimeSet, FlatnessVerdict, TheoremReport, UniversalExactnessReport,
@@ -33,13 +36,36 @@ from .criteria import (
     complex_prime_set, ext_flatness_criterion, is_universally_exact,
     standard_module_family, tor_flatness_criterion,
 )
-from .generate import ComplexSpecimen, random_complex, random_fp_module, random_unimodular
-from .towers import (
-    DEFAULT_MAX_STAGE, DEFAULT_WINDOW, GalleryReport, GalleryRow,
-    NotFinitelyGeneratedVerdict, StabilizationReport, TowerComplex,
-    TowerModule, dvr_fraction_field_tower, gallery, injective_hull_tower,
-    sum_inverse_primes_tower, tower_complex_homology_fiber, tower_fiber,
-    tower_not_finitely_generated, tower_tor,
-)
+
+# Every command of the CLI runs the modules above, so they load with the
+# package.  The names of generate and towers are resolved on first use
+# (PEP 562) and then stored here, so a CLI run loads those two modules
+# only if its command builds towers.
+_LAZY = {
+    "generate": ("ComplexSpecimen", "random_complex", "random_fp_module",
+                 "random_unimodular"),
+    "towers": ("GalleryReport", "GalleryRow", "NotFinitelyGeneratedVerdict",
+               "StabilizationReport", "TowerComplex", "TowerModule",
+               "dvr_fraction_field_tower", "gallery", "injective_hull_tower",
+               "sum_inverse_primes_tower", "tower_complex_homology_fiber",
+               "tower_fiber", "tower_not_finitely_generated", "tower_tor"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + list(_LAZY_OWNER))
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_OWNER))

@@ -42,7 +42,8 @@ from contextlib import contextmanager
 from typing import Any
 
 from .complexes import (
-    BoundedComplex, koszul_complex, koszul_selfduality, null_homotopy,
+    DEFAULT_MAX_STAGE, DEFAULT_WINDOW, BoundedComplex, koszul_complex,
+    koszul_selfduality, null_homotopy,
 )
 from .criteria import (
     BadPrimeSet, bad_primes, check_main_theorem, complex_prime_set,
@@ -56,7 +57,6 @@ from .modules import (
 from .rings import (
     BaseRing, Prime, parse_prime, parse_ring, parse_scalar, quoted, render_scalar,
 )
-from .towers import DEFAULT_MAX_STAGE, DEFAULT_WINDOW, gallery
 
 # Caps on every size the CLI accepts, so that each run ends in bounded time.
 MAX_RANK = 256               # term rank; generator, relation, row and column counts
@@ -542,6 +542,8 @@ def _cmd_filtration(args) -> tuple[str, int]:
 
 
 def _cmd_gallery(args) -> tuple[str, int]:
+    from .towers import gallery  # the one command that builds towers
+
     _capped(args.max_prime, "--max-prime", MAX_PRIME_BOUND)
     _capped(args.max_stage, "--max-stage", MAX_STAGE)
     rep = gallery(args.name, p=args.p, max_prime=args.max_prime,

@@ -30,6 +30,11 @@ from .linalg import (
 from .modules import FpModule, ModuleMap, _pullback
 from .rings import BaseRing, Prime
 
+# Stabilization defaults of the tower reports in towers.py, kept below
+# towers so that the CLI states them in its help without importing towers.
+DEFAULT_WINDOW = 3
+DEFAULT_MAX_STAGE = 32
+
 
 @dataclass(frozen=True)
 class FiberProfile:

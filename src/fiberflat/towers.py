@@ -26,14 +26,11 @@ from fractions import Fraction
 from itertools import count, takewhile
 from typing import Callable, Mapping
 
-from .complexes import BoundedComplex, ChainMap
+from .complexes import DEFAULT_MAX_STAGE, DEFAULT_WINDOW, BoundedComplex, ChainMap
 from .errors import InputError
 from .linalg import Matrix, field_rank, hstack, reduce_matrix, syzygy_matrix
 from .modules import FpModule, ModuleMap, free_resolution, lift_along
 from .rings import GENERIC, BaseRing, Prime, ZZ, is_prime, localized_at
-
-DEFAULT_WINDOW = 3
-DEFAULT_MAX_STAGE = 32
 
 
 class _Tower:

@@ -142,6 +142,19 @@ def reduce_entry(kind, p, x):
     return int(x) % p
 
 
+def trial_factor(n):
+    """{prime: exponent} of n >= 1 by trial division up to its square root."""
+    out, f = {}, 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 # -- oracles on library objects -------------------------------------------------
 
 def determinantal_divisors(a):

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberflat import cli
+from fiberflat import cli, towers
 from fiberflat.cli import (
     MAX_DEPTH, MAX_KOSZUL_ELEMENTS, MAX_PRIME_BOUND, MAX_RANK, MAX_STAGE,
     load_document, main, render_document,
@@ -642,8 +642,8 @@ def test_gallery_rejects_bounds_that_prove_nothing(capsys):
 
 
 def test_gallery_mismatch_exits_3(capsys, monkeypatch):
-    real = cli.gallery
-    monkeypatch.setattr(cli, "gallery",
+    real = towers.gallery
+    monkeypatch.setattr(towers, "gallery",
                         lambda *a, **kw: dataclasses.replace(real(*a, **kw), ok=False))
     code, out, _ = run(capsys, "--format", "json", "gallery", "dvr-fraction-field")
     assert code == 3 and json.loads(out)["ok"] is False
@@ -867,12 +867,51 @@ def test_closed_stdout_is_not_a_traceback(argv):
     stdout fails with EPIPE."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     try:
         proc = subprocess.run([sys.executable, "-m", "fiberflat", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+                              stderr=subprocess.PIPE, env=_child_env(), timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 0 and b"Traceback" not in proc.stderr, proc.stderr.decode()
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this fiberflat."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# -- package imports -------------------------------------------------------------
+
+def test_fresh_interpreter_resolves_every_public_name():
+    """generate and towers load on first use; every name in __all__ still
+    resolves, and dir() lists it before it is resolved."""
+    code = ("import fiberflat, json, sys\n"
+            "unlisted = sorted(set(fiberflat.__all__) - set(dir(fiberflat)))\n"
+            "loaded = sorted(m for m in ('fiberflat.towers', 'fiberflat.generate') if m in sys.modules)\n"
+            "resolved = [getattr(fiberflat, name) for name in fiberflat.__all__]\n"
+            "print(json.dumps([len(resolved), unlisted, loaded]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, unlisted, loaded = json.loads(proc.stdout)
+    assert count > 80 and unlisted == [] and loaded == []
+
+
+@pytest.mark.parametrize("argv, towers_loaded", [
+    (["check-theorem", json.dumps(DOCS["complex"])], False),
+    (["gallery", "dvr-fraction-field"], True),
+], ids=["check-theorem", "gallery"])
+def test_a_cli_run_imports_only_what_its_command_runs(argv, towers_loaded):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "fiberflat",
+                           "--format", "json", *argv],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"fiberflat.criteria", "fiberflat.cli"} <= loaded
+    assert ("fiberflat.towers" in loaded) == towers_loaded
+    assert "fiberflat.generate" not in loaded
+    report = json.loads(proc.stdout)
+    assert report.get("ok", True) is True and report.get("verdict", "consistent") == "consistent"

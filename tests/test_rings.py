@@ -2,6 +2,9 @@
 
 import json
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from math import gcd, prod
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fiberflat import cli, rings
-from fiberflat.errors import InputError
+from fiberflat.errors import ContradictionError, InputError
 from fiberflat.linalg import Matrix, rank_over_fiber, reduce_matrix
 from fiberflat.modules import FpModule
 from fiberflat.rings import (
@@ -18,7 +21,8 @@ from fiberflat.rings import (
 )
 from fiberflat.towers import TowerModule, sum_inverse_primes_tower, tower_fiber, tower_tor
 
-from _oracles import fraction_rank, modp_rank, reduce_entry
+from _oracles import fraction_rank, modp_rank, reduce_entry, trial_factor
+from test_cli import _child_env
 
 
 @pytest.mark.parametrize("literal", ["Z", "Q", "Z/12", "Z/7", "Zloc/5", "F3"])
@@ -230,6 +234,80 @@ def test_factor_agrees_with_factor_trial_and_valuation():
     for ring in (ZZ, localized_at(3)):
         with pytest.raises(InputError, match="factor"):
             ring.factor(0)
+
+
+def test_factor_trial_matches_trial_division():
+    """Seeded n up to 10^12, a tenth of them near the top, against plain
+    trial division; every n the library workloads factor, 2..360, keeps
+    its sorted dict."""
+    rng = random.Random(28)
+    draws = [rng.randint(1, 10 ** rng.randint(1, 12)) for _ in range(360)]
+    draws += [rng.randint(10 ** 11, 10 ** 12) for _ in range(40)]
+    for n in draws + list(range(1, 361)):
+        assert list(factor_trial(n).items()) == sorted(trial_factor(n).items()), n
+
+
+def _random_prime(rng, bits):
+    while True:
+        p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime(p):
+            return p
+
+
+def test_factor_trial_splits_semiprimes_past_trial_division():
+    rng = random.Random(40)
+    for _ in range(12):
+        p, q = (_random_prime(rng, rng.randint(20, 40)) for _ in range(2))
+        fac = factor_trial(p * q)
+        assert prod(f ** e for f, e in fac.items()) == p * q
+        assert all(is_prime(f) for f in fac) and set(fac) == {p, q}
+    assert factor_trial(18446744400127067027) == {4294967311: 1, 4294967357: 1}
+    # a prime power: every batch gcd is the whole cofactor, so rho replays it
+    assert factor_trial(1000003 ** 3 * 1000033) == {1000003: 3, 1000033: 1}
+    assert factor_trial(4294967311 ** 2) == {4294967311: 2}
+
+
+def test_factor_trial_step_budget(monkeypatch):
+    """The budget is FACTOR_STEPS steps of rho, and running out names n."""
+    monkeypatch.setattr(rings, "FACTOR_STEPS", 1000)
+    with pytest.raises(InputError, match="cannot factor 18446744400127067027 within 1000 steps"):
+        factor_trial(18446744400127067027)
+    assert factor_trial(1021 * 1031 * 1033) == {1021: 1, 1031: 1, 1033: 1}
+
+
+def test_factor_trial_checks_its_product(monkeypatch):
+    """A rho step that returned a non-divisor would lose part of n."""
+    monkeypatch.setattr(rings, "_rho_divisor", lambda m, steps: (2, steps))
+    with pytest.raises(ContradictionError, match="multiply to"):
+        factor_trial(18446744400127067027)
+
+
+def test_prime_looking_factor_past_the_bound_exits_2(capsys):
+    """The small factor splits off; the cofactor, a prime at or above
+    PRIMALITY_BOUND, cannot be certified, so the command exits 2."""
+    big = 2 ** 89 - 1
+    assert big >= PRIMALITY_BOUND
+    with pytest.raises(InputError, match=f"its factor {big},"):
+        factor_trial(6 * big)
+    doc = json.dumps({"version": 1, "ring": f"Z/{6 * big}", "complex": {
+        "lo": 0, "hi": 0, "ranks_or_terms": [1], "boundaries": []}})
+    assert cli.main(["check-theorem", doc]) == 2
+    assert "input error: cannot factor" in capsys.readouterr().err
+
+
+def test_factor_budget_ends_a_128_bit_semiprime():
+    """As one CLI process: exit 2 with an input error, in bounded time."""
+    rng = random.Random(128)
+    n = _random_prime(rng, 64) * _random_prime(rng, 64)
+    doc = json.dumps({"version": 1, "ring": "Z", "complex": {
+        "lo": 0, "hi": 1, "ranks_or_terms": [1, 1], "boundaries": [[[n]]]}})
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "fiberflat", "badprimes", doc],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"input error: cannot factor {n} within")
+    assert elapsed < 5, elapsed
 
 
 def test_is_prime_matches_a_sieve():

@@ -285,10 +285,6 @@ def _module_json(m: FpModule) -> dict[str, Any]:
             "torsion": [render_scalar(d) for d in inv.torsion]}
 
 
-def _sorted_primes(primes) -> list[Prime]:
-    return sorted(primes, key=lambda q: q.sort_key())
-
-
 def _emit(args: argparse.Namespace, ring: BaseRing, payload: dict[str, Any],
           text_lines: list[str]) -> str:
     """The report: in JSON the command's own fields plus its name, the ring
@@ -334,7 +330,7 @@ def _cmd_homology(args) -> tuple[str, int]:
 
 
 def _primes_for(args, ring: BaseRing) -> list[Prime]:
-    """The distinct points named by --primes, each checked to lie in Spec R."""
+    """The distinct points named by --primes, in Spec R and in report order."""
     if not args.primes:
         return []
     out = []
@@ -343,12 +339,12 @@ def _primes_for(args, ring: BaseRing) -> list[Prime]:
             q = parse_prime(tok.strip())
             ring.residue_field(q)
             out.append(q)
-    return list(dict.fromkeys(out))
+    return sorted(set(out), key=Prime.sort_key)
 
 
 def _cmd_fibers(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
-    primes = _sorted_primes(_primes_for(args, ring) or complex_prime_set(cx))
+    primes = _primes_for(args, ring) or complex_prime_set(cx)
     rows = []
     lines = [f"ring: {ring.literal()}"]
     for q in primes:
@@ -363,7 +359,7 @@ def _cmd_fibers(args) -> tuple[str, int]:
 def _cmd_badprimes(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
     bp: BadPrimeSet = bad_primes(cx)
-    witness = [[p, list(degs)] for p, degs in sorted(bp.witness.items())]
+    witness = [[p, list(degs)] for p, degs in bp.witness.items()]
     payload = {"primes": [q.p for q in bp.primes], "witness": witness}
     lines = [f"ring: {ring.literal()}",
              f"bad primes: {', '.join(str(q.p) for q in bp.primes) or '(none)'}"]
@@ -375,13 +371,12 @@ def _cmd_badprimes(args) -> tuple[str, int]:
 def _cmd_check_theorem(args) -> tuple[str, int]:
     ring, cx = load_document(args.input, "complex")
     rep = check_main_theorem(cx)
-    primes = _sorted_primes(rep.checked_primes)
     fibers = [{"prime": q.literal(),
                "dims": [[i, rep.fiber_dims[q][i]] for i in sorted(rep.fiber_dims[q], reverse=True)]}
-              for q in primes]
+              for q in rep.checked_primes]
     payload = {
         "hypothesis_holds": rep.hypothesis_holds,
-        "checked_primes": [q.literal() for q in primes],
+        "checked_primes": [q.literal() for q in rep.checked_primes],
         "fibers": fibers,
         "conclusion_acyclic": rep.conclusion_acyclic,
         "conclusion_h0_flat": rep.conclusion_h0_flat,
@@ -390,7 +385,7 @@ def _cmd_check_theorem(args) -> tuple[str, int]:
         "verdict": rep.verdict,
     }
     lines = [f"ring: {ring.literal()}",
-             f"checked primes: {', '.join('(' + q.literal() + ')' for q in primes)}",
+             f"checked primes: {', '.join('(' + q.literal() + ')' for q in rep.checked_primes)}",
              f"hypothesis (all fibers acyclic in degrees > 0): {'holds' if rep.hypothesis_holds else 'fails'}",
              f"conclusion: complex acyclic in degrees > 0: {rep.conclusion_acyclic}",
              f"conclusion: H_0 flat: {rep.conclusion_h0_flat}   [H_0 = {_module_text(rep.h0)}]",
@@ -406,7 +401,7 @@ def _cmd_check_map(args) -> tuple[str, int]:
         "injective_with_flat_cokernel": rep.injective_with_flat_cokernel,
         "pure": rep.pure,
         "fiberwise_injective": rep.fiberwise_injective,
-        "checked_primes": [q.literal() for q in _sorted_primes(rep.checked_primes)],
+        "checked_primes": [q.literal() for q in rep.checked_primes],
         "verdict": rep.verdict,
     }
     lines = [f"ring: {ring.literal()}",
@@ -423,7 +418,7 @@ def _cmd_check_universal(args) -> tuple[str, int]:
     payload = {
         "direct": rep.direct, "fiberwise": rep.fiberwise,
         "tensor_sampled": rep.tensor_sampled,
-        "checked_primes": [q.literal() for q in _sorted_primes(rep.checked_primes)],
+        "checked_primes": [q.literal() for q in rep.checked_primes],
         "verdict": rep.verdict,
     }
     lines = [f"ring: {ring.literal()}",
@@ -446,7 +441,7 @@ def _cmd_tor_ext(args) -> tuple[str, int]:
     dims_at = res.tor_dims if functor == "tor" else res.ext_dims
     table = []
     lines = [f"ring: {ring.literal()}", f"module: {_module_text(m)}"]
-    for q in _sorted_primes(asked or verdict.checked_primes):
+    for q in asked or verdict.checked_primes:
         row = verdict.table[q] if q in verdict.table else dims_at(q)
         dims = [[i, row[i]] for i in range(depth, -1, -1)]
         table.append({"prime": q.literal(), "dims": dims})

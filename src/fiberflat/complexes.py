@@ -38,9 +38,8 @@ DEFAULT_MAX_STAGE = 32
 
 @dataclass(frozen=True)
 class FiberProfile:
-    """Homology dimensions of a complex after base change to kappa(prime)."""
+    """Homology dimensions of a complex after base change to kappa(q)."""
 
-    prime: Prime
     dims: dict[int, int]
 
     def is_exact(self) -> bool:
@@ -254,7 +253,7 @@ class BoundedComplex:
                 for i in range(lo, hi + 1)}
 
     def fiber_profile(self, q: Prime) -> FiberProfile:
-        return FiberProfile(q, self._fiber_dims(q, self.lo, self.hi))
+        return FiberProfile(self._fiber_dims(q, self.lo, self.hi))
 
     def is_fiber_exact(self, q: Prime) -> bool:
         return self.fiber_profile(q).is_exact()

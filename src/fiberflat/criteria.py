@@ -4,8 +4,8 @@ many primes, with every conclusion recomputed by an independent route.
 The load-bearing fact used throughout: a matrix over Z or Z_(p) drops
 rank modulo p exactly when p divides its last nonzero elementary
 divisor, so "for every prime" statements reduce to the generic point
-plus the finitely many divisors of that entry.  bad_primes computes the
-set; its soundness is a tested invariant, not an assumption.
+plus the finitely many divisors of that entry.  bad_primes reports the
+finite points of complex_prime_set; soundness is a tested invariant.
 
 Whenever one of the provably equivalent routes disagrees with another,
 the checker raises ContradictionError instead of picking a side.
@@ -19,29 +19,28 @@ from typing import Sequence
 
 from .complexes import BoundedComplex, HomotopyCertificate, null_homotopy
 from .errors import ContradictionError, InputError
+from .linalg import rank_over_fiber
 from .modules import (
-    FpModule, ModuleMap, Resolution, free_resolution, matrix_bad_primes,
-    map_prime_set, module_prime_set, relevant_primes,
+    FpModule, ModuleMap, Resolution, free_resolution, map_prime_set, module_prime_set,
+    relevant_primes,
 )
-from .rings import BaseRing, Prime
+from .rings import GENERIC, BaseRing, Prime
 
 
 @dataclass(frozen=True)
 class BadPrimeSet:
-    """Primes where some boundary matrix drops fiber rank, with witnesses.
+    """The finite points of a free-term complex's checked prime set, with
+    witness mapping each to the boundary degrees where the fiber rank
+    drops; at any other prime every boundary has its generic rank."""
 
-    witness maps each prime to the degrees of the offending boundaries.
-    For any prime outside the set, every boundary has its generic rank.
-    """
-
-    ring: BaseRing
     primes: tuple[Prime, ...]
     witness: dict[int, tuple[int, ...]]
 
 
 def bad_primes(cx: BoundedComplex) -> BadPrimeSet:
-    """Primes dividing the last nonzero elementary divisor of any
-    boundary matrix of a free-term complex over Z or Z_(p).
+    """The finite points of complex_prime_set(cx) for a free-term complex
+    over Z or Z_(p), each with the degrees i where rank_over_fiber(d_i, p)
+    < rank_over_fiber(d_i, GENERIC); a point with none is a contradiction.
 
     >>> from fiberflat.rings import ZZ
     >>> from fiberflat.complexes import koszul_complex
@@ -52,12 +51,13 @@ def bad_primes(cx: BoundedComplex) -> BadPrimeSet:
         raise InputError(f"bad primes are enumerable over Z and Z_(p), not {cx.ring}")
     if not cx.is_free():
         raise InputError("bad_primes expects free terms")
-    witness: dict[int, list[int]] = {}
-    for i in range(cx.lo + 1, cx.hi + 1):
-        for p in sorted(matrix_bad_primes(cx.boundary(i).matrix)):
-            witness.setdefault(p, []).append(i)
-    primes = tuple(Prime.at(p) for p in sorted(witness))
-    return BadPrimeSet(cx.ring, primes, {p: tuple(v) for p, v in sorted(witness.items())})
+    primes = tuple(q for q in complex_prime_set(cx) if not q.is_generic)
+    ds = {i: cx.boundary(i).matrix for i in range(cx.lo + 1, cx.hi + 1)}
+    witness = {q.p: tuple(i for i, d in ds.items()
+                          if rank_over_fiber(d, q) < rank_over_fiber(d, GENERIC)) for q in primes}
+    if not all(witness.values()):
+        raise ContradictionError(f"a bad prime where no boundary drops rank: {witness}")
+    return BadPrimeSet(primes, witness)
 
 
 def complex_prime_set(cx: BoundedComplex) -> list[Prime]:

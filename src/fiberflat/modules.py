@@ -306,7 +306,8 @@ def matrix_bad_primes(a: Matrix) -> set[int]:
 def relevant_primes(ring: BaseRing, matrices: Sequence[Matrix]) -> list[Prime]:
     """The finite prime set sufficient to decide fiberwise statements:
     the generic point plus every prime where some given matrix drops rank
-    (over Z / Z_(p)), or the entire finite spectrum otherwise."""
+    (over Z / Z_(p)), or the entire finite spectrum otherwise: the one
+    enumeration of points, generic first and then primes ascending."""
     if ring.kind in ("Z", "Zloc"):
         bad: set[int] = set()
         for a in dict.fromkeys(matrices):  # a wall [f | A] is f when A has no columns

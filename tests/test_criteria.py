@@ -25,9 +25,9 @@ from fiberflat.criteria import (
     standard_module_family,
     tor_flatness_criterion,
 )
-from fiberflat.errors import InputError
+from fiberflat.errors import ContradictionError, InputError
 from fiberflat.generate import random_complex
-from fiberflat.linalg import Matrix
+from fiberflat.linalg import Matrix, rank_over_fiber
 from fiberflat import linalg, modules, rings
 from fiberflat.modules import FpModule, ModuleMap, purity_report
 from fiberflat.rings import (
@@ -529,6 +529,65 @@ def test_bad_primes_soundness_outside_the_set():
         generic = cx.fiber_profile(GENERIC).dims
         for p in outside:
             assert cx.fiber_profile(Prime.at(p)).dims == generic
+
+
+def test_complex_prime_set_comes_in_report_order():
+    """The CLI prints a computed prime set as it comes: generic point
+    first, then primes ascending; free and non-free terms alike."""
+    rng = random.Random(2929)
+    longest = 0
+    for ring in (ZZ, localized_at(3), Z12, integers_mod(360), prime_field(5), QQ):
+        for pop in ("hypothesis-true", "hypothesis-false", "hypothesis-false"):
+            cx = random_complex(rng, ring, max_len=4, max_rank=4, population=pop).complex
+            for c in (cx, tensor_with_module(FpModule.cyclic(ring, 10), cx)):
+                primes = complex_prime_set(c)
+                assert primes == sorted(primes, key=Prime.sort_key), ring
+                longest = max(longest, len(primes))
+    assert longest >= 3
+
+
+def test_bad_primes_are_the_finite_checked_points():
+    rng = random.Random(2930)
+    witnessed = set()
+    for ring in (ZZ, localized_at(3)):
+        for _ in range(12):
+            pop = rng.choice(("hypothesis-true", "hypothesis-false"))
+            cx = random_complex(rng, ring, max_len=4, max_rank=4, population=pop).complex
+            bad = bad_primes(cx)
+            assert bad.primes == tuple(complex_prime_set(cx)[1:])
+            assert list(bad.witness) == [q.p for q in bad.primes]
+            ds = {i: cx.boundary(i).matrix for i in range(cx.lo + 1, cx.hi + 1)}
+            for q in bad.primes:
+                assert bad.witness[q.p] == tuple(
+                    i for i, d in ds.items() if rank_over_fiber(d, q) < rank_over_fiber(d, GENERIC))
+                witnessed.add(ring)
+    assert witnessed == {ZZ, localized_at(3)}
+
+
+# 4294967311 * 4294967357, split by Pollard-Brent rho
+SEMIPRIME = 18446744400127067027
+
+
+def test_bad_primes_factors_a_repeated_boundary_once(monkeypatch):
+    """Eight equal boundaries are one matrix to the prime set: its last
+    divisor is factored once, and each prime is witnessed in all eight
+    degrees."""
+    calls = []
+    real = rings.factor_trial
+    monkeypatch.setattr(rings, "factor_trial", lambda n: calls.append(n) or real(n))
+    d = Matrix(ZZ, [[0, SEMIPRIME], [0, 0]])
+    bad = bad_primes(BoundedComplex.free_complex(ZZ, 0, [2] * 9, [d] * 8))
+    assert [q.p for q in bad.primes] == [4294967311, 4294967357]
+    assert bad.witness == {4294967311: tuple(range(1, 9)), 4294967357: tuple(range(1, 9))}
+    assert calls == [SEMIPRIME]
+
+
+def test_bad_primes_refuses_a_prime_without_a_rank_drop(monkeypatch):
+    real = modules.matrix_bad_primes
+    monkeypatch.setattr(modules, "matrix_bad_primes", lambda a: real(a) | {7})
+    assert [q.literal() for q in complex_prime_set(times(ZZ, 6))] == ["0", "2", "3", "7"]
+    with pytest.raises(ContradictionError, match="no boundary drops rank"):
+        bad_primes(times(ZZ, 6))
 
 
 def test_complex_prime_set_contents():

@@ -4,7 +4,9 @@ of invocations, each pinned by a digest in golden_cli.json.
 The cases are the README examples, the three galleries, `koszul`, and
 documents drawn here from a fixed seed (complexes with free and non-free
 terms, lo != 0, documents that must exit 2, and modules for tor/ext), each
-run in text and in JSON.  A change that alters any byte of the output
+run in text and in JSON.  A second seed draws the `badprimes`, `check-map`,
+`snf` and `filtration` cases and unsorted, repeated `--primes` lists, so
+the first seed's cases stay as they were.  A change that alters any byte of the output
 fails here; a deliberate change re-records the digests with
 
     PYTHONPATH=src python3 tests/test_golden_cli.py
@@ -149,6 +151,77 @@ def _seeded_cases():
     return cases
 
 
+# 4294967311 * 4294967357: its one split takes Pollard-Brent rho, not trial division
+SEMIPRIME = 18446744400127067027
+
+
+def _doc(ring, key, payload):
+    return json.dumps({"version": 1, "ring": ring, key: payload})
+
+
+def _free_complex_doc(rng, ring):
+    """Free terms in degrees 0..2 with d_1 = [X | 0] and d_2 = [0; Y], X and
+    Y seeded with entries in [-6, 6], then one elementary change of
+    generators in degree 1, so that d_1 d_2 = 0 still holds."""
+    n0, k, j, n2 = (rng.randrange(1, 4) for _ in range(4))
+    d1 = [[rng.randint(-6, 6) for _ in range(k)] + [0] * j for _ in range(n0)]
+    d2 = [[0] * n2 for _ in range(k)] + [[rng.randint(-6, 6) for _ in range(n2)] for _ in range(j)]
+    i, l = rng.sample(range(k + j), 2)
+    s = rng.choice((1, -1))
+    # generators x -> U x with U = I + s E_il: rows of d_2, columns of d_1
+    d2[i] = [a + s * b for a, b in zip(d2[i], d2[l])]
+    for row in d1:
+        row[l] -= s * row[i]
+    return _doc(ring, "complex", {"lo": 0, "hi": 2, "ranks_or_terms": [n2, k + j, n0],
+                                  "boundaries": [d2, d1]})
+
+
+def _matrix(rng, rows, cols, entries):
+    return [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def _prime_set_cases():
+    """badprimes, check-map, snf, filtration and --primes cases from their
+    own seed."""
+    rng = Random("fiberflat golden cli: prime sets")
+    cases = {}
+    for ring in ("Z", "Zloc/3"):
+        for n in range(4):
+            cases[f"badprimes-{ring}-{n}"] = ["badprimes", _free_complex_doc(rng, ring)]
+    cases["badprimes-semiprime-8fold"] = ["badprimes", _doc("Z", "complex", {
+        "lo": 0, "hi": 8, "ranks_or_terms": [2] * 9, "boundaries": [[[0, SEMIPRIME], [0, 0]]] * 8})]
+    cases["badprimes-Z12"] = ["badprimes", _free_complex_doc(rng, "Z/12")]
+    cases["badprimes-nonfree"] = ["badprimes", _doc("Z", "complex", {
+        "lo": 0, "hi": 1, "ranks_or_terms": [1, {"generators": 1, "relations": [[4]]}],
+        "boundaries": [[[2]]]})]
+    targets = {"Z": [], "Z/12": [[4]], "Zloc/3": []}
+    for ring, rels in targets.items():
+        for n in range(2):
+            g = rng.randrange(1, 3)
+            h = g + rng.randrange(2)
+            target = {"generators": h, "relations": [col + [0] * (h - 1) for col in rels]}
+            cases[f"check-map-{ring}-{n}"] = ["check-map", _doc(ring, "map", {
+                "source": {"generators": g, "relations": []}, "target": target,
+                "matrix": _matrix(rng, h, g, (0, 1, -1, 2, 3))})]
+        cases[f"check-map-{ring}-pure"] = ["check-map", _doc(ring, "map", {
+            "source": {"generators": 1, "relations": []},
+            "target": {"generators": 2, "relations": []}, "matrix": [[1], [3]]})]
+    scalars = {"Z": range(-9, 10), "Z/12": range(12), "Zloc/3": [1, 3, 6, -9, "1/2", "3/4"],
+               "Q": [0, 1, -2, "1/2", "-3/5"], "F5": range(5)}
+    for ring, entries in scalars.items():
+        cases[f"snf-{ring}"] = ["snf", _doc(ring, "matrix", {"entries": _matrix(rng, 3, 2, entries)})]
+    for ring in ("Z", "Zloc/3"):
+        for n in range(2):
+            g = rng.randrange(1, 4)
+            cols = _matrix(rng, g, g, range(-9, 10))
+            cases[f"filtration-{ring}-{n}"] = ["filtration", _doc(ring, "module", {
+                "generators": g, "relations": cols})]
+    cases["fibers-primes-unsorted"] = ["fibers", "--primes", "5,2,0,2", _free_complex_doc(rng, "Z")]
+    cases["tor-primes-unsorted"] = ["tor", "--primes", "3,2", _doc("Z/12", "module", {
+        "generators": 2, "relations": _matrix(rng, 2, 2, (0, 2, 3, 4, 6))})]
+    return cases
+
+
 def _cases():
     cases = {f"readme{n}": [a for a in argv if a not in ("--format", "json")]
              for n, argv in enumerate(_readme_argvs())}
@@ -167,6 +240,7 @@ def _cases():
             "boundaries": [[[1]], [[2]]]}})],
     })
     cases.update(_seeded_cases())
+    cases.update(_prime_set_cases())
     out = {}
     for name, argv in cases.items():
         out[f"{name}-text"] = argv

@@ -326,6 +326,22 @@ def test_module_prime_sets():
     assert matrix_bad_primes(Matrix(ZZ, [[1, 0], [0, 1]])) == set()
 
 
+def test_module_and_map_prime_sets_come_in_report_order():
+    """The CLI prints a computed prime set as it comes: generic point
+    first, then primes ascending."""
+    rng = random.Random(2931)
+    longest = 0
+    for ring in (ZZ, localized_at(3), Z12, integers_mod(360), prime_field(5), QQ):
+        for _ in range(8):
+            m = random_fp_module(rng, ring)
+            rows = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(m.gens)]
+            f = ModuleMap(FpModule.free(ring, 2), m, Matrix(ring, rows, cols=2))
+            for primes in (module_prime_set(m), map_prime_set(f)):
+                assert primes == sorted(primes, key=Prime.sort_key), ring
+                longest = max(longest, len(primes))
+    assert longest >= 3
+
+
 def test_purity_examples():
     z = FpModule.free(ZZ, 1)
     z2 = FpModule.free(ZZ, 2)

@@ -18,18 +18,34 @@ def test_no_assert_statements():
     assert found == {}
 
 
-def test_only_rings_references_factor_trial():
-    """Ring elements are taken apart in fiberflat.rings alone: elsewhere
-    the primes dividing x come from BaseRing.factor."""
+def _mentions(name):
+    """{file: [top-level definition around each mention]} for the name
+    under src/fiberflat: a use, an attribute, an import or a def."""
     sources = sorted((Path(__file__).parent.parent / "src" / "fiberflat").glob("*.py"))
     assert len(sources) > 1
     found = {}
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
-        names = [node for node in ast.walk(tree)
-                 if (isinstance(node, ast.Name) and node.id == "factor_trial")
-                 or (isinstance(node, ast.Attribute) and node.attr == "factor_trial")
-                 or (isinstance(node, ast.alias) and node.name == "factor_trial")]
-        if names and path.name != "rings.py":
-            found[path.name] = len(names)
-    assert found == {}
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.Name) and node.id == name)
+                        or (isinstance(node, ast.Attribute) and node.attr == name)
+                        or (isinstance(node, (ast.alias, ast.FunctionDef)) and node.name == name)):
+                    found.setdefault(path.name, []).append(owner)
+    return found
+
+
+def test_only_rings_references_factor_trial():
+    """Ring elements are taken apart in fiberflat.rings alone: elsewhere
+    the primes dividing x come from BaseRing.factor."""
+    assert set(_mentions("factor_trial")) <= {"rings.py"}
+
+
+def test_only_relevant_primes_calls_matrix_bad_primes():
+    """Matrices become points in one place, modules.relevant_primes; the
+    criteria and the CLI read its points instead of factoring again."""
+    assert _mentions("matrix_bad_primes") == {
+        "__init__.py": ["<module>"],
+        "modules.py": ["matrix_bad_primes", "relevant_primes"],
+    }

@@ -235,21 +235,13 @@ class BoundedComplex:
         Works for arbitrary finitely presented terms: with A_j the relations
         of term(j) and W_j the wall [d_j | A_{j-1}], the dimension is
           gens_i - rank W_i + rank A_{i-1} - rank W_{i+1},
-        each rank taken over the residue field by Gaussian elimination, and
-        each computed once; at the generic point that is the rank over Q of
-        the matrix itself, with no copy reduced into Q.  Past the ends
-        nothing is built: there is no wall at or below lo, nor above hi + 1.
+        each rank a _rank_at, computed once.  Past the ends nothing is
+        built: there is no wall at or below lo, nor above hi + 1.
         """
         self.ring.residue_field(q)  # rejects a point outside Spec R
-
-        def rank(x: Matrix | None) -> int:
-            if x is None or not x.cols:
-                return 0
-            return field_rank(x if q.is_generic else reduce_matrix(x, q))
-
-        wall = {j: rank(self._wall(j)) for j in range(lo, hi + 2)}
+        wall = {j: _rank_at(self._wall(j), q) for j in range(lo, hi + 2)}
         return {i: self._terms[i].gens - wall[i] - wall[i + 1]
-                + (rank(self._terms[i - 1].relations) if i > self.lo else 0)
+                + (_rank_at(self._terms[i - 1].relations, q) if i > self.lo else 0)
                 for i in range(lo, hi + 1)}
 
     def fiber_profile(self, q: Prime) -> FiberProfile:
@@ -257,6 +249,15 @@ class BoundedComplex:
 
     def is_fiber_exact(self, q: Prime) -> bool:
         return self.fiber_profile(q).is_exact()
+
+
+def _rank_at(x: Matrix | None, q: Prime) -> int:
+    """The one Gaussian rank of x over kappa(q): field_rank of x itself at
+    the generic point (its rank over Q, with no copy reduced into Q), of
+    reduce_matrix(x, q) at a prime; 0 with no matrix or no columns."""
+    if x is None or not x.cols:
+        return 0
+    return field_rank(x if q.is_generic else reduce_matrix(x, q))
 
 
 def _divisors(x: Matrix | None) -> tuple:
@@ -296,6 +297,24 @@ class ChainMap:
         if f is None:
             return ModuleMap.zero(self.source.term(i), self.target.term(i))
         return f
+
+    def fiber_rank(self, q: Prime, i: int) -> int:
+        """Rank over kappa(q) of the map induced on H_i.  With d, A the
+        source's boundaries and relations and e, B the target's, it is
+        rank [[d_i, A_{i-1}, 0, 0], [f_i, 0, e_{i+1}, B_i]] less the ranks
+        of the walls [d_i | A_{i-1}] and [e_{i+1} | B_i]: the block's kernel
+        projects onto the cycles x with f_i x a boundary, each fiber a kernel
+        of one wall.  For modules in degree 0 it is ModuleMap.fiber_rank."""
+        src, tgt = self.source, self.target
+        src.ring.residue_field(q)  # rejects a point outside Spec R
+        below, here = src.term(i - 1), tgt.term(i)
+        block = _block_matrix(
+            src.ring, [below.gens, here.gens],
+            [src.term(i).gens, below.relations.cols, tgt.term(i + 1).gens, here.relations.cols],
+            {(0, 0): src.boundary(i).matrix, (0, 1): below.relations,
+             (1, 0): self.at(i).matrix, (1, 2): tgt.boundary(i + 1).matrix,
+             (1, 3): here.relations})
+        return _rank_at(block, q) - _rank_at(src._wall(i), q) - _rank_at(tgt._wall(i + 1), q)
 
     def is_isomorphism(self) -> bool:
         lo = min(self.source.lo, self.target.lo)

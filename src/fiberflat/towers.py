@@ -5,12 +5,14 @@ A tower is given by pure stage/transition rules.  Module and complex
 towers share one memoized base, which evaluates each rule once per index
 and checks each stage's ring.  A transition rule takes only n and returns
 matrices; the tower builds each transition between its own stages n and
-n + 1, so the endpoints are never restated.  One rule decides every
-report, and it never extrapolates: a quantity counts as stabilized only
-after `window` consecutive induced isomorphisms (the colimit then equals
-the value at the start of the run) or `window` consecutive induced zero
-maps (the colimit is 0: every class dies further up the tower).  Anything
-else is reported as undetermined at the evaluated bound.
+n + 1, so the endpoints are never restated.  Towers do no linear algebra:
+a report reads the fiber dimension of each stage and the fiber rank of
+each transition (on homology for complexes and Tor).  One rule decides
+every report, and it never extrapolates: a quantity counts as stabilized
+only after `window` consecutive induced isomorphisms (the colimit then
+equals the value at the start of the run) or `window` consecutive induced
+zero maps (the colimit is 0: every class dies further up the tower).
+Anything else is reported as undetermined at the evaluated bound.
 
 The galleries build three concrete towers with known colimit behavior
 and compare the computed reports against the expected values: a strictly
@@ -28,7 +30,7 @@ from typing import Callable, Mapping
 
 from .complexes import DEFAULT_MAX_STAGE, DEFAULT_WINDOW, BoundedComplex, ChainMap
 from .errors import InputError
-from .linalg import Matrix, field_rank, hstack, reduce_matrix, syzygy_matrix
+from .linalg import Matrix
 from .modules import FpModule, ModuleMap, free_resolution, lift_along
 from .rings import GENERIC, BaseRing, Prime, ZZ, is_prime, localized_at
 
@@ -131,26 +133,21 @@ class StabilizationReport:
         return self.status == "stabilized"
 
 
-def _classify(rank: int, dim_a: int, dim_b: int) -> str:
-    if rank == dim_a == dim_b:
-        return "iso"
-    if rank == 0:
-        return "zero"
-    return "other"
-
-
 def _require_window(window: int) -> None:
     # A run of zero isomorphisms would "stabilize" at whatever came last.
     if window < 1:
         raise InputError(f"window must be >= 1, got {window}")
 
 
-def _conclude(quantity: str, values: list[int], kinds: list[str],
+def _conclude(quantity: str, values: list[int], ranks: list[int],
               window: int) -> StabilizationReport:
-    """The one stabilization rule: a trailing run of at least `window`
-    isomorphisms stabilizes at the value where the run starts; failing
-    that, such a run of zero maps stabilizes at 0.  Anything else is
-    undetermined at the evaluated bound."""
+    """The one stabilization rule.  Transition n is an isomorphism when
+    ranks[n] == values[n] == values[n + 1], else zero when ranks[n] == 0.
+    A trailing run of at least `window` isomorphisms stabilizes at the
+    value where the run starts; failing that, such a run of zero maps
+    stabilizes at 0.  Anything else is undetermined at the evaluated bound."""
+    kinds = ["iso" if r == values[n] == values[n + 1] else "zero" if r == 0 else "other"
+             for n, r in enumerate(ranks)]
     for kind in ("iso", "zero"):
         at = len(kinds)
         while at > 0 and kinds[at - 1] == kind:
@@ -173,29 +170,8 @@ def tower_fiber(t: TowerModule, q: Prime, max_stage: int = DEFAULT_MAX_STAGE,
     _require_window(window)
     t.ring.residue_field(q)
     values = [t.stage(n).fiber_dim(q) for n in range(max_stage + 1)]
-    kinds = [_classify(t.transition(n).fiber_rank(q), values[n], values[n + 1])
-             for n in range(max_stage)]
-    return _conclude(f"fiber dimension at ({q.literal()})", values, kinds, window)
-
-
-def _fibered_homology_tower(quantity: str, complexes: list[BoundedComplex],
-                            maps: list[Matrix], q: Prime, i: int,
-                            window: int) -> StabilizationReport:
-    """H_i over kappa(q) of each free complex, classified along maps[n],
-    the degree-i matrix of the chain map from complexes[n] to
-    complexes[n + 1].  Each complex is reduced, and its kernel taken, once."""
-    kernels, images, image_ranks = [], [], []
-    for cx in complexes:
-        kernels.append(syzygy_matrix(reduce_matrix(cx.boundary(i).matrix, q)))
-        images.append(reduce_matrix(cx.boundary(i + 1).matrix, q))
-        image_ranks.append(field_rank(images[-1]))
-    values = [k.cols - r for k, r in zip(kernels, image_ranks)]
-    kinds = []
-    for n, phi in enumerate(maps):
-        mapped = reduce_matrix(phi, q) @ kernels[n]
-        rank = field_rank(hstack([mapped, images[n + 1]])) - image_ranks[n + 1]
-        kinds.append(_classify(rank, values[n], values[n + 1]))
-    return _conclude(quantity, values, kinds, window)
+    ranks = [t.transition(n).fiber_rank(q) for n in range(max_stage)]
+    return _conclude(f"fiber dimension at ({q.literal()})", values, ranks, window)
 
 
 def tower_tor(t: TowerModule, q: Prime, i: int,
@@ -204,22 +180,23 @@ def tower_tor(t: TowerModule, q: Prime, i: int,
     """Tor_i(kappa(q), stage_n) dimensions along the tower.
 
     Each stage is resolved once, and each transition is lifted to a chain
-    map between the resolutions of its ends; the induced maps are read off
-    the fibered homology.  Tor commutes with directed colimits, so a
+    map between the resolutions of its ends, whose fiber rank in degree i
+    is the induced map on Tor_i.  Tor commutes with directed colimits, so a
     stabilized value is the Tor of the colimit.
     """
     if i < 0:
         raise InputError("Tor degree must be >= 0")
     _require_window(window)
     t.ring.residue_field(q)
-    resolutions = [free_resolution(t.stage(0), i + 1)]
-    phis: list[Matrix] = []
+    resolutions, ranks = [free_resolution(t.stage(0), i + 1)], []
     for n in range(max_stage):
         f = t.transition(n)
-        resolutions.append(free_resolution(f.target, i + 1))
-        phis.append(lift_along(f, resolutions[n], resolutions[n + 1])[i])
-    return _fibered_homology_tower(f"Tor_{i} dimension at ({q.literal()})",
-                                   [r.complex for r in resolutions], phis, q, i, window)
+        src, tgt = resolutions[n], free_resolution(f.target, i + 1)
+        lift = ChainMap(src.complex, tgt.complex, dict(enumerate(lift_along(f, src, tgt))))
+        ranks.append(lift.fiber_rank(q, i))
+        resolutions.append(tgt)
+    values = [r.complex.fiber_homology_dim(q, i) for r in resolutions]
+    return _conclude(f"Tor_{i} dimension at ({q.literal()})", values, ranks, window)
 
 
 @dataclass(frozen=True)
@@ -246,37 +223,36 @@ def tower_not_finitely_generated(t: TowerModule,
     Evaluating transition(n) re-verifies the declaration, so a lying
     declaration surfaces as InputError here rather than a wrong verdict.
     """
+    if max_stage < 1:  # with no transition checked there is no claim
+        raise InputError(f"max_stage must be >= 1, got {max_stage}")
     for n in range(max_stage):
         f = t.transition(n)
         if not f.is_injective() or f.is_surjective():
             return NotFinitelyGeneratedVerdict(
                 False, False, n, f"transition {n} is not a proper embedding; no claim")
-    checked = max(max_stage, 0)
     if t.strictly_increasing:
         return NotFinitelyGeneratedVerdict(
-            True, True, checked,
+            True, True, max_stage,
             "strictly increasing union by declaration, verified per evaluated stage")
     return NotFinitelyGeneratedVerdict(
-        True, False, checked,
+        True, False, max_stage,
         f"strictly increasing through stage {max_stage}; undeclared beyond")
 
 
 def tower_complex_homology_fiber(tc: TowerComplex, q: Prime, degree: int,
                                  max_stage: int = DEFAULT_MAX_STAGE,
                                  window: int = DEFAULT_WINDOW) -> StabilizationReport:
-    """H_degree of the fibered stage complexes along a complex tower.
-
-    Restricted to free-term stages: the induced map is then plain matrix
-    algebra over the residue field.
-    """
+    """H_degree of the fibered stage complexes along a complex tower, read
+    by fiber_homology_dim and ChainMap.fiber_rank.  Stage terms must be
+    free, although both readings hold for any finitely presented terms."""
     _require_window(window)
     tc.ring.residue_field(q)
     stages = [tc.stage(n) for n in range(max(max_stage, 0) + 1)]
     if not all(cx.is_free() for cx in stages):
         raise InputError("complex towers need free stage terms")
-    maps = [tc.transition(n).at(degree).matrix for n in range(max_stage)]
-    return _fibered_homology_tower(f"H_{degree} fiber dimension at ({q.literal()})",
-                                   stages, maps, q, degree, window)
+    ranks = [tc.transition(n).fiber_rank(q, degree) for n in range(max_stage)]
+    values = [cx.fiber_homology_dim(q, degree) for cx in stages]
+    return _conclude(f"H_{degree} fiber dimension at ({q.literal()})", values, ranks, window)
 
 
 # -- gallery ---------------------------------------------------------------------

@@ -5,8 +5,10 @@ bypassing the library's Matrix type and its cached decompositions, so a
 bug in the SNF kernel cannot hide behind itself.  The last section takes
 library objects: determinantal divisors and fibered complexes, which only
 tests use, computed without the SNF, homology presented by two
-pullbacks in every degree, the route exactness is checked against, and
-null homotopies corrected by one Kronecker system per degree.
+pullbacks in every degree, the route exactness is checked against,
+null homotopies corrected by one Kronecker system per degree, and the
+map a chain map of free complexes induces on fiber homology, read off a
+kernel basis.
 """
 
 from fractions import Fraction
@@ -14,7 +16,9 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from fiberflat.complexes import BoundedComplex, HomotopyCertificate
-from fiberflat.linalg import Matrix, hstack, kron, reduce_matrix, solve_integral
+from fiberflat.linalg import (
+    Matrix, field_rank, hstack, kron, reduce_matrix, solve_integral, syzygy_matrix,
+)
 from fiberflat.modules import FpModule, _pullback
 
 
@@ -213,6 +217,18 @@ def fiber_complex(cx, q):
     ranks = [cx.term(i).gens for i in cx.degrees()]
     mats = [reduce_matrix(cx.boundary(i).matrix, q) for i in range(cx.lo + 1, cx.hi + 1)]
     return BoundedComplex.free_complex(cx.ring.residue_field(q), cx.lo, ranks, mats)
+
+
+def kernel_basis_fiber_rank(f, q, i):
+    """Rank over kappa(q) of the map a chain map f of free complexes
+    induces on H_i: with K a kernel basis of the reduced source boundary
+    d_i and E the reduced target boundary e_{i+1}, the rank f_i K adds to
+    the image of E."""
+    assert f.source.is_free() and f.target.is_free(), "kernel_basis_fiber_rank needs free terms"
+    kernel = syzygy_matrix(reduce_matrix(f.source.boundary(i).matrix, q))
+    image = reduce_matrix(f.target.boundary(i + 1).matrix, q)
+    mapped = reduce_matrix(f.at(i).matrix, q) @ kernel
+    return field_rank(hstack([mapped, image])) - field_rank(image)
 
 
 def pullback_homology(cx, i):

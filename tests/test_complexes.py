@@ -17,14 +17,17 @@ from fiberflat.complexes import (
 from fiberflat.criteria import _tensor_exact
 from fiberflat.errors import InputError
 from fiberflat.generate import random_complex, random_fp_module, random_unimodular
-from fiberflat.linalg import Matrix, field_rank, hstack, kron, reduce_matrix, syzygy_matrix
+from fiberflat.linalg import (
+    Matrix, _block_matrix, field_rank, hstack, kron, reduce_matrix, syzygy_matrix,
+)
 from fiberflat.modules import FpModule, ModuleMap
 from fiberflat.rings import (
     GENERIC, Prime, ZZ, factor_trial, integers_mod, localized_at, parse_ring,
 )
 
 from _oracles import (
-    fiber_complex, fraction_rank, kronecker_null_homotopy, modp_rank, pullback_homology,
+    fiber_complex, fraction_rank, kernel_basis_fiber_rank, kronecker_null_homotopy, modp_rank,
+    pullback_homology,
 )
 
 
@@ -499,6 +502,188 @@ def test_chain_map_validation_and_iso():
     # each component is built as a map of the terms: Z/2 --1--> Z is not one
     with pytest.raises(InputError, match="does not carry"):
         ChainMap(e, one, {0: Matrix(ZZ, [[1]])})
+
+
+# -- maps induced on fiber homology ------------------------------------------------
+
+# per ring: scalars c for c * id, some vanishing at some point, and small
+# entries for the degree +1 maps h of the chain maps c * id + d h + h d
+FIBER_RANK_SCALARS = {
+    "Z": [0, 1, -1, 2, 3, 6, 10],
+    "Zloc/3": [0, 3, Fraction(1, 2), 6, Fraction(9, 2)],
+    "Z/12": [0, 2, 3, 5, 6],
+    "F5": [0, 2],
+    "Q": [0, Fraction(2, 3)],
+}
+
+
+def _points(ring):
+    """Every admissible point: the spectrum, or over Z the generic point
+    and (2), (3), (5)."""
+    if ring == ZZ:
+        return [GENERIC] + [Prime.at(p) for p in (2, 3, 5)]
+    return list(ring.spectrum())
+
+
+def _vanishes_at(ring, c, q):
+    c = Fraction(ring.canon(c))
+    return c == 0 if q.is_generic else c.numerator % q.p == 0
+
+
+def _direct_sum(c, d):
+    """C (+) D, termwise, with block-diagonal boundaries."""
+    ring, lo, hi = c.ring, min(c.lo, d.lo), max(c.hi, d.hi)
+    terms = {i: c.term(i).direct_sum(d.term(i)) for i in range(lo, hi + 1)}
+    bmaps = {i: _block_matrix(ring, [c.term(i - 1).gens, d.term(i - 1).gens],
+                              [c.term(i).gens, d.term(i).gens],
+                              {(0, 0): c.boundary(i).matrix, (1, 1): d.boundary(i).matrix})
+             for i in range(lo + 1, hi + 1)}
+    return BoundedComplex(ring, lo, hi, terms, bmaps)
+
+
+def _scaled(cx, c):
+    return ChainMap(cx, cx, {i: Matrix.diagonal(cx.ring, [c] * cx.term(i).gens)
+                             for i in cx.degrees()})
+
+
+def _inclusion(c, total, d):
+    """C -> C (+) D = total."""
+    ring = c.ring
+    return ChainMap(c, total, {i: _block_matrix(ring, [c.term(i).gens, d.term(i).gens],
+                                                [c.term(i).gens],
+                                                {(0, 0): Matrix.identity(ring, c.term(i).gens)})
+                               for i in total.degrees()})
+
+
+def _projection(c, total, d):
+    """C (+) D = total -> D."""
+    ring = c.ring
+    return ChainMap(total, d, {i: _block_matrix(ring, [d.term(i).gens],
+                                                [c.term(i).gens, d.term(i).gens],
+                                                {(0, 1): Matrix.identity(ring, d.term(i).gens)})
+                               for i in total.degrees()})
+
+
+def _with_homology(lit):
+    """R^2 -diag(2, 0)-> R^2 followed by seeded free complexes: over the
+    fields the seeded ones may have no homology at all."""
+    ring = parse_ring(lit)
+    return [two_term(ring, [[2, 0], [0, 0]], [2, 2]), *_seeded_complexes(lit, 31, count=2)]
+
+
+def _fiber_rank_complexes(lit):
+    """Free complexes, and the first three tensored with coker[1; 2], R/2,
+    R/3, R/4 and R/9, so that every term has relations."""
+    ring = parse_ring(lit)
+    free = _with_homology(lit)
+    twists = [FpModule(ring, 2, Matrix(ring, [[1], [2]]))] + [
+        FpModule.cyclic(ring, d) for d in (2, 3, 4, 9)]
+    return free + [tensor_with_module(m, cx) for cx in free[:3] for m in twists]
+
+
+@pytest.mark.parametrize("lit", sorted(FIBER_RANK_SCALARS))
+def test_chain_map_fiber_rank_closed_forms(lit):
+    """ChainMap.fiber_rank in every degree at every point: the identity has
+    rank dim H_i, the zero map 0, c * id one or the other as c vanishes in
+    kappa(q) or not, and the inclusion C -> C (+) D and the projection
+    C (+) D -> D have ranks dim H_i(C) and dim H_i(D)."""
+    ring = parse_ring(lit)
+    cases = _fiber_rank_complexes(lit)
+    assert sum(not cx.is_free() for cx in cases) == 15
+    seen = set()
+    for n, cx in enumerate(cases):
+        other = cases[(n + 1) % len(cases)]
+        total = _direct_sum(cx, other)
+        ident = _scaled(cx, 1)
+        zero = ChainMap(cx, cx, {})
+        scaled = [(c, _scaled(cx, c)) for c in FIBER_RANK_SCALARS[lit]]
+        incl, proj = _inclusion(cx, total, other), _projection(cx, total, other)
+        for q in _points(ring):
+            for i in cx.degrees():
+                dim = cx.fiber_homology_dim(q, i)
+                seen.add((cx.is_free(), dim > 0))
+                assert ident.fiber_rank(q, i) == dim, (n, q, i)
+                assert zero.fiber_rank(q, i) == 0, (n, q, i)
+                for c, f in scaled:
+                    assert f.fiber_rank(q, i) == (0 if _vanishes_at(ring, c, q) else dim), (c, q, i)
+            for i in total.degrees():
+                assert incl.fiber_rank(q, i) == cx.fiber_homology_dim(q, i), (n, q, i)
+                assert proj.fiber_rank(q, i) == other.fiber_homology_dim(q, i), (n, q, i)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _homotopic_scalar(rng, source, target, lit, c):
+    """c * id + d h + h d from C = source to itself, or, with target
+    C (+) C, two such maps stacked, for random maps h of degree +1."""
+    ring, entries = source.ring, FIBER_RANK_SCALARS[lit] + [1, 1]
+
+    def component():
+        h = {i: Matrix(ring, [[rng.choice(entries) for _ in range(source.term(i).gens)]
+                              for _ in range(source.term(i + 1).gens)],
+                       cols=source.term(i).gens)
+             for i in range(source.lo - 1, source.hi + 1)}
+        return {i: (Matrix.diagonal(ring, [c] * source.term(i).gens)
+                    + source.boundary(i + 1).matrix @ h[i] + h[i - 1] @ source.boundary(i).matrix)
+                for i in source.degrees()}
+
+    if target is source:
+        return ChainMap(source, source, component())
+    top, bottom = component(), component()
+    return ChainMap(source, target, {i: _block_matrix(ring, [source.term(i).gens] * 2,
+                                                      [source.term(i).gens],
+                                                      {(0, 0): top[i], (1, 0): bottom[i]})
+                                     for i in source.degrees()})
+
+
+@pytest.mark.parametrize("lit", sorted(FIBER_RANK_SCALARS))
+def test_chain_map_fiber_rank_matches_the_kernel_basis_route(lit):
+    """On chain maps of free complexes, ChainMap.fiber_rank against the rank
+    f_i K adds to the reduced image of e_{i+1}, K a kernel basis of the
+    reduced d_i: endomorphisms c * id + d h + h d, maps into C (+) C, and
+    2 x 2 scalar matrices acting blockwise on C (+) C, whose rank over
+    kappa(q) may be 1."""
+    ring = parse_ring(lit)
+    rng = random.Random(f"fiber rank {lit}")
+    scalars = FIBER_RANK_SCALARS[lit]
+    compared, kinds = 0, set()
+
+    def kind(f, q, i, rank):
+        if rank == f.source.fiber_homology_dim(q, i) == f.target.fiber_homology_dim(q, i):
+            return "iso"
+        return "zero" if rank == 0 else "other"
+
+    for cx in _with_homology(lit):
+        doubled = _direct_sum(cx, cx)
+        maps = [_homotopic_scalar(rng, cx, cx, lit, rng.choice(scalars)),
+                _homotopic_scalar(rng, cx, doubled, lit, rng.choice(scalars))]
+        for _ in range(2):
+            a, b, c, e = (rng.choice(scalars + [1]) for _ in range(4))
+            maps.append(ChainMap(doubled, doubled, {i: _block_matrix(
+                ring, [cx.term(i).gens] * 2, [cx.term(i).gens] * 2,
+                {(0, 0): Matrix.diagonal(ring, [a] * cx.term(i).gens),
+                 (0, 1): Matrix.diagonal(ring, [b] * cx.term(i).gens),
+                 (1, 0): Matrix.diagonal(ring, [c] * cx.term(i).gens),
+                 (1, 1): Matrix.diagonal(ring, [e] * cx.term(i).gens)})
+                for i in cx.degrees()}))
+        for f in maps:
+            for q in _points(ring):
+                for i in range(f.source.lo - 1, f.source.hi + 2):
+                    rank = f.fiber_rank(q, i)
+                    assert rank == kernel_basis_fiber_rank(f, q, i), (q, i)
+                    compared += 1
+                    kinds.add(kind(f, q, i, rank))
+    assert compared >= 150
+    assert kinds == {"iso", "zero", "other"}
+
+
+def test_chain_map_fiber_rank_rejects_points_outside_the_spectrum():
+    z12 = integers_mod(12)
+    cx = two_term(z12, [[2]], [1, 1])
+    f = _scaled(cx, 1)
+    assert f.fiber_rank(Prime.at(2), 0) == 1
+    for q in (GENERIC, Prime.at(5)):
+        with pytest.raises(InputError):
+            f.fiber_rank(q, 0)
 
 
 def test_shift_conventions():

@@ -1,7 +1,9 @@
 """Golden command-line output: stdout, stderr and exit code of a fixed set
 of invocations, each pinned by a digest in golden_cli.json.
 
-The cases are the README examples, the three galleries, `koszul`, and
+The cases are the README examples, the three galleries (at their
+defaults, over a grid of windows and stages, and in JSON at their caps),
+`koszul`, and
 documents drawn here from a fixed seed (complexes with free and non-free
 terms, lo != 0, documents that must exit 2, and modules for tor/ext), each
 run in text and in JSON.  A second seed draws the `badprimes`, `check-map`,
@@ -229,6 +231,17 @@ def _cases():
         "gallery-sum-inverse-primes": ["gallery", "sum-inverse-primes", "--max-prime", "30"],
         "gallery-injective-hull": ["gallery", "injective-hull", "-p", "3"],
         "gallery-dvr-fraction-field": ["gallery", "dvr-fraction-field"],
+        "gallery-sum-inverse-primes-w1": ["gallery", "sum-inverse-primes", "--max-prime", "50",
+                                          "--window", "1", "--max-stage", "4"],
+        "gallery-sum-inverse-primes-w5": ["gallery", "sum-inverse-primes", "--max-prime", "50",
+                                          "--window", "5", "--max-stage", "12"],
+        "gallery-injective-hull-p2-w1": ["gallery", "injective-hull", "-p", "2", "--window", "1"],
+        "gallery-injective-hull-p5-w4": ["gallery", "injective-hull", "-p", "5",
+                                         "--window", "4", "--max-stage", "8"],
+        "gallery-dvr-fraction-field-p2-w1": ["gallery", "dvr-fraction-field", "-p", "2",
+                                             "--window", "1"],
+        "gallery-dvr-fraction-field-p7-w5": ["gallery", "dvr-fraction-field", "-p", "7",
+                                             "--window", "5", "--max-stage", "9"],
         "koszul-z": ["koszul", "--elements", "2,3,5"],
         "koszul-z35": ["koszul", "--ring", "Z/35", "--elements", "2,3"],
         "koszul-f2": ["koszul", "--ring", "F2", "--elements", "1,0"],
@@ -245,6 +258,11 @@ def _cases():
     for name, argv in cases.items():
         out[f"{name}-text"] = argv
         out[f"{name}-json"] = ["--format", "json", "--seed", "7", *argv]
+    caps = ["--window", "256", "--max-stage", "256"]
+    out["gallery-sum-inverse-primes-caps-json"] = [
+        "--format", "json", "gallery", "sum-inverse-primes", "--max-prime", "1000", *caps]
+    for name in ("injective-hull", "dvr-fraction-field"):
+        out[f"gallery-{name}-caps-json"] = ["--format", "json", "gallery", name, *caps]
     return out
 
 

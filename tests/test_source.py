@@ -49,3 +49,19 @@ def test_only_relevant_primes_calls_matrix_bad_primes():
         "__init__.py": ["<module>"],
         "modules.py": ["matrix_bad_primes", "relevant_primes"],
     }
+
+
+def test_towers_do_no_linear_algebra():
+    """Tower reports read stage fiber dimensions and transition fiber
+    ranks; no matrix is reduced, stacked or decomposed in towers.py."""
+    for name in ("field_rank", "reduce_matrix", "syzygy_matrix", "hstack", "snf",
+                 "solve_integral", "_block_matrix", "kron", "rank_over_fiber"):
+        assert "towers.py" not in _mentions(name), name
+
+
+def test_only_rank_at_reads_a_fiber_by_elimination():
+    """Outside linalg, a rank over kappa(q) by Gaussian elimination is
+    taken in one place, complexes._rank_at."""
+    for name in ("field_rank", "reduce_matrix"):
+        found = {file: owners for file, owners in _mentions(name).items() if file != "linalg.py"}
+        assert found == {"__init__.py": ["<module>"], "complexes.py": ["<module>", "_rank_at"]}, name

@@ -218,6 +218,19 @@ def test_non_fg_verdict_needs_proper_embeddings():
     assert "stage 5" in v.detail
 
 
+def test_non_fg_verdict_needs_a_checked_transition():
+    """With no transition evaluated there is nothing to claim: the identity
+    tower Z -> Z -> ... is finitely generated, and max_stage < 1 is refused
+    rather than answered with holds=True."""
+    identity = TowerModule(ZZ, lambda n: FpModule.free(ZZ, 1), lambda n: Matrix(ZZ, [[1]]))
+    for max_stage in (0, -1, -5):
+        with pytest.raises(InputError, match="max_stage must be >= 1"):
+            tower_not_finitely_generated(identity, max_stage=max_stage)
+    v = tower_not_finitely_generated(identity, max_stage=1)
+    assert not v.holds and v.stages_checked == 0
+    assert tower_not_finitely_generated(sum_inverse_primes_tower(), max_stage=1).stages_checked == 1
+
+
 # -- the p-power torsion tower ---------------------------------------------------
 
 def test_injective_hull_tower_tor_profile():

@@ -272,18 +272,21 @@ class ChainMap:
     maps holds the matrix of each component source.term(i) ->
     target.term(i), which the chain map builds (and validates) as a
     ModuleMap.  Missing degrees are implicitly zero; commutation is checked
-    at construction for every degree where it has content.
+    at construction for every degree where it has content, unless the
+    caller passes commuting=True for squares it solved (as lift_along does).
     """
 
     __slots__ = ("source", "target", "_maps")
 
     def __init__(self, source: BoundedComplex, target: BoundedComplex,
-                 maps: Mapping[int, Matrix]):
+                 maps: Mapping[int, Matrix], *, commuting: bool = False):
         if source.ring != target.ring:
             raise InputError("chain map needs a common ring")
         self.source = source
         self.target = target
         self._maps = {i: ModuleMap(source.term(i), target.term(i), f) for i, f in maps.items()}
+        if commuting:
+            return
         lo = min(source.lo, target.lo)
         hi = max(source.hi, target.hi)
         for i in range(lo + 1, hi + 1):
@@ -319,11 +322,7 @@ class ChainMap:
     def is_isomorphism(self) -> bool:
         lo = min(self.source.lo, self.target.lo)
         hi = max(self.source.hi, self.target.hi)
-        for i in range(lo, hi + 1):
-            f = self.at(i)
-            if not (f.is_injective() and f.is_surjective()):
-                return False
-        return True
+        return all(f.is_injective() and f.is_surjective() for f in map(self.at, range(lo, hi + 1)))
 
 
 # -- elementary constructions ---------------------------------------------------

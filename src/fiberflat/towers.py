@@ -192,7 +192,8 @@ def tower_tor(t: TowerModule, q: Prime, i: int,
     for n in range(max_stage):
         f = t.transition(n)
         src, tgt = resolutions[n], free_resolution(f.target, i + 1)
-        lift = ChainMap(src.complex, tgt.complex, dict(enumerate(lift_along(f, src, tgt))))
+        lift = ChainMap(src.complex, tgt.complex, dict(enumerate(lift_along(f, src, tgt))),
+                        commuting=True)
         ranks.append(lift.fiber_rank(q, i))
         resolutions.append(tgt)
     values = [r.complex.fiber_homology_dim(q, i) for r in resolutions]

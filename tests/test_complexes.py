@@ -20,7 +20,7 @@ from fiberflat.generate import random_complex, random_fp_module, random_unimodul
 from fiberflat.linalg import (
     Matrix, _block_matrix, field_rank, hstack, kron, reduce_matrix, syzygy_matrix,
 )
-from fiberflat.modules import FpModule, ModuleMap
+from fiberflat.modules import FpModule, ModuleMap, free_resolution, lift_along
 from fiberflat.rings import (
     GENERIC, Prime, ZZ, factor_trial, integers_mod, localized_at, parse_ring,
 )
@@ -684,6 +684,29 @@ def test_chain_map_fiber_rank_rejects_points_outside_the_spectrum():
     for q in (GENERIC, Prime.at(5)):
         with pytest.raises(InputError):
             f.fiber_rank(q, 0)
+
+
+def test_chain_map_commuting_flag_skips_only_the_square_check():
+    # commuting=True takes the caller's word for the squares (a lift_along
+    # solves each one), so a non-commuting map is accepted and read as given
+    c = two_term(ZZ, [[2]], [1, 1])
+    maps = {0: Matrix(ZZ, [[1]]), 1: Matrix(ZZ, [[-1]])}
+    with pytest.raises(InputError, match="commute"):
+        ChainMap(c, c, maps)
+    assert ChainMap(c, c, maps, commuting=True).at(1).matrix == Matrix(ZZ, [[-1]])
+    with pytest.raises(InputError, match="common ring"):
+        ChainMap(c, two_term(integers_mod(12), [[2]], [1, 1]), {}, commuting=True)
+    with pytest.raises(InputError):
+        ChainMap(c, c, {0: Matrix(ZZ, [[1, 0]])}, commuting=True)
+    # a lift along resolutions passes the full check as well
+    z4 = integers_mod(4)
+    f = ModuleMap(FpModule.cyclic(z4, 2), FpModule.cyclic(z4, 2), Matrix(z4, [[1]]))
+    res = free_resolution(f.source, 3)
+    lifted = dict(enumerate(lift_along(f, res, res)))
+    checked = ChainMap(res.complex, res.complex, lifted)
+    trusted = ChainMap(res.complex, res.complex, lifted, commuting=True)
+    assert all(checked.fiber_rank(Prime.at(2), i) == trusted.fiber_rank(Prime.at(2), i) == 1
+               for i in range(3))
 
 
 def test_shift_conventions():

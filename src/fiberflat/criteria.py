@@ -129,9 +129,9 @@ class TheoremReport:
     conclusion_acyclic reads (see _tensor_exact).  The Gaussian fiber
     profiles behind hypothesis_holds are the independent route, except at
     the generic point of Z, Z_(p) and Q: there the hypothesis's rank
-    (field_rank) and the divisors (the minor route) run the same
-    elimination loop, _bareiss, and the one route that does not share it
-    is the integer kernel, which runs only when a witness is read.
+    (field_rank) and the divisors (the minor route) read one fraction-free
+    _bareiss pass, cached on each wall, and the one route that does not
+    share it is the integer kernel, which runs only when a witness is read.
     """
 
     hypothesis_holds: bool

@@ -8,11 +8,12 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 * SNF, det, field_rank and matrix products run on integral lifts
   (_integral_lift): canonical representatives over Z/n and F_p, the matrix
   times the lcm of its denominators (a unit) over Z_(p) and Q.
-* det, field_rank and the minor route share one row elimination, _bareiss:
-  fraction-free over Z for det, for the minors and for field_rank over Q
-  (the rank over Q of a matrix over Z or Z_(p) too), modulo p for
-  field_rank over F_p.  It never calls the SNF kernel, so field_rank stays
-  the independent Gaussian route that tests check fiber ranks against.
+* det, field_rank and the minor route share one row elimination, _bareiss.
+  Its fraction-free pass over Z runs once per matrix and is cached on it
+  (_fraction_free): det, the minors and field_rank over Q (the rank over Q
+  of a matrix over Z or Z_(p) too) all read that pass; field_rank over F_p
+  eliminates modulo p.  _bareiss never calls the SNF kernel, so field_rank
+  stays the independent Gaussian route that tests check fiber ranks against.
 * One kernel eliminates for every ring: modulo n over Z/n and F_p, over Z
   otherwise.  Its pivot is the nonzero entry of least absolute value in
   the working submatrix, ties broken by lowest (row, col).  It eliminates
@@ -20,10 +21,12 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
   are replayed from the moves when a caller first reads them.
 * Divisors over Z/n and F_p come from that kernel at once.  Over Z, Z_(p)
   and Q they come from the minor route, _minor_divisors, whatever the
-  shape: the rank and two minors from _bareiss (the last two pivots of one
-  pass where the maximal minor is unique, the last pivots of two passes
-  otherwise), then the kernel modulo their gcd, so nothing is eliminated
-  over Z.  The integer kernel runs on the lift only when a witness is
+  shape: the rank, the last pivot and the gcd of the minors the cached pass
+  keeps in its last pivot row and column (in those of the pivot before,
+  where the maximal minor is unique), then the kernel modulo g, the gcd of
+  the two, so nothing is eliminated over Z.  A second pass, on the lift
+  with rows and columns reversed, runs only when g is still the last
+  pivot.  The integer kernel runs on the lift only when a witness is
   first read, and its divisors must equal the minor route's
   (ContradictionError otherwise): it is the second route for divisors, so
   rank and divisor queries build no witness and run no integer elimination.
@@ -64,7 +67,7 @@ class Matrix:
     True
     """
 
-    __slots__ = ("ring", "rows", "cols", "_data", "_snf", "_hash")
+    __slots__ = ("ring", "rows", "cols", "_data", "_snf", "_pass", "_hash")
 
     def __init__(self, ring: BaseRing, data: Iterable[Iterable[object]],
                  cols: int | None = None):
@@ -84,8 +87,7 @@ class Matrix:
             self.cols = 0 if cols is None else cols
         canon = ring.canon
         self._data = tuple(tuple(canon(x) for x in r) for r in body)
-        self._snf = None
-        self._hash = None
+        self._snf = self._pass = self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -96,7 +98,7 @@ class Matrix:
         self.ring, self.cols = ring, cols
         self._data = tuple(map(tuple, body))
         self.rows = len(self._data)
-        self._snf = self._hash = None
+        self._snf = self._pass = self._hash = None
         return self
 
     @classmethod
@@ -512,33 +514,45 @@ def _snf_full(a: Matrix) -> SnfDecomposition:
     if _modulus(ring):
         divisors, moves = _kernel(ring, scale, lift, m, n)
     else:
-        divisors, moves = _minor_divisors(ring, lift, m, n), ()
+        divisors, moves = _minor_divisors(ring, lift, m, n, _fraction_free(a)), ()
     a._snf = SnfDecomposition(ring, m, n, divisors, scale, lift, *moves)
     return a._snf
 
 
-def _minor_divisors(ring: BaseRing, lift: Sequence[Sequence[int]],
-                    m: int, n: int) -> tuple[Scalar, ...]:
-    """The divisors over Z, Z_(p) and Q from two minors of the lift.
+def _fraction_free(a: Matrix) -> tuple[int, int, int, int, int]:
+    """A's cached fraction-free _bareiss pass on its integral lift; det,
+    field_rank over Q and the minor route all read this one pass."""
+    if a._pass is None:
+        a._pass = _bareiss(_integral_lift(a)[1], a.cols)
+    return a._pass
 
-    _bareiss gives the rank r and its last pivot, a nonzero r x r minor D1
-    up to sign; d_r = s_1...s_r divides every r x r minor.  Where another
-    maximal minor exists, a second pass on the lift with rows and columns
-    reversed gives D2, and each s_i (i <= r) divides g = gcd(D1, D2).  Where
-    the r x r minor is unique (r = m = n), the pivot before D1 is a nonzero
-    (r-1)-minor D0 (Bareiss pivots are leading minors), so s_i divides
-    g = gcd(D0, D1) for i < r, and s_r = |D1| / (s_1...s_{r-1}).  The
-    kernel modulo g gives gcd(s_i, g) = s_i: Smith forms commute with
-    reduction (Newman 1972, ch. II; Domich, Kannan and Trotter 1987).  Over
-    Z_(p) only p-parts count, and over Q the divisors are r ones.
+
+def _minor_divisors(ring: BaseRing, lift: Sequence[Sequence[int]], m: int, n: int,
+                    elimination: tuple[int, int, int, int, int]) -> tuple[Scalar, ...]:
+    """The divisors over Z, Z_(p) and Q from the minors one _bareiss pass
+    on the lift keeps (elimination, the pass's result).
+
+    The pass gives the rank r, its last pivot, a nonzero r x r minor up to
+    sign, and the gcd of the r x r minors its last pivot row and column
+    still hold; d_r = s_1...s_r divides each of them, so each s_i (i <= r)
+    divides g, the gcd of that gcd and the last pivot.  Where the r x r
+    minor is unique (r = m = n) the pivot row and column hold only the
+    pivot, and g takes the gcd of the (r-1)-minors kept for the pivot
+    before instead: s_i divides it for i < r, and s_r = |det| /
+    (s_1...s_{r-1}).  Only when g is still the last pivot does a second
+    pass, on the lift with rows and columns reversed, give another r x r
+    minor.  The kernel modulo g gives gcd(s_i, g) = s_i: Smith forms
+    commute with reduction (Newman 1972, ch. II; Domich, Kannan and
+    Trotter 1987).  Over Z_(p) only p-parts count, and over Q the divisors
+    are r ones.
     """
     # x's canonical associate: |x| over Z, its p-part over Z_(p), 1 over Q
     part = {"Z": abs, "Q": lambda x: 1}.get(ring.kind, lambda x: ring.param ** ring.valuation(x))
-    r, _, last, before = _bareiss(lift, n)
+    r, _, last, held, held_before = elimination
     unique = r == m == n
-    g = part(last)
-    if g != 1:
-        g = gcd(g, before if unique else _bareiss([row[::-1] for row in reversed(lift)], n)[2])
+    g = gcd(part(last), held_before if unique else held)
+    if g == part(last) != 1 and not unique:
+        g = gcd(g, _bareiss([row[::-1] for row in reversed(lift)], n)[2])
     head = [1] * r
     if g != 1:
         D = _snf_int([[x % g for x in row] for row in lift], m, n, g)[0]
@@ -617,7 +631,7 @@ def rank_over_fiber(a: Matrix, q: Prime) -> int:
 
 
 def det(a: Matrix) -> Scalar:
-    """Exact determinant: _bareiss on the integral lift.
+    """Exact determinant: the cached _bareiss pass on the integral lift.
 
     Over Z/n and F_p the integer determinant of the canonical lift is
     reduced; over Z_(p) and Q the lift is scale * A, so det(A) is the
@@ -625,8 +639,8 @@ def det(a: Matrix) -> Scalar:
     """
     if a.rows != a.cols:
         raise InputError(f"determinant of non-square {a.rows}x{a.cols}")
-    scale, lift = _integral_lift(a)
-    rk, sign, last, _ = _bareiss(lift, a.cols)
+    rk, sign, last, _, _ = _fraction_free(a)
+    scale = _integral_lift(a)[0]
     return a.ring.canon(Fraction(sign * last, scale ** a.rows) if rk == a.rows else 0)
 
 
@@ -715,28 +729,38 @@ def reduce_matrix(a: Matrix, q: Prime) -> Matrix:
 
 def field_rank(a: Matrix) -> int:
     """Gaussian-elimination rank over Q or F_p: _bareiss on the integral
-    lift, modulo p over F_p.  A matrix over Z or Z_(p) takes its rank over
-    Q, the residue field at the generic point, with no Fraction copy.
+    lift, modulo p over F_p.  Over Q, and for a matrix over Z or Z_(p)
+    (its rank over Q, the residue field at the generic point, with no
+    Fraction copy), it reads the cached fraction-free pass that det and
+    the minor route share.
 
     An independent route from rank_over_fiber's divisor counting; the two
     are cross-checked by the test suite.
     """
     if a.ring.kind == "Zmod":
         raise InputError(f"field_rank needs a field or a domain, got {a.ring}")
-    return _bareiss(_integral_lift(a)[1], a.cols, _modulus(a.ring))[0]
+    p = _modulus(a.ring)
+    return _bareiss(_integral_lift(a)[1], a.cols, p)[0] if p else _fraction_free(a)[0]
 
 
-def _bareiss(a_rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> tuple[int, int, int, int]:
+def _bareiss(a_rows: Sequence[Sequence[int]], cols: int,
+             p: int = 0) -> tuple[int, int, int, int, int]:
     """Forward elimination on a copy of the rows: modulo a prime p, or
     fraction-free over Z with p = 0 (Bareiss 1968), where each update
     (b*x - f*y) // prev divides exactly.  Only entries right of a pivot are
-    updated.  Returns (rank, sign of the row swaps, last pivot, the pivot
-    before it, or 1 when the rank is at most 1).  Over Z the k-th
-    pivot is a nonzero k x k minor up to sign, and a square matrix of full
-    rank has determinant sign * last pivot."""
+    updated.  Returns (rank r, sign of the row swaps, last pivot, held,
+    held before).
+
+    Over Z the k-th pivot is a nonzero k x k minor up to sign, and a square
+    matrix of full rank has determinant sign * last pivot.  No later step
+    writes to a pivot row, or to a pivot column, so the k-th pivot row from
+    the pivot on and its column from the pivot down keep k x k minors up to
+    sign.  held is the gcd of those for k = r, held before for k = r - 1;
+    both are taken once, after the pass, and are 1 for k < 1."""
     rows = [list(r) for r in a_rows]
     m = len(rows)
-    rk, sign, before, prev = 0, 1, 1, 1
+    rk, sign, prev = 0, 1, 1
+    pivot_cols = []
     for j in range(cols):
         if rk == m:
             break
@@ -760,6 +784,14 @@ def _bareiss(a_rows: Sequence[Sequence[int]], cols: int, p: int = 0) -> tuple[in
                 f = r[j]
                 for k in range(j + 1, cols):
                     r[k] = (b * r[k] - f * top[k]) // prev
-        before, prev = prev, b
+        prev = b
+        pivot_cols.append(j)
         rk += 1
-    return rk, sign, prev, before
+
+    def held(k: int) -> int:
+        if k < 1:
+            return 1
+        j = pivot_cols[k - 1]
+        return gcd(*rows[k - 1][j:], *(r[j] for r in rows[k:]))
+
+    return rk, sign, prev, held(rk), held(rk - 1)

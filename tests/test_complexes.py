@@ -20,7 +20,7 @@ from fiberflat.generate import random_complex, random_fp_module, random_unimodul
 from fiberflat.linalg import (
     Matrix, _block_matrix, field_rank, hstack, kron, reduce_matrix, syzygy_matrix,
 )
-from fiberflat.modules import FpModule, ModuleMap, free_resolution, lift_along
+from fiberflat.modules import FpModule, ModuleMap, free_resolution, lift_along, map_prime_set
 from fiberflat.rings import (
     GENERIC, Prime, ZZ, factor_trial, integers_mod, localized_at, parse_ring,
 )
@@ -674,6 +674,34 @@ def test_chain_map_fiber_rank_matches_the_kernel_basis_route(lit):
                     kinds.add(kind(f, q, i, rank))
     assert compared >= 150
     assert kinds == {"iso", "zero", "other"}
+
+
+@pytest.mark.parametrize("lit", sorted(FIBER_RANK_SCALARS))
+def test_chain_map_fiber_rank_in_degree_zero_is_the_module_map_fiber_rank(lit):
+    """On modules in degree 0, ChainMap.fiber_rank(q, 0), a Gaussian block
+    rank, equals ModuleMap.fiber_rank(q), read off elementary divisors, at
+    every point of the map's prime set (and, over Z, at (2), (3) and (5)):
+    seeded maps f: R^a / C -> R^b / [f C | E] between finitely presented
+    modules, free ones included."""
+    ring = parse_ring(lit)
+    rng = random.Random(f"degree-zero:{lit}")
+    entries = FIBER_RANK_SCALARS[lit] + [1, -1, 4]
+
+    def matrix(m, n):
+        return Matrix(ring, [[rng.choice(entries) for _ in range(n)] for _ in range(m)], cols=n)
+
+    checked = 0
+    for _ in range(40):
+        a, b = rng.randint(0, 4), rng.randint(0, 4)
+        f, c = matrix(b, a), matrix(a, rng.randint(0, 3))
+        source = FpModule(ring, a, c)
+        target = FpModule(ring, b, hstack([f @ c, matrix(b, rng.randint(0, 2))]))
+        g = ModuleMap(source, target, f)
+        chain = ChainMap(BoundedComplex.single(source), BoundedComplex.single(target), {0: f})
+        for q in dict.fromkeys(map_prime_set(g) + _points(ring)):
+            assert chain.fiber_rank(q, 0) == g.fiber_rank(q), (a, b, f, q)
+            checked += 1
+    assert checked >= 40
 
 
 def test_chain_map_fiber_rank_rejects_points_outside_the_spectrum():

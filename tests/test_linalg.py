@@ -415,6 +415,133 @@ def test_a_wrong_minor_route_divisor_is_caught_at_the_first_witness_read(ring, m
                 getattr(snf(a), witness)
 
 
+def _counted(monkeypatch, name):
+    """Arguments of every call to linalg.<name> from here on."""
+    calls = []
+    original = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("first", ["snf", "field_rank", "det"])
+def test_divisors_field_rank_and_det_share_one_pass(first, monkeypatch):
+    # Over Z the minor route, field_rank and det read one cached
+    # fraction-free pass on the lift, whichever of them runs first; a
+    # full-rank square never needs the reversed pass.
+    passes = _counted(monkeypatch, "_bareiss")
+    rng = random.Random(f"one-pass:{first}")
+    readers = {"snf": lambda a: snf(a).elementary_divisors, "field_rank": field_rank, "det": det}
+    order = [first] + [name for name in readers if name != first]
+    for n in (1, 2, 3, 5, 6):
+        for rows in (_planted(rng, n, n, [6 * n]),
+                     [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]):
+            a = Matrix(ZZ, rows)
+            del passes[:]
+            got = {name: readers[name](a) for name in order}
+            assert len(passes) == 1, (n, rows)
+            assert got["det"] == naive_det(rows) != 0
+            assert got["field_rank"] == n
+            assert got["snf"] == _kernel_divisors(ZZ, a)
+
+
+def _shaped_cases(rng):
+    """(shape, m, n, rows): seeded wide, tall, rank-deficient, rank 1 and
+    full-rank square matrices, half of them with planted common factors so
+    that the kernel runs modulo some g > 1."""
+    def entries(m, n, bound=20):
+        return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+    def full_rank(m, n):
+        rows = entries(m, n)
+        while fraction_rank(rows, n) < min(m, n):
+            rows = entries(m, n)
+        return rows
+
+    def factor():
+        return 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 3) * rng.choice([1, 5, 7])
+
+    cases = []
+    for _ in range(12):
+        k = rng.randint(1, 7)
+        m, n = k, k + rng.randint(1, 4)
+        chain = [factor(), factor()]
+        chain[1] *= chain[0]
+        wide = _planted(rng, m, n, chain[2 - min(k, 2):]) if rng.random() < 0.5 else full_rank(m, n)
+        cases.append(("wide", m, n, wide))
+        cases.append(("tall", n, m, [list(col) for col in zip(*wide)]))
+        r = rng.randint(1, 5)
+        m, n = r + rng.randint(1, 4), r + rng.randint(1, 4)
+        left, right = entries(m, r, 9), entries(r, n, 9)
+        c = factor() if rng.random() < 0.5 else 1
+        cases.append(("rank-deficient", m, n,
+                      [[c * sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                       for row in left]))
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        u, v = [rng.randint(-9, 9) or 1 for _ in range(m)], [rng.randint(-9, 9) or 1 for _ in range(n)]
+        c = factor()
+        cases.append(("rank 1", m, n, [[c * x * y for y in v] for x in u]))
+        n = rng.randint(1, 8)
+        chain = [factor(), factor()]
+        chain[1] *= chain[0]
+        square = _planted(rng, n, n, chain[2 - min(n, 2):]) if rng.random() < 0.5 else full_rank(n, n)
+        cases.append(("full-rank square", n, n, square))
+    return cases
+
+
+@pytest.mark.parametrize("ring", [ZZ, localized_at(3)], ids=str)
+def test_kept_minor_divisors_match_the_integer_kernel_on_every_shape(ring, monkeypatch):
+    # g comes from the minors the pass keeps in its last pivot row and
+    # column (its pivot before, for a full-rank square): for every shape
+    # the divisors must be the integer kernel's on the lift, field_rank
+    # must count the nonzero ones, and only the reversed-pass fallback
+    # may run a second pass.
+    passes = _counted(monkeypatch, "_bareiss")
+    moduli = []
+    original = linalg._snf_int
+    monkeypatch.setattr(linalg, "_snf_int",
+                        lambda rows, m, n, mod: moduli.append(mod) or original(rows, m, n, mod))
+    rng = random.Random(f"kept-minors:{ring}")
+    shapes, reduced = set(), 0
+    for shape, m, n, rows in _shaped_cases(rng):
+        if ring.uses_fractions:  # each row over a unit of Z_(3)
+            rows = [[Fraction(x, d) for x in r] for r, d in zip(rows, rng.choices([1, 2, 5, 7], k=m))]
+        a = Matrix(ring, rows, cols=n)
+        rank = fraction_rank(rows, n)
+        expected = {"rank 1": rank == 1, "rank-deficient": rank < min(m, n)}
+        assert expected.get(shape, rank == min(m, n)), (shape, rows)
+        del passes[:], moduli[:]
+        divisors = snf(a).elementary_divisors
+        assert field_rank(a) == sum(d != 0 for d in divisors) == rank
+        assert 0 not in moduli
+        reduced += any(mod > 1 for mod in moduli)
+        assert divisors == _kernel_divisors(ring, a), (shape, m, n)
+        lift = [list(row) for row in linalg._integral_lift(a)[1]]
+        assert [list(map(list, args[0])) for args in passes] in (
+            [lift], [lift, [row[::-1] for row in reversed(lift)]]), (shape, m, n)
+        shapes.add(shape)
+    assert len(shapes) == 5 and reduced >= 10
+
+
+@pytest.mark.parametrize("ring", [ZZ, localized_at(3)], ids=str)
+def test_the_reversed_pass_runs_when_the_kept_minors_leave_g_at_the_last_pivot(ring, monkeypatch):
+    # In [[p, 1, 0], [0, 1, 1]] the last pivot row keeps the 2 x 2 minors p
+    # and p, and so does the pivot: only the reversed pass finds the minor
+    # 1 that drops the first column, so the kernel never runs.
+    p = ring.param or 2
+    passes = _counted(monkeypatch, "_bareiss")
+    kernels = _counted(monkeypatch, "_snf_int")
+    a = Matrix(ring, [[p, 1, 0], [0, 1, 1]])
+    assert snf(a).elementary_divisors == (ring.one, ring.one)
+    assert [list(map(list, args[0])) for args in passes][1:] == [[[1, 1, 0], [0, 1, p]]]
+    assert kernels == []
+    # the same matrix with its columns permuted keeps the minor 1 in its
+    # last pivot row: one pass and no kernel
+    del passes[:]
+    b = Matrix(ring, [[1, p, 0], [1, 0, 1]])
+    assert snf(b).elementary_divisors == (ring.one, ring.one)
+    assert len(passes) == 1 and kernels == []
+
+
 @given(int_matrix(max_dim=4))
 def test_determinantal_divisors_match_minor_enumeration(a):
     divisors = determinantal_divisors(a)

@@ -496,10 +496,7 @@ def test_kept_minor_divisors_match_the_integer_kernel_on_every_shape(ring, monke
     # must count the nonzero ones, and only the reversed-pass fallback
     # may run a second pass.
     passes = _counted(monkeypatch, "_bareiss")
-    moduli = []
-    original = linalg._snf_int
-    monkeypatch.setattr(linalg, "_snf_int",
-                        lambda rows, m, n, mod: moduli.append(mod) or original(rows, m, n, mod))
+    kernels = _counted(monkeypatch, "_snf_int")
     rng = random.Random(f"kept-minors:{ring}")
     shapes, reduced = set(), 0
     for shape, m, n, rows in _shaped_cases(rng):
@@ -509,9 +506,10 @@ def test_kept_minor_divisors_match_the_integer_kernel_on_every_shape(ring, monke
         rank = fraction_rank(rows, n)
         expected = {"rank 1": rank == 1, "rank-deficient": rank < min(m, n)}
         assert expected.get(shape, rank == min(m, n)), (shape, rows)
-        del passes[:], moduli[:]
+        del passes[:], kernels[:]
         divisors = snf(a).elementary_divisors
         assert field_rank(a) == sum(d != 0 for d in divisors) == rank
+        moduli = [mod for *_, mod in kernels]
         assert 0 not in moduli
         reduced += any(mod > 1 for mod in moduli)
         assert divisors == _kernel_divisors(ring, a), (shape, m, n)
@@ -539,6 +537,12 @@ def test_the_reversed_pass_runs_when_the_kept_minors_leave_g_at_the_last_pivot(r
     del passes[:]
     b = Matrix(ring, [[1, p, 0], [1, 0, 1]])
     assert snf(b).elementary_divisors == (ring.one, ring.one)
+    assert len(passes) == 1 and kernels == []
+    # a full-rank square never reverses: g comes from the 1-minors p and 1
+    # kept for the pivot before the last, and s_2 = |det| / s_1
+    del passes[:]
+    c = Matrix(ring, [[p, 1], [0, 1]])
+    assert snf(c).elementary_divisors == (ring.one, ring.canon(p))
     assert len(passes) == 1 and kernels == []
 
 

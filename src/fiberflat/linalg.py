@@ -24,12 +24,11 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
   shape: the rank, the last pivot and the gcd of the minors the cached pass
   keeps in its last pivot row and column (in those of the pivot before,
   where the maximal minor is unique), then the kernel modulo g, the gcd of
-  the two, so nothing is eliminated over Z.  A second pass, on the lift
-  with rows and columns reversed, runs only when g is still the last
-  pivot.  The integer kernel runs on the lift only when a witness is
-  first read, and its divisors must equal the minor route's
-  (ContradictionError otherwise): it is the second route for divisors, so
-  rank and divisor queries build no witness and run no integer elimination.
+  the two, so nothing is eliminated over Z and no second pass runs.  The
+  integer kernel runs on the lift only when a witness is first read, and
+  its divisors must equal the minor route's (ContradictionError
+  otherwise): it is the second route for divisors, so rank and divisor
+  queries build no witness and run no integer elimination.
 * Diagonal entries are canonical: non-negative over Z, gcd(e, n) over Z/n
   for the kernel's divisor e (0 when n divides e), the convention
   invariant factors use, pure powers of p over Z_(p), 0 or 1 over fields.
@@ -539,9 +538,8 @@ def _minor_divisors(ring: BaseRing, lift: Sequence[Sequence[int]], m: int, n: in
     minor is unique (r = m = n) the pivot row and column hold only the
     pivot, and g takes the gcd of the (r-1)-minors kept for the pivot
     before instead: s_i divides it for i < r, and s_r = |det| /
-    (s_1...s_{r-1}).  Only when g is still the last pivot does a second
-    pass, on the lift with rows and columns reversed, give another r x r
-    minor.  The kernel modulo g gives gcd(s_i, g) = s_i: Smith forms
+    (s_1...s_{r-1}).  No second pass runs: any nonzero multiple of d_r
+    serves as g.  The kernel modulo g gives gcd(s_i, g) = s_i: Smith forms
     commute with reduction (Newman 1972, ch. II; Domich, Kannan and
     Trotter 1987).  Over Z_(p) only p-parts count, and over Q the divisors
     are r ones.
@@ -551,8 +549,6 @@ def _minor_divisors(ring: BaseRing, lift: Sequence[Sequence[int]], m: int, n: in
     r, _, last, held, held_before = elimination
     unique = r == m == n
     g = gcd(part(last), held_before if unique else held)
-    if g == part(last) != 1 and not unique:
-        g = gcd(g, _bareiss([row[::-1] for row in reversed(lift)], n)[2])
     head = [1] * r
     if g != 1:
         D = _snf_int([[x % g for x in row] for row in lift], m, n, g)[0]

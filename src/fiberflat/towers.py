@@ -133,10 +133,13 @@ class StabilizationReport:
         return self.status == "stabilized"
 
 
-def _require_window(window: int) -> None:
-    # A run of zero isomorphisms would "stabilize" at whatever came last.
+def _require_bounds(max_stage: int, window: int) -> None:
+    # A run of zero isomorphisms would "stabilize" at whatever came last,
+    # and a report needs at least stage 0.
     if window < 1:
         raise InputError(f"window must be >= 1, got {window}")
+    if max_stage < 0:
+        raise InputError(f"max_stage must be >= 0, got {max_stage}")
 
 
 def _conclude(quantity: str, values: list[int], ranks: list[int],
@@ -167,7 +170,7 @@ def tower_fiber(t: TowerModule, q: Prime, max_stage: int = DEFAULT_MAX_STAGE,
     change commutes with directed colimits, and an eventually constant
     (resp. eventually vanishing) system has the evident colimit.
     """
-    _require_window(window)
+    _require_bounds(max_stage, window)
     t.ring.residue_field(q)
     values = [t.stage(n).fiber_dim(q) for n in range(max_stage + 1)]
     ranks = [t.transition(n).fiber_rank(q) for n in range(max_stage)]
@@ -186,7 +189,7 @@ def tower_tor(t: TowerModule, q: Prime, i: int,
     """
     if i < 0:
         raise InputError("Tor degree must be >= 0")
-    _require_window(window)
+    _require_bounds(max_stage, window)
     t.ring.residue_field(q)
     resolutions, ranks = [free_resolution(t.stage(0), i + 1)], []
     for n in range(max_stage):
@@ -246,9 +249,9 @@ def tower_complex_homology_fiber(tc: TowerComplex, q: Prime, degree: int,
     """H_degree of the fibered stage complexes along a complex tower, read
     by fiber_homology_dim and ChainMap.fiber_rank.  Stage terms must be
     free, although both readings hold for any finitely presented terms."""
-    _require_window(window)
+    _require_bounds(max_stage, window)
     tc.ring.residue_field(q)
-    stages = [tc.stage(n) for n in range(max(max_stage, 0) + 1)]
+    stages = [tc.stage(n) for n in range(max_stage + 1)]
     if not all(cx.is_free() for cx in stages):
         raise InputError("complex towers need free stage terms")
     ranks = [tc.transition(n).fiber_rank(q, degree) for n in range(max_stage)]
@@ -350,7 +353,7 @@ def gallery(name: str, p: int = 2, max_prime: int = 100,
     step of its prime.  The other two galleries evaluate stages
     0..max(6, window + 2) whatever max_stage is.
     """
-    _require_window(window)
+    _require_bounds(max_stage, window)
     if max_stage < window:
         raise InputError(f"max_stage must be >= window ({window}), got {max_stage}")
     if name == "sum-inverse-primes":

@@ -426,8 +426,7 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("first", ["snf", "field_rank", "det"])
 def test_divisors_field_rank_and_det_share_one_pass(first, monkeypatch):
     # Over Z the minor route, field_rank and det read one cached
-    # fraction-free pass on the lift, whichever of them runs first; a
-    # full-rank square never needs the reversed pass.
+    # fraction-free pass on the lift, whichever of them runs first.
     passes = _counted(monkeypatch, "_bareiss")
     rng = random.Random(f"one-pass:{first}")
     readers = {"snf": lambda a: snf(a).elementary_divisors, "field_rank": field_rank, "det": det}
@@ -493,8 +492,7 @@ def test_kept_minor_divisors_match_the_integer_kernel_on_every_shape(ring, monke
     # g comes from the minors the pass keeps in its last pivot row and
     # column (its pivot before, for a full-rank square): for every shape
     # the divisors must be the integer kernel's on the lift, field_rank
-    # must count the nonzero ones, and only the reversed-pass fallback
-    # may run a second pass.
+    # must count the nonzero ones, and no shape runs a second pass.
     passes = _counted(monkeypatch, "_bareiss")
     kernels = _counted(monkeypatch, "_snf_int")
     rng = random.Random(f"kept-minors:{ring}")
@@ -514,32 +512,31 @@ def test_kept_minor_divisors_match_the_integer_kernel_on_every_shape(ring, monke
         reduced += any(mod > 1 for mod in moduli)
         assert divisors == _kernel_divisors(ring, a), (shape, m, n)
         lift = [list(row) for row in linalg._integral_lift(a)[1]]
-        assert [list(map(list, args[0])) for args in passes] in (
-            [lift], [lift, [row[::-1] for row in reversed(lift)]]), (shape, m, n)
+        assert [list(map(list, args[0])) for args in passes] == [lift], (shape, m, n)
         shapes.add(shape)
     assert len(shapes) == 5 and reduced >= 10
 
 
 @pytest.mark.parametrize("ring", [ZZ, localized_at(3)], ids=str)
-def test_the_reversed_pass_runs_when_the_kept_minors_leave_g_at_the_last_pivot(ring, monkeypatch):
+def test_one_pass_when_the_kept_minors_leave_g_at_the_last_pivot(ring, monkeypatch):
     # In [[p, 1, 0], [0, 1, 1]] the last pivot row keeps the 2 x 2 minors p
-    # and p, and so does the pivot: only the reversed pass finds the minor
-    # 1 that drops the first column, so the kernel never runs.
+    # and p, and so does the pivot: g stays p, a multiple of d_2 = 1, and
+    # the kernel modulo p gives the divisors from that one pass.
     p = ring.param or 2
     passes = _counted(monkeypatch, "_bareiss")
     kernels = _counted(monkeypatch, "_snf_int")
     a = Matrix(ring, [[p, 1, 0], [0, 1, 1]])
     assert snf(a).elementary_divisors == (ring.one, ring.one)
-    assert [list(map(list, args[0])) for args in passes][1:] == [[[1, 1, 0], [0, 1, p]]]
-    assert kernels == []
+    assert [list(map(list, args[0])) for args in passes] == [[[p, 1, 0], [0, 1, 1]]]
+    assert [mod for *_, mod in kernels] == [p]
     # the same matrix with its columns permuted keeps the minor 1 in its
     # last pivot row: one pass and no kernel
-    del passes[:]
+    del passes[:], kernels[:]
     b = Matrix(ring, [[1, p, 0], [1, 0, 1]])
     assert snf(b).elementary_divisors == (ring.one, ring.one)
     assert len(passes) == 1 and kernels == []
-    # a full-rank square never reverses: g comes from the 1-minors p and 1
-    # kept for the pivot before the last, and s_2 = |det| / s_1
+    # a full-rank square: g comes from the 1-minors p and 1 kept for the
+    # pivot before the last, and s_2 = |det| / s_1
     del passes[:]
     c = Matrix(ring, [[p, 1], [0, 1]])
     assert snf(c).elementary_divisors == (ring.one, ring.canon(p))

@@ -65,3 +65,10 @@ def test_only_rank_at_reads_a_fiber_by_elimination():
     for name in ("field_rank", "reduce_matrix"):
         found = {file: owners for file, owners in _mentions(name).items() if file != "linalg.py"}
         assert found == {"__init__.py": ["<module>"], "complexes.py": ["<module>", "_rank_at"]}, name
+
+
+def test_bareiss_runs_only_from_the_cached_pass_and_field_rank_over_f_p():
+    """Every Z, Z_(p) and Q matrix runs one fraction-free pass, cached by
+    linalg._fraction_free; field_rank over F_p is the other caller.  The
+    minor route reads the cached pass and starts none of its own."""
+    assert _mentions("_bareiss") == {"linalg.py": ["_fraction_free", "field_rank", "_bareiss"]}

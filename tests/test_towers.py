@@ -289,6 +289,24 @@ def test_tower_tor_validation():
     assert rep.status == "undetermined" and rep.values == (1,)
 
 
+def test_every_tower_report_refuses_a_negative_max_stage():
+    # every report needs stage 0: a negative bound is refused, and
+    # max_stage 0 gives one stage and no transition
+    t, tc = injective_hull_tower(2), dvr_fraction_field_tower(3)
+    reports = {
+        "fiber": lambda s: tower_fiber(t, Prime.at(2), max_stage=s),
+        "tor": lambda s: tower_tor(t, Prime.at(2), 1, max_stage=s),
+        "complex": lambda s: tower_complex_homology_fiber(tc, Prime.at(3), 0, max_stage=s),
+    }
+    for name, report in reports.items():
+        for max_stage in (-1, -5):
+            with pytest.raises(InputError, match="max_stage must be >= 0"):
+                report(max_stage)
+        rep = report(0)
+        assert len(rep.values) == 1 and rep.bound == 0, name
+        assert rep.status == "undetermined", name
+
+
 def test_tower_tor_free_constant_tower():
     t = constant_tower(FpModule.free(ZZ, 1), [[1]])
     rep = tower_tor(t, Prime.at(5), 1, max_stage=4)

@@ -19,18 +19,20 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
   the working submatrix, ties broken by lowest (row, col).  It eliminates
   D alone and records its row and column moves; U, V and their inverses
   are replayed from the moves when a caller first reads them.
-* Divisors over Z/n and F_p come from that kernel at once.  Over Z, Z_(p)
-  and Q they come from the minor route, _minor_divisors, whatever the
+* Divisors come from a pass that records no moves, _divisors_mod: unit
+  pivots modulo some m first, then the kernel modulo m on the unit-free
+  remainder only.  Over Z/n and F_p it runs modulo n.  Over Z, Z_(p) and
+  Q it is the last step of the minor route, _minor_divisors, whatever the
   shape: the rank, the last pivot and the gcd of the minors the cached pass
   keeps in its last pivot row and column (in those of the pivot before,
-  where the maximal minor is unique), then the kernel modulo g, the gcd of
-  the two, so nothing is eliminated over Z and no second pass runs.  The
-  integer kernel runs on the lift only when a witness is first read, and
-  its divisors must equal the minor route's (ContradictionError
-  otherwise): it is the second route for divisors, so rank and divisor
-  queries build no witness and run no integer elimination.
+  where the maximal minor is unique), then the divisor pass modulo g, the
+  gcd of the two, so nothing is eliminated over Z and no second pass runs.
+  The kernel runs on the whole lift only when a witness is first read, and
+  its divisors must equal the pass's (ContradictionError otherwise): it is
+  the second route for divisors over every ring, so rank and divisor
+  queries build no witness and record no move.
 * Diagonal entries are canonical: non-negative over Z, gcd(e, n) over Z/n
-  for the kernel's divisor e (0 when n divides e), the convention
+  for a divisor e of the lift (0 when n divides e), the convention
   invariant factors use, pure powers of p over Z_(p), 0 or 1 over fields.
   _kernel folds the unit part of each divisor into V and Vi.
 * Zero-dimension matrices are legal everywhere and behave as zero maps.
@@ -85,7 +87,7 @@ class Matrix:
         else:
             self.cols = 0 if cols is None else cols
         canon = ring.canon
-        self._data = tuple(tuple(canon(x) for x in r) for r in body)
+        self._data = tuple(tuple(map(canon, r)) for r in body)
         self._snf = self._pass = self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -280,10 +282,11 @@ class SnfDecomposition:
     (= V^-1) replayed from the kernel's moves, reduced into the ring, and
     kept the first time a caller reads it.  Ui @ A @ Vi = D.
 
-    scale and lift are A's integral lift.  Where the divisors came from the
-    minor route (_minor_divisors) the moves are None until a witness is
-    first read; the integer kernel then runs on the lift, and divisors that
-    differ from the minor route's raise ContradictionError.
+    scale and lift are A's integral lift.  The divisors come from the
+    divisor pass (_divisors_mod, over Z, Z_(p) and Q through the minor
+    route), and the moves are None until a witness is first read; the
+    kernel then runs on the lift, and divisors that differ from the pass's
+    raise ContradictionError.
     """
 
     ring: BaseRing
@@ -301,7 +304,7 @@ class SnfDecomposition:
             divisors, moves = _kernel(self.ring, self.scale, self.lift, self.rows, self.cols)
             if divisors != self.elementary_divisors:
                 raise ContradictionError(
-                    "snf: the integer kernel's divisors differ from the minor route's")
+                    "snf: the kernel's divisors differ from the divisor pass's")
             self.row_moves, self.col_moves, self.units = moves
         return self.row_moves, self.col_moves, self.units
 
@@ -408,9 +411,9 @@ def _snf_int(a_rows: Sequence[Sequence[int]], m: int, n: int, mod: int):
     updated row is reduced, entries that leave (-mod, mod) going to
     [0, mod), and the pivot b divides an entry in the ring when gcd(b, mod)
     does.  Euclidean remainders stay below the pivot, so it still shrinks
-    to termination; on a lift with entries in (-mod, mod), as _snf_full
-    passes, every multiplier q has |q| < mod.  With mod = 0 (Z, Z_(p), Q)
-    D is eliminated over Z.
+    to termination; on a lift with entries in (-mod, mod), as _kernel and
+    _divisors_mod pass, every multiplier q has |q| < mod.  With mod = 0
+    (Z, Z_(p), Q) D is eliminated over Z.
     """
     D = [list(r) for r in a_rows]
 
@@ -503,18 +506,20 @@ def _integral_lift(a: Matrix) -> tuple[int, Sequence[Sequence[int]]]:
 
 
 def _snf_full(a: Matrix) -> SnfDecomposition:
-    """A's cached decomposition: divisors and moves from the kernel at once
-    over Z/n and F_p; over Z, Z_(p) and Q divisors from the minor route,
-    with the kernel's moves left to the first witness read."""
+    """A's cached decomposition: divisors from the divisor pass modulo n
+    over Z/n and F_p (gcd(s_i, n), n read as the canonical 0), from the
+    minor route over Z, Z_(p) and Q; the kernel's moves are left to the
+    first witness read."""
     if a._snf is not None:
         return a._snf
     ring, m, n = a.ring, a.rows, a.cols
     scale, lift = _integral_lift(a)
-    if _modulus(ring):
-        divisors, moves = _kernel(ring, scale, lift, m, n)
+    mod = _modulus(ring)
+    if mod:
+        divisors = tuple(0 if d == mod else d for d in _divisors_mod(lift, m, n, mod))
     else:
-        divisors, moves = _minor_divisors(ring, lift, m, n, _fraction_free(a)), ()
-    a._snf = SnfDecomposition(ring, m, n, divisors, scale, lift, *moves)
+        divisors = _minor_divisors(ring, lift, m, n, _fraction_free(a))
+    a._snf = SnfDecomposition(ring, m, n, divisors, scale, lift)
     return a._snf
 
 
@@ -539,8 +544,8 @@ def _minor_divisors(ring: BaseRing, lift: Sequence[Sequence[int]], m: int, n: in
     pivot, and g takes the gcd of the (r-1)-minors kept for the pivot
     before instead: s_i divides it for i < r, and s_r = |det| /
     (s_1...s_{r-1}).  No second pass runs: any nonzero multiple of d_r
-    serves as g.  The kernel modulo g gives gcd(s_i, g) = s_i: Smith forms
-    commute with reduction (Newman 1972, ch. II; Domich, Kannan and
+    serves as g.  The divisor pass modulo g gives gcd(s_i, g) = s_i: Smith
+    forms commute with reduction (Newman 1972, ch. II; Domich, Kannan and
     Trotter 1987).  Over Z_(p) only p-parts count, and over Q the divisors
     are r ones.
     """
@@ -549,14 +554,50 @@ def _minor_divisors(ring: BaseRing, lift: Sequence[Sequence[int]], m: int, n: in
     r, _, last, held, held_before = elimination
     unique = r == m == n
     g = gcd(part(last), held_before if unique else held)
-    head = [1] * r
-    if g != 1:
-        D = _snf_int([[x % g for x in row] for row in lift], m, n, g)[0]
-        head = [gcd(D[i][i], g) for i in range(r)]
+    head = [1] * r if g == 1 else _divisors_mod(lift, m, n, g)[:r]
     if unique and r:
         head[-1] = part(last) // prod(head[:-1])
     divisors = head + [0] * (min(m, n) - r)
     return tuple(map(Fraction, divisors)) if ring.uses_fractions else tuple(divisors)
+
+
+def _divisors_mod(lift: Sequence[Sequence[int]], m: int, n: int, mod: int) -> list[int]:
+    """gcd(s_i, mod) for the min(m, n) divisors s_i of the lift, mod > 1.
+
+    While some entry is a unit modulo mod it is the pivot: its row and
+    column are removed, and its column is cleared in the other rows, each
+    row updated in one pass.  A unit pivot splits A as (1) (+) S over any
+    commutative ring, so each gives a divisor 1 and the rest are S's.  Zero
+    rows are dropped; on what is left, which holds no unit, the kernel
+    modulo mod runs.  Divisors past its diagonal are 0, so gcd(0, mod) =
+    mod.  mod is never factored (Storjohann 2000 computes Smith forms over
+    Z/N this way).
+    """
+    rows = [r for r in ([x % mod for x in row] for row in lift) if any(r)]
+    units = 0
+    while rows:
+        pivot = next(((i, j) for i, r in enumerate(rows)
+                      for j, x in enumerate(r) if x and gcd(x, mod) == 1), None)
+        if pivot is None:
+            break
+        i, j = pivot
+        top = rows.pop(i)
+        inv = pow(top[j], -1, mod)
+        del top[j]
+        left = []
+        for r in rows:
+            f = r.pop(j) * inv % mod
+            if f:
+                r = [(x - f * y) % mod for x, y in zip(r, top)]
+            if any(r):
+                left.append(r)
+        rows = left
+        units += 1
+    head = [1] * units
+    if rows:
+        D = _snf_int(rows, len(rows), n - units, mod)[0]
+        head += [gcd(D[i][i], mod) for i in range(min(len(rows), n - units))]
+    return head + [mod] * (min(m, n) - len(head))
 
 
 def _kernel(ring: BaseRing, scale: int, lift: Sequence[Sequence[int]], m: int, n: int):

@@ -61,14 +61,14 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n)
 
 
-def _strong_probable_prime(n: int) -> bool:
+def _strong_probable_prime(n: int, bases: tuple[int, ...] = _MR_BASES) -> bool:
     """Whether n, odd and coprime to _MR_BASES, passes the strong test to
     every base: False proves n composite at any size, and below
-    PRIMALITY_BOUND True proves it prime."""
+    PRIMALITY_BOUND True to all of _MR_BASES proves it prime."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -120,8 +120,8 @@ def factor_trial(n: int) -> dict[int, int]:
     _TRIAL_BOUND, then Miller-Rabin and Pollard-Brent rho on what is left.
 
     InputError when the FACTOR_STEPS rho steps run out, or when a factor
-    passes Miller-Rabin at or above PRIMALITY_BOUND, where that proves
-    nothing.
+    at or above PRIMALITY_BOUND passes the strong test to base 2, where no
+    number of bases proves it prime.
 
     >>> factor_trial(360), factor_trial(18446744400127067027)
     ({2: 3, 3: 2, 5: 1}, {4294967311: 1, 4294967357: 1})
@@ -144,9 +144,11 @@ def factor_trial(n: int) -> dict[int, int]:
     steps = FACTOR_STEPS
     while pending:
         m = pending.pop()
-        # m has no factor below f, so below f * f it is prime
-        if m < f * f or _strong_probable_prime(m):
-            if m >= PRIMALITY_BOUND:
+        # m has no factor below f, so below f * f it is prime; at or above
+        # PRIMALITY_BOUND no number of bases proves it prime, so one decides
+        big = m >= PRIMALITY_BOUND
+        if m < f * f or _strong_probable_prime(m, _MR_BASES[:1] if big else _MR_BASES):
+            if big:
                 raise InputError(f"cannot factor {quoted(n)}: cannot decide primality of "
                                  f"its factor {quoted(m)}, which is >= {PRIMALITY_BOUND}")
             out[m] = out.get(m, 0) + 1
@@ -280,6 +282,11 @@ class BaseRing:
         >>> localized_at(5).canon(Fraction(3, 2))
         Fraction(3, 2)
         """
+        if type(x) is int:  # the common case; bool and Fraction take the checks below
+            if self.kind == "Z":
+                return x
+            if self.kind in ("Zmod", "Fp"):
+                return x % self.param  # type: ignore[operator]
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:

@@ -15,8 +15,9 @@ from fiberflat.linalg import (
 )
 from fiberflat import linalg, modules
 from fiberflat.complexes import BoundedComplex
-from fiberflat.generate import random_unimodular
-from fiberflat.modules import FpModule, ModuleMap, matrix_bad_primes
+from fiberflat.criteria import check_main_theorem, is_universally_exact, tor_flatness_criterion
+from fiberflat.generate import random_complex, random_fp_module, random_unimodular
+from fiberflat.modules import FpModule, ModuleMap, matrix_bad_primes, module_prime_set
 from fiberflat.rings import (
     GENERIC, Prime, QQ, ZZ, integers_mod, localized_at, prime_field,
 )
@@ -211,11 +212,13 @@ def test_modular_replay_is_the_integer_replay_reduced():
             a = Matrix(ring, [[rng.randint(-400, 400) for _ in range(n)] for _ in range(m)],
                        cols=n)
             dec = snf(a)
-            for size, moves in ((m, dec.row_moves), (n, dec.col_moves)):
+            assert dec.row_moves is None  # the divisor pass records no moves
+            row_moves, col_moves, _ = dec._moves()
+            for size, moves in ((m, row_moves), (n, col_moves)):
                 for inverse in (False, True):
                     reduced = [[x % k for x in r] for r in linalg._replay(size, moves, inverse)]
                     assert linalg._replay(size, moves, inverse, k) == reduced
-            integer = linalg._replay(m, dec.row_moves)
+            integer = linalg._replay(m, row_moves)
             assert dec.Ui.to_rows() == [[x % k for x in r] for r in integer]
             assert dec.verify(a)
 
@@ -335,26 +338,25 @@ def _minor_route_cases(rng):
 @pytest.mark.parametrize("ring", MINOR_ROUTE_RINGS, ids=str)
 def test_minor_route_divisors_match_the_integer_kernel(ring, monkeypatch):
     # Over Z, Z_(p) and Q, whatever the shape, the divisors come from two
-    # minors and the kernel modulo their gcd; they must be the integer
+    # minors and the divisor pass modulo their gcd; they must be the integer
     # kernel's.  A planted 100-bit divisor of a non-square matrix must take
-    # the modular path; in a planted square chain (6, 6q) the kernel runs
+    # the modular path; in a planted square chain (6, 6q) the pass runs
     # modulo a multiple of 6, and the last divisor is |det| / (s_1...s_{n-1}).
-    moduli = []
-    original = linalg._snf_int
-    monkeypatch.setattr(linalg, "_snf_int",
-                        lambda rows, m, n, mod: moduli.append(mod) or original(rows, m, n, mod))
+    passes = _counted(monkeypatch, "_divisors_mod")
+    kernels = _counted(monkeypatch, "_snf_int")
     rng = random.Random(f"minor-route:{ring}")
     planted = squares = 0
     for m, n, rows in _minor_route_cases(rng):
         if ring.uses_fractions and rows and rng.random() < 0.5:
             rows = [[Fraction(x, rng.choice([1, 5, 7])) for x in r] for r in rows]
         a = Matrix(ring, rows, cols=n)
-        del moduli[:]
+        del passes[:], kernels[:]
         divisors = snf(a).elementary_divisors
-        assert 0 not in moduli  # the integer kernel waits for a witness read
+        moduli = [mod for *_, mod in passes]
+        assert 0 not in [mod for *_, mod in kernels]  # the integer kernel waits for a witness read
         assert divisors == _kernel_divisors(ring, a), (ring, m, n)
         if ring == ZZ and m != n and divisors and divisors[-1] and divisors[-1] % Q100 == 0:
-            assert any(mod and mod % Q100 == 0 for mod in moduli)
+            assert any(mod % Q100 == 0 for mod in moduli)
             planted += 1
         if ring == ZZ and m == n and divisors[-2:] == (6, 6 * Q100):
             assert any(mod % 6 == 0 for mod in moduli)
@@ -413,6 +415,123 @@ def test_a_wrong_minor_route_divisor_is_caught_at_the_first_witness_read(ring, m
             a = Matrix(ring, rows)
             with pytest.raises(ContradictionError):
                 getattr(snf(a), witness)
+
+
+ZMOD_PASS_RINGS = [integers_mod(8), integers_mod(12), integers_mod(360), prime_field(5)]
+
+
+def _divisor_pass_cases(rng):
+    """(m, n, rows): 0 x k, k x 0, 0 x 0, zero, dense and rank-deficient
+    matrices up to 9 x 9 with entries in [-400, 400], matrices of multiples
+    of 2, 3 and 6 (unit-free modulo 8, 12 or 360 where the factor is shared),
+    and such a block under two dense rows, so both steps of the pass run."""
+    def multiples(c, m, n):
+        return [[c * rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+
+    cases = [(0, 4, []), (4, 0, [[]] * 4), (0, 0, []), (3, 5, [[0] * 5] * 3), (1, 1, [[0]])]
+    for _ in range(30):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.randint(-400, 400) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.4:  # rank-deficient: a row a combination of two others
+            rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[m // 2])]
+        cases.append((m, n, rows))
+    for c in (2, 3, 6):
+        for _ in range(8):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            cases.append((m, n, multiples(c, m, n)))
+    for _ in range(8):
+        m, n = rng.randint(1, 7), rng.randint(3, 9)
+        dense = [[rng.randint(-400, 400) for _ in range(n)] for _ in range(2)]
+        cases.append((m + 2, n, dense + multiples(6, m, n)))
+    return cases
+
+
+@pytest.mark.parametrize("ring", ZMOD_PASS_RINGS, ids=str)
+def test_divisor_pass_modulo_n_matches_the_kernel(ring, monkeypatch):
+    # Unit pivots first, then the kernel on the unit-free remainder alone:
+    # gcd(s_i, n) must be the kernel's divisors on the whole lift, and
+    # snf's, for empty, zero, rank-deficient and unit-free matrices alike.
+    k = ring.param
+    calls = _counted(monkeypatch, "_snf_int")
+    rng = random.Random(f"divisor-pass:{ring}")
+    remainders = 0
+    for m, n, rows in _divisor_pass_cases(rng):
+        a = Matrix(ring, rows, cols=n)
+        lift = linalg._integral_lift(a)[1]
+        del calls[:]
+        got = tuple(0 if d == k else d for d in linalg._divisors_mod(lift, m, n, k))
+        for rest, *_ in calls:  # the kernel only sees a remainder with no unit
+            assert rest and all(gcd(x, k) > 1 for row in rest for x in row), (m, n, rows)
+        remainders += len(calls)
+        assert got == linalg._kernel(ring, 1, lift, m, n)[0], (m, n, rows)
+        assert snf(a).elementary_divisors == got
+        assert snf(a).verify(a)
+    if ring.is_field:  # every nonzero entry is a unit
+        assert remainders == 0
+    else:
+        assert remainders >= 10
+
+
+@pytest.mark.parametrize("ring", ZMOD_PASS_RINGS, ids=str)
+def test_a_wrong_divisor_pass_is_caught_at_the_first_witness_read(ring, monkeypatch):
+    # Over Z/n and F_p the kernel that builds the witnesses is the second
+    # route: a divisor pass that changes one divisor is refused at the
+    # first read of any witness.
+    original = linalg._divisors_mod
+
+    def wrong(lift, m, n, mod):
+        divisors = original(lift, m, n, mod)
+        divisors[0] = 1 if divisors[0] == mod else mod
+        return divisors
+
+    monkeypatch.setattr(linalg, "_divisors_mod", wrong)
+    for rows in ([[2, 4, 4], [-6, 6, 12]], [[1, 0], [0, 1], [1, 1]], [[0, 0], [0, 0]]):
+        for witness in ("U", "V", "Ui", "Vi"):
+            dec = snf(Matrix(ring, rows))
+            assert dec.row_moves is None
+            with pytest.raises(ContradictionError):
+                getattr(dec, witness)
+
+
+class _KernelRan(Exception):
+    pass
+
+
+def test_zmod_criteria_read_divisors_and_run_no_kernel(monkeypatch):
+    # Over Z/360 and Z/12 both theorem criteria and the divisor reads of the
+    # flatness criterion (prime set, flat, zero) finish with the kernel
+    # replaced by one that raises, and agree with the real kernel's run:
+    # check_main_theorem and is_universally_exact on seeded complexes of
+    # every population, tor_flatness_criterion on seeded modules.
+    def inputs(ring):
+        rng = random.Random(f"no-kernel:{ring}")
+        complexes = [random_complex(rng, ring, max_len=4, max_rank=4, entry_bound=9,
+                                    population=pop).complex
+                     for pop in ("contractible", "hypothesis-true", "hypothesis-false") * 3]
+        mods = [random_fp_module(rng, ring) for _ in range(8)]
+        return complexes, mods + [FpModule.cyclic(ring, d) for d in (0, 1, 4, 6, 7)]
+
+    def verdicts(cx):
+        report = check_main_theorem(cx)
+        return report.verdict, report.hypothesis_holds, is_universally_exact(cx).verdict
+
+    def raising(*args):
+        raise _KernelRan
+
+    for ring in (integers_mod(360), integers_mod(12)):
+        complexes, mods = inputs(ring)
+        want = [verdicts(cx) for cx in complexes]
+        tor = [tor_flatness_criterion(m, 2) for m in mods]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_kernel", raising)
+            complexes, mods = inputs(ring)
+            got = [verdicts(cx) for cx in complexes]
+            reads = [(module_prime_set(m), m.is_flat(), m.is_zero()) for m in mods]
+        assert got == want and {v for v, _, _ in got} == {"consistent"}, ring
+        assert {h for _, h, _ in got} == {True, False}, ring
+        for verdict, (primes, flat, zero) in zip(tor, reads):
+            assert list(verdict.checked_primes) == primes
+            assert (verdict.positive_vanishing, verdict.vanishing_with_degree_zero) == (flat, zero)
 
 
 def _counted(monkeypatch, name):
@@ -494,7 +613,7 @@ def test_kept_minor_divisors_match_the_integer_kernel_on_every_shape(ring, monke
     # the divisors must be the integer kernel's on the lift, field_rank
     # must count the nonzero ones, and no shape runs a second pass.
     passes = _counted(monkeypatch, "_bareiss")
-    kernels = _counted(monkeypatch, "_snf_int")
+    kernels = _counted(monkeypatch, "_divisors_mod")
     rng = random.Random(f"kept-minors:{ring}")
     shapes, reduced = set(), 0
     for shape, m, n, rows in _shaped_cases(rng):
@@ -521,16 +640,18 @@ def test_kept_minor_divisors_match_the_integer_kernel_on_every_shape(ring, monke
 def test_one_pass_when_the_kept_minors_leave_g_at_the_last_pivot(ring, monkeypatch):
     # In [[p, 1, 0], [0, 1, 1]] the last pivot row keeps the 2 x 2 minors p
     # and p, and so does the pivot: g stays p, a multiple of d_2 = 1, and
-    # the kernel modulo p gives the divisors from that one pass.
+    # the divisor pass modulo p gives the divisors from that one pass; its
+    # two unit pivots leave no remainder for the kernel.
     p = ring.param or 2
     passes = _counted(monkeypatch, "_bareiss")
-    kernels = _counted(monkeypatch, "_snf_int")
+    kernels = _counted(monkeypatch, "_divisors_mod")
+    remainders = _counted(monkeypatch, "_snf_int")
     a = Matrix(ring, [[p, 1, 0], [0, 1, 1]])
     assert snf(a).elementary_divisors == (ring.one, ring.one)
     assert [list(map(list, args[0])) for args in passes] == [[[p, 1, 0], [0, 1, 1]]]
-    assert [mod for *_, mod in kernels] == [p]
+    assert [mod for *_, mod in kernels] == [p] and remainders == []
     # the same matrix with its columns permuted keeps the minor 1 in its
-    # last pivot row: one pass and no kernel
+    # last pivot row: one pass and no modular pass
     del passes[:], kernels[:]
     b = Matrix(ring, [[1, p, 0], [1, 0, 1]])
     assert snf(b).elementary_divisors == (ring.one, ring.one)

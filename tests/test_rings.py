@@ -295,6 +295,21 @@ def test_prime_looking_factor_past_the_bound_exits_2(capsys):
     assert "input error: cannot factor" in capsys.readouterr().err
 
 
+def test_a_factor_past_the_bound_is_refused_after_one_strong_test_round(monkeypatch):
+    """No number of Miller-Rabin bases proves a factor at or above
+    PRIMALITY_BOUND prime, so factor_trial refuses one that passes the
+    strong test to base 2 without trying the other 12: one modular
+    exponentiation on the least probable prime past the bound."""
+    big = next(n for n in range(PRIMALITY_BOUND | 1, PRIMALITY_BOUND + 10 ** 4, 2)
+               if all(n % a for a in rings._MR_BASES) and rings._strong_probable_prime(n))
+    bases = []
+    monkeypatch.setattr(rings, "pow", lambda *args: bases.append(args[0]) or pow(*args),
+                        raising=False)
+    with pytest.raises(InputError, match=f"its factor {big},"):
+        factor_trial(big)
+    assert bases == [2]
+
+
 def test_factor_budget_ends_a_128_bit_semiprime():
     """As one CLI process: exit 2 with an input error, in bounded time."""
     rng = random.Random(128)

@@ -72,3 +72,10 @@ def test_bareiss_runs_only_from_the_cached_pass_and_field_rank_over_f_p():
     linalg._fraction_free; field_rank over F_p is the other caller.  The
     minor route reads the cached pass and starts none of its own."""
     assert _mentions("_bareiss") == {"linalg.py": ["_fraction_free", "field_rank", "_bareiss"]}
+
+
+def test_the_kernel_runs_only_from_a_witness_read():
+    """Divisors over every ring come from a pass that records no moves;
+    linalg._kernel, which records them, runs only when SnfDecomposition
+    first replays a witness (its _moves)."""
+    assert _mentions("_kernel") == {"linalg.py": ["SnfDecomposition", "_kernel"]}

@@ -20,14 +20,13 @@ from .linalg import (
 )
 from .modules import (
     FpModule, InvariantFactors, ModuleMap, PrimeFiltration, PurityReport,
-    Resolution, ext_fiber, free_resolution, lift_to_resolutions,
-    map_prime_set, matrix_bad_primes, module_prime_set, prime_filtration,
-    purity_report, tor_fiber,
+    Resolution, ext_fiber, free_resolution, map_prime_set, matrix_bad_primes,
+    module_prime_set, prime_filtration, purity_report, tor_fiber,
 )
 from .complexes import (
     DEFAULT_MAX_STAGE, DEFAULT_WINDOW, BoundedComplex, ChainMap, FiberProfile,
-    HomotopyCertificate, cone, dual, koszul_complex, koszul_selfduality,
-    null_homotopy, shift, tensor_with_module, total_tensor, truncate_geq,
+    HomotopyCertificate, dual, koszul_complex, koszul_selfduality,
+    null_homotopy, shift, tensor_with_module, total_tensor,
 )
 from .criteria import (
     BadPrimeSet, FlatnessVerdict, TheoremReport, UniversalExactnessReport,

@@ -6,7 +6,6 @@ Conventions, fixed once here:
     term(i) to term(i - 1), and d . d = 0 is checked at construction;
   * shift(C, k) puts C_{i-k} in degree i and scales every boundary by
     (-1)^k;
-  * cone(f)_i = C_{i-1} (+) D_i with d(c, x) = (-dc, dx - fc);
   * in a total tensor complex the second-factor boundary carries the
     sign (-1)^p of the first-factor degree;
   * Koszul terms are ordered by itertools.combinations, i.e. subsets in
@@ -334,46 +333,6 @@ def shift(cx: BoundedComplex, k: int) -> BoundedComplex:
     bmaps = {i + k: cx.boundary(i).matrix if sign == 1 else -cx.boundary(i).matrix
              for i in range(cx.lo + 1, cx.hi + 1)}
     return BoundedComplex(cx.ring, cx.lo + k, cx.hi + k, terms, bmaps)
-
-
-def truncate_geq(cx: BoundedComplex, k: int) -> BoundedComplex:
-    """Degrees >= k, with the degree-k term replaced by ker(d_k) so that
-    homology in degrees >= k is preserved (and degree k picks up H_k)."""
-    if k > cx.hi:
-        z = FpModule.zero(cx.ring)
-        return BoundedComplex(cx.ring, k, k, {k: z}, {})
-    if k <= cx.lo:
-        return cx
-    ker, incl = cx.boundary(k).kernel()
-    terms = {i: cx.term(i) for i in range(k + 1, cx.hi + 1)}
-    terms[k] = ker
-    bmaps = {i: cx.boundary(i).matrix for i in range(k + 2, cx.hi + 1)}
-    if k + 1 <= cx.hi:
-        sol = solve_integral(incl.wall, cx.boundary(k + 1).matrix)
-        if sol is None:
-            raise ContradictionError("boundary image escapes its own kernel")
-        bmaps[k + 1] = sol.submatrix(range(ker.gens), range(sol.cols))
-    return BoundedComplex(cx.ring, k, cx.hi, terms, bmaps)
-
-
-def cone(f: ChainMap) -> BoundedComplex:
-    """Mapping cone: cone(f)_i = C_{i-1} (+) D_i, d(c, x) = (-dc, dx - fc).
-
-    Exact iff f is a quasi-isomorphism; contractible iff f is a homotopy
-    equivalence (for free terms these coincide with the checks used in
-    the Koszul duality tests).
-    """
-    cx, dx = f.source, f.target
-    ring = cx.ring
-    lo = min(cx.lo + 1, dx.lo)
-    hi = max(cx.hi + 1, dx.hi)
-    terms = {i: cx.term(i - 1).direct_sum(dx.term(i)) for i in range(lo, hi + 1)}
-    bmaps = {i: _block_matrix(ring, [cx.term(i - 2).gens, dx.term(i - 1).gens],
-                              [cx.term(i - 1).gens, dx.term(i).gens],
-                              {(0, 0): -cx.boundary(i - 1).matrix, (1, 0): -f.at(i - 1).matrix,
-                               (1, 1): dx.boundary(i).matrix})
-             for i in range(lo + 1, hi + 1)}
-    return BoundedComplex(ring, lo, hi, terms, bmaps)
 
 
 def tensor_with_module(m: FpModule, cx: BoundedComplex) -> BoundedComplex:

@@ -227,12 +227,6 @@ class ModuleMap:
     def __repr__(self) -> str:
         return f"ModuleMap({self.source!r} -> {self.target!r})"
 
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        """self after inner (usual composition order)."""
-        if inner.target != self.source:
-            raise InputError("composition mismatch")
-        return ModuleMap(inner.source, self.target, self.matrix @ inner.matrix)
-
     @property
     def wall(self) -> Matrix:
         """[f | A], A the relations of the target, built once.  With a free
@@ -242,14 +236,6 @@ class ModuleMap:
         return self._wall
 
     # -- exactness primitives ---------------------------------------------
-
-    def is_zero_map(self) -> bool:
-        return self.target.vanishes(self.matrix)
-
-    def equals(self, other: "ModuleMap") -> bool:
-        """Equality as maps of quotient modules, not of matrices."""
-        return (self.source == other.source and self.target == other.target
-                and self.target.vanishes(self.matrix - other.matrix))
 
     def kernel(self) -> tuple[FpModule, "ModuleMap"]:
         """The kernel and its inclusion into the source: the image of the
@@ -512,20 +498,10 @@ def ext_fiber(m: FpModule, q: Prime, i: int, depth: int) -> int:
     return free_resolution(m, depth).ext_dims(q)[i]
 
 
-def lift_to_resolutions(f: ModuleMap, depth: int) -> tuple[Resolution, Resolution, list[Matrix]]:
-    """Lift a module map to a chain map between free resolutions.
-
-    Returns (source resolution, target resolution, [phi_0, ..., phi_depth])
-    with epsN @ phi_0 = f @ epsM and dN_j @ phi_j = phi_{j-1} @ dM_j.
-    """
-    res_m = free_resolution(f.source, depth)
-    res_n = free_resolution(f.target, depth)
-    return res_m, res_n, lift_along(f, res_m, res_n)
-
-
 def lift_along(f: ModuleMap, res_m: Resolution, res_n: Resolution) -> list[Matrix]:
     """[phi_0, ..., phi_depth] lifting f along given resolutions of its
-    source and target, as in lift_to_resolutions."""
+    source and target: epsN @ phi_0 = f @ epsM and
+    dN_j @ phi_j = phi_{j-1} @ dM_j."""
     ring = f.source.ring
     sol = solve_integral(res_n.augmentation.wall, f.matrix @ res_m.augmentation.matrix)
     if sol is None:

@@ -247,13 +247,11 @@ def tower_complex_homology_fiber(tc: TowerComplex, q: Prime, degree: int,
                                  max_stage: int = DEFAULT_MAX_STAGE,
                                  window: int = DEFAULT_WINDOW) -> StabilizationReport:
     """H_degree of the fibered stage complexes along a complex tower, read
-    by fiber_homology_dim and ChainMap.fiber_rank.  Stage terms must be
-    free, although both readings hold for any finitely presented terms."""
+    by fiber_homology_dim and ChainMap.fiber_rank, both of which hold for
+    any finitely presented terms."""
     _require_bounds(max_stage, window)
     tc.ring.residue_field(q)
     stages = [tc.stage(n) for n in range(max_stage + 1)]
-    if not all(cx.is_free() for cx in stages):
-        raise InputError("complex towers need free stage terms")
     ranks = [tc.transition(n).fiber_rank(q, degree) for n in range(max_stage)]
     values = [cx.fiber_homology_dim(q, degree) for cx in stages]
     return _conclude(f"H_{degree} fiber dimension at ({q.literal()})", values, ranks, window)

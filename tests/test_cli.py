@@ -896,7 +896,7 @@ def test_fresh_interpreter_resolves_every_public_name():
                           env=_child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     count, unlisted, loaded = json.loads(proc.stdout)
-    assert count > 80 and unlisted == [] and loaded == []
+    assert count == 80 and unlisted == [] and loaded == []
 
 
 @pytest.mark.parametrize("argv, towers_loaded", [

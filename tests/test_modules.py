@@ -11,8 +11,8 @@ from fiberflat.errors import ContradictionError, InputError
 from fiberflat.generate import random_fp_module
 from fiberflat.linalg import Matrix, reduce_matrix
 from fiberflat.modules import (
-    FpModule, ModuleMap, ext_fiber, free_resolution,
-    lift_to_resolutions, map_prime_set, matrix_bad_primes, module_prime_set,
+    FpModule, ModuleMap, ext_fiber, free_resolution, lift_along,
+    map_prime_set, matrix_bad_primes, module_prime_set,
     prime_filtration, purity_report, tor_fiber,
 )
 from fiberflat.rings import (
@@ -170,7 +170,7 @@ def test_kernel_image_cokernel_on_multiplication_by_two():
     f = ModuleMap(z, z, Matrix(ZZ, [[2]]))
     ker, incl = f.kernel()
     assert ker.is_zero()
-    assert f.compose(incl).is_zero_map()
+    assert f.target.vanishes(f.matrix @ incl.matrix)
     assert f.image().is_isomorphic_to(z)
     assert f.cokernel().is_isomorphic_to(FpModule.cyclic(ZZ, 2))
     assert f.is_injective() and not f.is_surjective()
@@ -213,7 +213,7 @@ def test_kernel_of_torsion_endomorphism():
     f = ModuleMap(m, m, Matrix(ZZ, [[2]]))
     ker, incl = f.kernel()
     assert ker.is_isomorphic_to(FpModule.cyclic(ZZ, 2))
-    assert f.compose(incl).is_zero_map()
+    assert f.target.vanishes(f.matrix @ incl.matrix)
     assert f.image().is_isomorphic_to(FpModule.cyclic(ZZ, 2))
     assert f.cokernel().is_isomorphic_to(FpModule.cyclic(ZZ, 2))
 
@@ -240,7 +240,7 @@ def test_first_isomorphism_theorem(ring, seed):
     for _ in range(25):
         f = random_map(rng, ring)
         ker, incl = f.kernel()
-        assert ModuleMap(ker, f.target, f.matrix @ incl.matrix).is_zero_map()
+        assert f.target.vanishes(f.matrix @ incl.matrix)
         assert f.image().is_isomorphic_to(incl.cokernel())
 
 
@@ -259,8 +259,7 @@ def test_free_resolution_is_exact_and_augments(ring, seed):
         assert eps.source is cx.term(0) and eps.target is m
         assert eps.is_surjective()
         if cx.hi >= 1:
-            first = ModuleMap(cx.term(1), m, eps.matrix @ cx.boundary(1).matrix)
-            assert first.is_zero_map()
+            assert m.vanishes(eps.matrix @ cx.boundary(1).matrix)
 
 
 def test_resolution_periodicity_over_zmod():
@@ -298,17 +297,15 @@ def test_periodic_tor_over_z4():
         assert ext_fiber(m, Prime.at(2), i, i + 1) == 1
 
 
-def test_lift_to_resolutions_commutes():
+def test_lift_along_commutes():
     rng = random.Random(61)
     for ring in (ZZ, Z12):
         for _ in range(10):
             f = random_map(rng, ring)
-            res_m, res_n, phis = lift_to_resolutions(f, 2)
+            res_m, res_n = free_resolution(f.source, 2), free_resolution(f.target, 2)
+            phis = lift_along(f, res_m, res_n)
             eps_m, eps_n = res_m.augmentation, res_n.augmentation
-            lhs = eps_n.matrix @ phis[0]
-            rhs = f.matrix @ eps_m.matrix
-            assert ModuleMap(res_m.complex.term(0), f.target, lhs).equals(
-                ModuleMap(res_m.complex.term(0), f.target, rhs))
+            assert f.target.vanishes(eps_n.matrix @ phis[0] - f.matrix @ eps_m.matrix)
             for j in range(1, 3):
                 top = res_n.complex.boundary(j).matrix @ phis[j]
                 bot = phis[j - 1] @ res_m.complex.boundary(j).matrix

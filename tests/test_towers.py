@@ -342,13 +342,26 @@ def test_constant_exact_complex_tower_vanishes_everywhere():
             assert rep.values == (0,) * 6
 
 
-def test_complex_tower_needs_free_terms():
-    tc = TowerComplex(
-        ZZ,
-        lambda n: BoundedComplex.single(FpModule.cyclic(ZZ, 4)),
-        lambda n: {0: Matrix(ZZ, [[1]])})
-    with pytest.raises(InputError):
-        tower_complex_homology_fiber(tc, Prime.at(2), 0, max_stage=3)
+def test_complex_tower_with_module_terms_gets_a_report():
+    # Z/4 is not free; kappa(2) (x) Z/4 = F_2 and Q (x) Z/4 = 0.  Over F_2
+    # the transitions 1 and 3 are isomorphisms and 2 is zero, and the
+    # boundary 2 of Z/4 --2--> Z/4 vanishes, so H_0 = H_1 = F_2 there.
+    z4 = FpModule.cyclic(ZZ, 4)
+    single = BoundedComplex.single(z4)
+    pair = BoundedComplex(ZZ, 0, 1, {0: z4, 1: z4}, {1: Matrix(ZZ, [[2]])})
+    cases = [(single, (0,), 1, "iso", 1), (single, (0,), 2, "zero", 0),
+             (pair, (0, 1), 3, "iso", 1), (pair, (0, 1), 2, "zero", 0)]
+    for cx, degrees, t, kind, value in cases:
+        tc = TowerComplex(ZZ, lambda n, cx=cx: cx,
+                          lambda n, t=t, degrees=degrees: {i: Matrix(ZZ, [[t]]) for i in degrees})
+        for degree in degrees:
+            rep = tower_complex_homology_fiber(tc, Prime.at(2), degree, max_stage=3)
+            assert rep.values == (1, 1, 1, 1)
+            assert rep.transition_kinds == (kind,) * 3
+            assert rep.stabilized and rep.value == value
+            rep = tower_complex_homology_fiber(tc, GENERIC, degree, max_stage=3)
+            assert rep.values == (0, 0, 0, 0)
+            assert rep.stabilized and rep.value == 0
 
 
 # -- gallery ---------------------------------------------------------------------

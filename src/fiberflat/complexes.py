@@ -223,9 +223,11 @@ class BoundedComplex:
     # -- fibers ---------------------------------------------------------------
 
     def fiber_homology_dim(self, q: Prime, i: int) -> int:
-        """dim over kappa(q) of H_i(kappa(q) tensor C)."""
+        """dim over kappa(q) of H_i(kappa(q) tensor C); fiber_dim of a lone term."""
         if i < self.lo or i > self.hi:
             return 0
+        if self.lo == self.hi:
+            return self._terms[i].fiber_dim(q)
         return self._fiber_dims(q, i, i)[i]
 
     def _fiber_dims(self, q: Prime, lo: int, hi: int) -> dict[int, int]:
@@ -301,22 +303,27 @@ class ChainMap:
         return f
 
     def fiber_rank(self, q: Prime, i: int) -> int:
-        """Rank over kappa(q) of the map induced on H_i.  With d, A the
-        source's boundaries and relations and e, B the target's, it is
-        rank [[d_i, A_{i-1}, 0, 0], [f_i, 0, e_{i+1}, B_i]] less the ranks
-        of the walls [d_i | A_{i-1}] and [e_{i+1} | B_i]: the block's kernel
-        projects onto the cycles x with f_i x a boundary, each fiber a kernel
-        of one wall.  For modules in degree 0 it is ModuleMap.fiber_rank."""
+        """Rank over kappa(q) of the map induced on H_i: ModuleMap.fiber_rank
+        with source and target concentrated in degree i, 0 when f_i is
+        absent or i lies outside either complex, and else, with d, A the
+        source's boundaries and relations and e, B the target's, rank
+        [[d_i, A_{i-1}, 0], [f_i, 0, W]] less the ranks of the walls
+        [d_i | A_{i-1}] and W = [e_{i+1} | B_i]: the block's kernel projects
+        onto the cycles x with f_i x a boundary, each fiber a wall's kernel."""
         src, tgt = self.source, self.target
+        if src.lo == src.hi == tgt.lo == tgt.hi == i:
+            return self.at(i).fiber_rank(q)
         src.ring.residue_field(q)  # rejects a point outside Spec R
-        below, here = src.term(i - 1), tgt.term(i)
-        block = _block_matrix(
-            src.ring, [below.gens, here.gens],
-            [src.term(i).gens, below.relations.cols, tgt.term(i + 1).gens, here.relations.cols],
-            {(0, 0): src.boundary(i).matrix, (0, 1): below.relations,
-             (1, 0): self.at(i).matrix, (1, 2): tgt.boundary(i + 1).matrix,
-             (1, 3): here.relations})
-        return _rank_at(block, q) - _rank_at(src._wall(i), q) - _rank_at(tgt._wall(i + 1), q)
+        f = self._maps.get(i)
+        if f is None or not (src.lo <= i <= src.hi and tgt.lo <= i <= tgt.hi):
+            return 0
+        below, wall = src._terms.get(i - 1), tgt._wall(i + 1)
+        blocks, g, r = {(1, 0): f.matrix, (1, 2): wall}, 0, 0
+        if below is not None:  # the source's bottom degree has no top blocks
+            g, r = below.gens, below.relations.cols
+            blocks.update({(0, 0): src._boundaries[i].matrix, (0, 1): below.relations})
+        block = _block_matrix(src.ring, [g, wall.rows], [f.source.gens, r, wall.cols], blocks)
+        return _rank_at(block, q) - _rank_at(src._wall(i), q) - _rank_at(wall, q)
 
     def is_isomorphism(self) -> bool:
         lo = min(self.source.lo, self.target.lo)

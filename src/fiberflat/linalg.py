@@ -660,6 +660,8 @@ def rank_over_fiber(a: Matrix, q: Prime) -> int:
     0
     """
     a.ring.residue_field(q)
+    if not a.cols:
+        return 0
     divisors = _snf_full(a).elementary_divisors
     if q.is_generic:
         return sum(1 for d in divisors if d != 0)

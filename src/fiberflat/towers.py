@@ -1,18 +1,22 @@
-"""Towers (directed systems) of modules and complexes, with honest
-stabilization detection.
+"""Towers (directed systems) of complexes, with honest stabilization
+detection.
 
-A tower is given by pure stage/transition rules.  Module and complex
-towers share one memoized base, which evaluates each rule once per index
-and checks each stage's ring.  A transition rule takes only n and returns
-matrices; the tower builds each transition between its own stages n and
-n + 1, so the endpoints are never restated.  Towers do no linear algebra:
-a report reads the fiber dimension of each stage and the fiber rank of
-each transition (on homology for complexes and Tor).  One rule decides
-every report, and it never extrapolates: a quantity counts as stabilized
-only after `window` consecutive induced isomorphisms (the colimit then
-equals the value at the start of the run) or `window` consecutive induced
-zero maps (the colimit is 0: every class dies further up the tower).
-Anything else is reported as undetermined at the evaluated bound.
+A tower is given by pure stage/transition rules.  TowerComplex, the one
+tower class, evaluates each rule once per index, checks each stage's ring
+and builds each transition between its own stages n and n + 1; a module
+tower (TowerModule) is the tower of one-term complexes in degree 0.
+Towers do no linear algebra: every report reads the fiber dimension of H_i
+of a list of complexes and the fiber rank on it of the chain maps between
+them (tower_fiber in degree 0, tower_complex_homology_fiber in its degree,
+tower_tor in degree i of the stages' resolutions and the lifted
+transitions), off the module's elementary divisors (FpModule.fiber_dim,
+ModuleMap.fiber_rank) where both are concentrated in degree i and by
+Gaussian ranks otherwise.  One rule decides every report, and it never
+extrapolates: a quantity counts as stabilized only after `window`
+consecutive induced isomorphisms (the colimit then equals the value at the
+start of the run) or `window` consecutive induced zero maps (the colimit
+is 0: every class dies further up the tower).  Anything else is reported
+as undetermined at the evaluated bound.
 
 The galleries build three concrete towers with known colimit behavior
 and compare the computed reports against the expected values: a strictly
@@ -31,27 +35,29 @@ from typing import Callable, Mapping
 from .complexes import DEFAULT_MAX_STAGE, DEFAULT_WINDOW, BoundedComplex, ChainMap
 from .errors import InputError
 from .linalg import Matrix
-from .modules import FpModule, ModuleMap, free_resolution, lift_along
+from .modules import FpModule, free_resolution, lift_along
 from .rings import GENERIC, BaseRing, Prime, ZZ, is_prime, localized_at
 
 
-class _Tower:
-    """The memoized stages and transitions shared by both tower kinds.
+class TowerComplex:
+    """A directed system C_0 -> C_1 -> ... of bounded complexes.  stage(n)
+    rejects n < 0, checks the stage's ring and evaluates the rule once;
+    transition(n) builds transition_rule(n), the matrix of each degree's
+    component, once into a ChainMap between stages n and n + 1, and checks
+    it against strictly_increasing (see TowerModule)."""
 
-    stage(n) rejects n < 0, checks that the stage lives over the tower's
-    ring and evaluates the rule once; transition(n) evaluates its rule
-    once and hands the matrices to `_connect`, which builds the map
-    between the tower's own stages n and n + 1.
-    """
+    strictly_increasing = False
 
-    def __init__(self, ring: BaseRing, stage_rule: Callable, transition_rule: Callable):
+    def __init__(self, ring: BaseRing,
+                 stage_rule: Callable[[int], BoundedComplex],
+                 transition_rule: Callable[[int], Mapping[int, Matrix]]):
         self.ring = ring
         self._stage_rule = stage_rule
         self._transition_rule = transition_rule
-        self._stages: dict[int, FpModule | BoundedComplex] = {}
-        self._transitions: dict[int, ModuleMap | ChainMap] = {}
+        self._stages: dict[int, BoundedComplex] = {}
+        self._transitions: dict[int, ChainMap] = {}
 
-    def stage(self, n: int) -> FpModule | BoundedComplex:
+    def stage(self, n: int) -> BoundedComplex:
         if n < 0:
             raise InputError("stage index must be >= 0")
         if n not in self._stages:
@@ -61,53 +67,30 @@ class _Tower:
             self._stages[n] = s
         return self._stages[n]
 
-    def transition(self, n: int) -> ModuleMap | ChainMap:
+    def transition(self, n: int) -> ChainMap:
         if n not in self._transitions:
-            source, target = self.stage(n), self.stage(n + 1)
-            self._transitions[n] = self._connect(n, source, target, self._transition_rule(n))
+            f = ChainMap(self.stage(n), self.stage(n + 1), self._transition_rule(n))
+            if self.strictly_increasing:
+                if not f.at(0).is_injective():
+                    raise InputError(f"declared injective, but transition {n} is not")
+                if f.at(0).is_surjective():
+                    raise InputError(f"declared non-surjective, but transition {n} is onto")
+            self._transitions[n] = f
         return self._transitions[n]
 
 
-class TowerModule(_Tower):
-    """A directed system M_0 -> M_1 -> ... of finitely presented modules.
-
-    transition_rule(n) is the matrix of M_n -> M_{n+1}, built into a
-    ModuleMap between the tower's own stages.  strictly_increasing
-    declares every transition injective and not surjective; each
-    evaluated transition is checked against the declaration and a
-    violation is an input error (the declaration is the caller's claim
-    about all stages, checkable only stage by stage).
-    """
-
-    def __init__(self, ring: BaseRing,
-                 stage_rule: Callable[[int], FpModule],
-                 transition_rule: Callable[[int], Matrix],
-                 strictly_increasing: bool = False):
-        super().__init__(ring, stage_rule, transition_rule)
-        self.strictly_increasing = strictly_increasing
-
-    def _connect(self, n: int, source: FpModule, target: FpModule,
-                 matrix: Matrix) -> ModuleMap:
-        f = ModuleMap(source, target, matrix)
-        if self.strictly_increasing:
-            if not f.is_injective():
-                raise InputError(f"declared injective, but transition {n} is not")
-            if f.is_surjective():
-                raise InputError(f"declared non-surjective, but transition {n} is onto")
-        return f
-
-
-class TowerComplex(_Tower):
-    """A directed system of bounded complexes with chain-map transitions.
-
-    transition_rule(n) maps each degree to the matrix of that component of
-    stage n -> stage n+1, built into a ChainMap between the tower's own
-    stages.
-    """
-
-    def _connect(self, n: int, source: BoundedComplex, target: BoundedComplex,
-                 matrices: Mapping[int, Matrix]) -> ChainMap:
-        return ChainMap(source, target, matrices)
+def TowerModule(ring: BaseRing, stage_rule: Callable[[int], FpModule],
+                transition_rule: Callable[[int], Matrix],
+                strictly_increasing: bool = False) -> TowerComplex:
+    """A directed system M_0 -> M_1 -> ... of finitely presented modules:
+    the tower of one-term complexes M_n, transition_rule(n) in degree 0.
+    strictly_increasing declares every transition injective and not
+    surjective; a violation found on evaluation is an input error (the
+    claim is about all stages, checkable only stage by stage)."""
+    t = TowerComplex(ring, lambda n: BoundedComplex.single(stage_rule(n)),
+                     lambda n: {0: transition_rule(n)})
+    t.strictly_increasing = strictly_increasing
+    return t
 
 
 @dataclass(frozen=True)
@@ -142,13 +125,25 @@ def _require_bounds(max_stage: int, window: int) -> None:
         raise InputError(f"max_stage must be >= 0, got {max_stage}")
 
 
-def _conclude(quantity: str, values: list[int], ranks: list[int],
-              window: int) -> StabilizationReport:
-    """The one stabilization rule.  Transition n is an isomorphism when
-    ranks[n] == values[n] == values[n + 1], else zero when ranks[n] == 0.
-    A trailing run of at least `window` isomorphisms stabilizes at the
-    value where the run starts; failing that, such a run of zero maps
-    stabilizes at 0.  Anything else is undetermined at the evaluated bound."""
+def _evaluate(t: TowerComplex, q: Prime, max_stage: int,
+              window: int) -> tuple[list[BoundedComplex], list[ChainMap]]:
+    """Stages 0..max_stage of t and the transitions between them, q checked."""
+    _require_bounds(max_stage, window)
+    t.ring.residue_field(q)
+    return [t.stage(n) for n in range(max_stage + 1)], [t.transition(n) for n in range(max_stage)]
+
+
+def _report(quantity: str, q: Prime, degree: int, stages: list[BoundedComplex],
+            maps: list[ChainMap], window: int) -> StabilizationReport:
+    """The one report: values[n] is the fiber dimension of H_degree of
+    stages[n] and ranks[n] the fiber rank of maps[n] on it.  Transition n is
+    an isomorphism when ranks[n] == values[n] == values[n + 1], else zero
+    when ranks[n] == 0.  A trailing run of at least `window` isomorphisms
+    stabilizes at the value where the run starts; failing that, such a run
+    of zero maps stabilizes at 0.  Anything else is undetermined at the
+    evaluated bound."""
+    values = [cx.fiber_homology_dim(q, degree) for cx in stages]
+    ranks = [f.fiber_rank(q, degree) for f in maps]
     kinds = ["iso" if r == values[n] == values[n + 1] else "zero" if r == 0 else "other"
              for n, r in enumerate(ranks)]
     for kind in ("iso", "zero"):
@@ -162,25 +157,24 @@ def _conclude(quantity: str, values: list[int], ranks: list[int],
                                "undetermined", None, None, len(kinds), window)
 
 
-def tower_fiber(t: TowerModule, q: Prime, max_stage: int = DEFAULT_MAX_STAGE,
+def tower_fiber(t: TowerComplex, q: Prime, max_stage: int = DEFAULT_MAX_STAGE,
                 window: int = DEFAULT_WINDOW) -> StabilizationReport:
-    """Dimensions of kappa(q) tensor stage_n with induced-map tracking.
+    """Dimensions of kappa(q) tensor stage_n of a module tower with
+    induced-map tracking: the report in degree 0.
 
     A stabilized report gives the fiber dimension of the colimit: base
     change commutes with directed colimits, and an eventually constant
     (resp. eventually vanishing) system has the evident colimit.
     """
-    _require_bounds(max_stage, window)
-    t.ring.residue_field(q)
-    values = [t.stage(n).fiber_dim(q) for n in range(max_stage + 1)]
-    ranks = [t.transition(n).fiber_rank(q) for n in range(max_stage)]
-    return _conclude(f"fiber dimension at ({q.literal()})", values, ranks, window)
+    return _report(f"fiber dimension at ({q.literal()})", q, 0,
+                   *_evaluate(t, q, max_stage, window), window)
 
 
-def tower_tor(t: TowerModule, q: Prime, i: int,
+def tower_tor(t: TowerComplex, q: Prime, i: int,
               max_stage: int = DEFAULT_MAX_STAGE,
               window: int = DEFAULT_WINDOW) -> StabilizationReport:
-    """Tor_i(kappa(q), stage_n) dimensions along the tower.
+    """Tor_i(kappa(q), stage_n) dimensions along a module tower: the report
+    in degree i over the stages' free resolutions.
 
     Each stage is resolved once, and each transition is lifted to a chain
     map between the resolutions of its ends, whose fiber rank in degree i
@@ -189,18 +183,13 @@ def tower_tor(t: TowerModule, q: Prime, i: int,
     """
     if i < 0:
         raise InputError("Tor degree must be >= 0")
-    _require_bounds(max_stage, window)
-    t.ring.residue_field(q)
-    resolutions, ranks = [free_resolution(t.stage(0), i + 1)], []
-    for n in range(max_stage):
-        f = t.transition(n)
-        src, tgt = resolutions[n], free_resolution(f.target, i + 1)
-        lift = ChainMap(src.complex, tgt.complex, dict(enumerate(lift_along(f, src, tgt))),
-                        commuting=True)
-        ranks.append(lift.fiber_rank(q, i))
-        resolutions.append(tgt)
-    values = [r.complex.fiber_homology_dim(q, i) for r in resolutions]
-    return _conclude(f"Tor_{i} dimension at ({q.literal()})", values, ranks, window)
+    stages, maps = _evaluate(t, q, max_stage, window)
+    res = [free_resolution(cx.term(0), i + 1) for cx in stages]
+    lifts = [ChainMap(src.complex, tgt.complex, dict(enumerate(lift_along(f.at(0), src, tgt))),
+                      commuting=True)
+             for f, src, tgt in zip(maps, res, res[1:])]
+    return _report(f"Tor_{i} dimension at ({q.literal()})", q, i,
+                   [r.complex for r in res], lifts, window)
 
 
 @dataclass(frozen=True)
@@ -220,9 +209,10 @@ class NotFinitelyGeneratedVerdict:
     detail: str
 
 
-def tower_not_finitely_generated(t: TowerModule,
+def tower_not_finitely_generated(t: TowerComplex,
                                  max_stage: int = 8) -> NotFinitelyGeneratedVerdict:
-    """Sound non-finite-generation verdict for strictly increasing towers.
+    """Sound non-finite-generation verdict for strictly increasing module
+    towers, read off each transition in degree 0.
 
     Evaluating transition(n) re-verifies the declaration, so a lying
     declaration surfaces as InputError here rather than a wrong verdict.
@@ -230,7 +220,7 @@ def tower_not_finitely_generated(t: TowerModule,
     if max_stage < 1:  # with no transition checked there is no claim
         raise InputError(f"max_stage must be >= 1, got {max_stage}")
     for n in range(max_stage):
-        f = t.transition(n)
+        f = t.transition(n).at(0)
         if not f.is_injective() or f.is_surjective():
             return NotFinitelyGeneratedVerdict(
                 False, False, n, f"transition {n} is not a proper embedding; no claim")
@@ -246,15 +236,10 @@ def tower_not_finitely_generated(t: TowerModule,
 def tower_complex_homology_fiber(tc: TowerComplex, q: Prime, degree: int,
                                  max_stage: int = DEFAULT_MAX_STAGE,
                                  window: int = DEFAULT_WINDOW) -> StabilizationReport:
-    """H_degree of the fibered stage complexes along a complex tower, read
-    by fiber_homology_dim and ChainMap.fiber_rank, both of which hold for
-    any finitely presented terms."""
-    _require_bounds(max_stage, window)
-    tc.ring.residue_field(q)
-    stages = [tc.stage(n) for n in range(max_stage + 1)]
-    ranks = [tc.transition(n).fiber_rank(q, degree) for n in range(max_stage)]
-    values = [cx.fiber_homology_dim(q, degree) for cx in stages]
-    return _conclude(f"H_{degree} fiber dimension at ({q.literal()})", values, ranks, window)
+    """H_degree of the fibered stage complexes along a complex tower: the
+    report in the given degree, for any finitely presented terms."""
+    return _report(f"H_{degree} fiber dimension at ({q.literal()})", q, degree,
+                   *_evaluate(tc, q, max_stage, window), window)
 
 
 # -- gallery ---------------------------------------------------------------------
@@ -296,7 +281,7 @@ def _nth_prime(n: int) -> int:
     return _PRIMES[n]
 
 
-def sum_inverse_primes_tower() -> TowerModule:
+def sum_inverse_primes_tower() -> TowerComplex:
     """Rank-1 stages with transition n given by multiplication by the
     (n+1)-th prime; the union is the subgroup of the rationals generated
     by the reciprocals of all primes (strictly increasing, so not
@@ -309,7 +294,7 @@ def sum_inverse_primes_tower() -> TowerModule:
     )
 
 
-def injective_hull_tower(p: int) -> TowerModule:
+def injective_hull_tower(p: int) -> TowerComplex:
     """Stages R/p^(n+1) over Z_(p) with transitions multiplication by p;
     the colimit is the p-power torsion group (the injective hull of the
     residue field)."""

@@ -679,14 +679,17 @@ def test_chain_map_fiber_rank_matches_the_kernel_basis_route(lit):
 
 @pytest.mark.parametrize("lit", sorted(FIBER_RANK_SCALARS))
 def test_chain_map_fiber_rank_in_degree_zero_is_the_module_map_fiber_rank(lit):
-    """On modules in degree 0, ChainMap.fiber_rank(q, 0), a Gaussian block
-    rank, equals ModuleMap.fiber_rank(q), read off elementary divisors, at
-    every point of the map's prime set (and, over Z, at (2), (3) and (5)):
-    seeded maps f: R^a / C -> R^b / [f C | E] between finitely presented
-    modules, free ones included."""
+    """On modules in degree 0, the Gaussian block rank of
+    ChainMap.fiber_rank(q, 0) equals ModuleMap.fiber_rank(q), read off
+    elementary divisors, at every point of the map's prime set (and, over Z,
+    at (2), (3) and (5)): seeded maps f: R^a / C -> R^b / [f C | E] between
+    finitely presented modules, free ones included.  The source is padded
+    with a zero term in degree -1 and the target with one in degree 1, so
+    the block is read rather than the module map it equals."""
     ring = parse_ring(lit)
     rng = random.Random(f"degree-zero:{lit}")
     entries = FIBER_RANK_SCALARS[lit] + [1, -1, 4]
+    zero = FpModule.zero(ring)
 
     def matrix(m, n):
         return Matrix(ring, [[rng.choice(entries) for _ in range(n)] for _ in range(m)], cols=n)
@@ -698,9 +701,12 @@ def test_chain_map_fiber_rank_in_degree_zero_is_the_module_map_fiber_rank(lit):
         source = FpModule(ring, a, c)
         target = FpModule(ring, b, hstack([f @ c, matrix(b, rng.randint(0, 2))]))
         g = ModuleMap(source, target, f)
-        chain = ChainMap(BoundedComplex.single(source), BoundedComplex.single(target), {0: f})
+        padded = ChainMap(BoundedComplex(ring, -1, 0, {-1: zero, 0: source},
+                                         {0: Matrix.zeros(ring, 0, a)}),
+                          BoundedComplex(ring, 0, 1, {0: target, 1: zero},
+                                         {1: Matrix.zeros(ring, b, 0)}), {0: f})
         for q in dict.fromkeys(map_prime_set(g) + _points(ring)):
-            assert chain.fiber_rank(q, 0) == g.fiber_rank(q), (a, b, f, q)
+            assert padded.fiber_rank(q, 0) == g.fiber_rank(q), (a, b, f, q)
             checked += 1
     assert checked >= 40
 

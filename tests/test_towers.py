@@ -1,16 +1,19 @@
 """Directed systems of modules and complexes: stabilization detection,
 the non-finite-generation argument, and the prebuilt gallery towers."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from fiberflat import towers
-from fiberflat.complexes import BoundedComplex
+from fiberflat import linalg, towers
+from fiberflat.complexes import BoundedComplex, koszul_complex, tensor_with_module
 from fiberflat.errors import InputError
-from fiberflat.linalg import Matrix
-from fiberflat.modules import FpModule, tor_fiber
-from fiberflat.rings import GENERIC, Prime, ZZ, is_prime, localized_at
+from fiberflat.linalg import Matrix, hstack
+from fiberflat.modules import FpModule, relevant_primes, tor_fiber
+from fiberflat.rings import GENERIC, Prime, ZZ, is_prime, localized_at, parse_ring
 from fiberflat.towers import (
     TowerComplex,
     TowerModule,
@@ -194,7 +197,7 @@ def test_reciprocal_primes_transitions_test_each_number_once(monkeypatch):
 
     monkeypatch.setattr(towers, "is_prime", counted)
     t = sum_inverse_primes_tower()
-    assert [t.transition(n).matrix[0, 0] for n in range(60)][-3:] == [271, 277, 281]
+    assert [t.transition(n).at(0).matrix[0, 0] for n in range(60)][-3:] == [271, 277, 281]
     assert len(calls) == len(set(calls)) and all(n <= 281 for n in calls)
 
 
@@ -262,7 +265,7 @@ def test_tower_tor_resolves_each_stage_once(resolution_calls):
         resolution_calls.clear()
         rep = tower_tor(t, q, i, max_stage=6)
         assert resolution_calls == [i + 1] * 7
-        assert list(rep.values) == [tor_fiber(t.stage(n), q, i, i + 1) for n in range(7)]
+        assert list(rep.values) == [tor_fiber(t.stage(n).term(0), q, i, i + 1) for n in range(7)]
 
 
 def test_injective_hull_stage_values_match_closed_form():
@@ -364,6 +367,103 @@ def test_complex_tower_with_module_terms_gets_a_report():
             assert rep.stabilized and rep.value == 0
 
 
+# -- pinned reports ----------------------------------------------------------------
+
+PIN_SCALARS = {"Z": [0, 1, -1, 2, 3, 6], "Zloc/3": [0, 1, 3, Fraction(1, 2), Fraction(9, 2)],
+               "Z/12": [0, 1, 2, 3, 4, 6]}
+PIN_STAGES = 5
+
+
+def _pinned_towers(lit):
+    """Seeded module towers (stage coker A, transition n the map
+    c_n I + A Y_n) and complex towers (transition n the map c_n id in
+    every degree, on free and on non-free terms) over the ring `lit`, and
+    the points of the ring's prime set for all of their matrices."""
+    ring = parse_ring(lit)
+    rng = random.Random(f"tower-pin:{lit}")
+    scalars = PIN_SCALARS[lit]
+    seen = []
+
+    def matrix(m, n):
+        seen.append(Matrix(ring, [[rng.choice(scalars) for _ in range(n)] for _ in range(m)],
+                           cols=n))
+        return seen[-1]
+
+    def scaled(g):
+        c = rng.choice(scalars)
+        seen.append(Matrix.diagonal(ring, [c] * g))
+        return seen[-1]
+
+    modules = []
+    for _ in range(3):
+        g = rng.randint(1, 3)
+        m = FpModule(ring, g, matrix(g, rng.randint(1, 2)))
+        maps = [scaled(g) + m.relations @ matrix(m.relations.cols, g) for _ in range(PIN_STAGES)]
+        modules.append(TowerModule(ring, lambda n, m=m: m, maps.__getitem__))
+    free = FpModule.free(ring, 2)
+    maps = [matrix(2, 2) for _ in range(PIN_STAGES)]
+    modules.append(TowerModule(ring, lambda n: free, maps.__getitem__))
+    if ring != parse_ring("Z/12"):  # a proper self-embedding of R: x -> c x, c no unit
+        steps = [x for x in scalars if x and not ring.is_unit(x)]
+        maps = [Matrix(ring, [[rng.choice(steps)]]) for _ in range(PIN_STAGES)]
+        seen.extend(maps)
+        modules.append(TowerModule(ring, lambda n: FpModule.free(ring, 1), maps.__getitem__,
+                                   strictly_increasing=True))
+
+    d, b = matrix(2, 3), matrix(3, 1)
+    complexes = [
+        koszul_complex(ring, [rng.choice(scalars) for _ in range(2)]),
+        BoundedComplex.free_complex(ring, -1, [2, 3], [matrix(2, 3)]),
+        BoundedComplex(ring, 0, 1, {0: FpModule(ring, 2, hstack([d @ b, matrix(2, 1)])),
+                                    1: FpModule(ring, 3, b)}, {1: d}),
+        tensor_with_module(FpModule.cyclic(ring, rng.choice(scalars[2:])),
+                           koszul_complex(ring, [rng.choice(scalars) for _ in range(2)])),
+    ]
+    chains = []
+    for cx in complexes:
+        seen.extend(cx.boundary(i).matrix for i in cx.degrees())
+        seen.extend(cx.term(i).relations for i in cx.degrees())
+        maps = [{i: Matrix.diagonal(ring, [c] * cx.term(i).gens) for i in cx.degrees()}
+                for c in (rng.choice(scalars) for _ in range(PIN_STAGES))]
+        seen.extend(f for comps in maps for f in comps.values())
+        chains.append(TowerComplex(ring, lambda n, cx=cx: cx, maps.__getitem__))
+    points = relevant_primes(ring, seen)
+    if ring == ZZ:
+        points = list(dict.fromkeys(points + [Prime.at(5)]))
+    return modules, chains, points
+
+
+def _report_fields(rep):
+    return [rep.quantity, list(rep.values), list(rep.transition_kinds), rep.status,
+            rep.value, rep.at_stage, rep.bound, rep.window]
+
+
+def test_tower_reports_match_their_pinned_digest():
+    """Every report of seeded module and complex towers over Z, Zloc/3 and
+    Z/12, at every point of the ring's prime set, digested: a refactor of
+    the towers keeps each value, transition kind and verdict."""
+    record = []
+    for lit in sorted(PIN_SCALARS):
+        modules, chains, points = _pinned_towers(lit)
+        record.append([lit, [q.literal() for q in points]])
+        for t in modules:
+            for q in points:
+                record.append(_report_fields(tower_fiber(t, q, PIN_STAGES - 1, 2)))
+                for i in (0, 1, 2):
+                    record.append(_report_fields(tower_tor(t, q, i, PIN_STAGES - 1, 2)))
+            v = tower_not_finitely_generated(t, PIN_STAGES - 1)
+            record.append([v.holds, v.definitive, v.stages_checked, v.detail])
+        for tc in chains:
+            cx = tc.stage(0)
+            for q in points:
+                for i in range(cx.lo - 1, cx.hi + 2):
+                    record.append(_report_fields(
+                        tower_complex_homology_fiber(tc, q, i, PIN_STAGES - 1, 2)))
+    digest = hashlib.sha256(json.dumps(record, default=str).encode()).hexdigest()
+    assert len(record) > 350
+    assert digest == "ff93b1c8ddbada4ae768f0d6b02e2419c933e3d259faad7566134c67a7a8fcf8", digest
+
+
 # -- gallery ---------------------------------------------------------------------
 
 def _assert_rows_derive_ok(rep):
@@ -421,6 +521,34 @@ def test_tower_reports_reject_empty_window():
         tower_tor(injective_hull_tower(2), Prime.at(2), 0, window=0)
     with pytest.raises(InputError, match="window"):
         tower_fiber(sum_inverse_primes_tower(), GENERIC, window=-1)
+
+
+@pytest.mark.parametrize("name, kernels, fresh", [
+    ("sum-inverse-primes", 425, 851),
+    ("injective-hull", 2583, 2583),
+    ("dvr-fraction-field", 0, None),
+])
+def test_gallery_work_at_the_caps_is_bounded(monkeypatch, name, kernels, fresh):
+    """Each gallery at the CLI caps runs the move-recording SNF kernel at
+    most the pinned number of times, and the two module galleries make at
+    most the pinned number of fresh SNFs."""
+    counts = {"kernel": 0, "fresh": 0}
+    kernel, decomposition = linalg._kernel, linalg.SnfDecomposition
+
+    def counted_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counted_decomposition(*args):
+        counts["fresh"] += 1
+        return decomposition(*args)
+
+    monkeypatch.setattr(linalg, "_kernel", counted_kernel)
+    monkeypatch.setattr(linalg, "SnfDecomposition", counted_decomposition)
+    assert gallery(name, max_prime=1000, max_stage=256, window=256).ok
+    assert counts["kernel"] <= kernels, counts
+    if fresh is not None:
+        assert counts["fresh"] <= fresh, counts
 
 
 def test_gallery_unknown_name():

@@ -17,10 +17,9 @@ matrix algebra when the terms are free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import gcd, prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ContradictionError, InputError
 from .linalg import (
@@ -35,8 +34,7 @@ DEFAULT_WINDOW = 3
 DEFAULT_MAX_STAGE = 32
 
 
-@dataclass(frozen=True)
-class FiberProfile:
+class FiberProfile(NamedTuple):
     """Homology dimensions of a complex after base change to kappa(q)."""
 
     dims: dict[int, int]
@@ -465,8 +463,7 @@ def koszul_selfduality(ring: BaseRing, elements: Sequence[object]) -> ChainMap:
 
 # -- null homotopies --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomotopyCertificate:
+class HomotopyCertificate(NamedTuple):
     """Maps h_i: C_i -> C_{i+1} with d h + h d = id in every degree."""
 
     complex: BoundedComplex

@@ -13,9 +13,8 @@ the checker raises ContradictionError instead of picking a side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import BoundedComplex, HomotopyCertificate, null_homotopy
 from .errors import ContradictionError, InputError
@@ -27,8 +26,7 @@ from .modules import (
 from .rings import GENERIC, BaseRing, Prime
 
 
-@dataclass(frozen=True)
-class BadPrimeSet:
+class BadPrimeSet(NamedTuple):
     """The finite points of a free-term complex's checked prime set, with
     witness mapping each to the boundary degrees where the fiber rank
     drops; at any other prime every boundary has its generic rank."""
@@ -113,8 +111,7 @@ def _fiber_profiles(cx: BoundedComplex, primes: list[Prime]) -> dict[Prime, dict
     return {q: cx.fiber_profile(q).dims for q in primes}
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Verdict of the fiberwise-acyclicity criterion on one complex.
 
     hypothesis_holds: the fibers at every checked prime have vanishing
@@ -190,8 +187,7 @@ def check_main_theorem(cx: BoundedComplex) -> TheoremReport:
                          conclusion_h0_flat, tensor_ok, h0, verdict)
 
 
-@dataclass(frozen=True)
-class UniversalExactnessReport:
+class UniversalExactnessReport(NamedTuple):
     """Three routes to 'C stays exact under every tensor', all computed."""
 
     direct: bool
@@ -265,15 +261,15 @@ def check_isom_criterion(f: ModuleMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FlatnessVerdict:
+class FlatnessVerdict(NamedTuple):
     """Outcome of the Tor- or Ext-vanishing flatness criterion.
 
     complete is False over Z/n, where only degrees up to checked_depth
     were examined (the ring has infinite global dimension); the verdict
     text carries the same qualifier.  table holds the fiber dimensions in
     degrees 0..checked_depth at each checked prime, read off resolution,
-    which has depth checked_depth + 1.
+    which has depth checked_depth + 1.  Equality, hash and repr read the
+    first eight fields: table and resolution are derived from them.
     """
 
     functor: str
@@ -284,8 +280,22 @@ class FlatnessVerdict:
     checked_primes: tuple[Prime, ...]
     checked_depth: int
     complete: bool
-    table: dict[Prime, list[int]] = field(compare=False, repr=False)
-    resolution: Resolution = field(compare=False, repr=False)
+    table: dict[Prime, list[int]]
+    resolution: Resolution
+
+    def __eq__(self, other: object) -> bool:
+        return self[:8] == other[:8] if other.__class__ is self.__class__ else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self) -> int:
+        return hash(self[:8])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[:8]))
+        return f"FlatnessVerdict({shown})"
 
     def describe(self) -> str:
         scope = "complete" if self.complete else f"checked to depth {self.checked_depth}"

@@ -18,8 +18,8 @@ Everything is a pure function of the supplied random.Random instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .complexes import BoundedComplex
 from .errors import InputError
@@ -81,8 +81,7 @@ def _random_block(rng: Random, ring: BaseRing, size: int, entry_bound: int,
     return Matrix.diagonal(ring, [torsion] + [1] * (size - 1))
 
 
-@dataclass(frozen=True)
-class ComplexSpecimen:
+class ComplexSpecimen(NamedTuple):
     """A generated complex plus the facts its construction guarantees."""
 
     complex: BoundedComplex

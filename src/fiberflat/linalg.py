@@ -40,7 +40,6 @@ fiberflat.rings.  Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -275,7 +274,6 @@ def _chain_ok(ring: BaseRing, divisors: Sequence[Scalar]) -> bool:
                for a, b in zip(divisors, divisors[1:]))
 
 
-@dataclass(eq=False, repr=False)
 class SnfDecomposition:
     """A = U @ D @ V with unit-determinant U, V and canonical diagonal D,
     cached on A: the divisors at once, and each of U, Ui (= U^-1), V, Vi
@@ -289,15 +287,13 @@ class SnfDecomposition:
     raise ContradictionError.
     """
 
-    ring: BaseRing
-    rows: int
-    cols: int
-    elementary_divisors: tuple[Scalar, ...]
-    scale: int
-    lift: Sequence[Sequence[int]]
-    row_moves: list | None = None
-    col_moves: list | None = None
-    units: list | None = None
+    def __init__(self, ring: BaseRing, rows: int, cols: int,
+                 elementary_divisors: tuple[Scalar, ...], scale: int,
+                 lift: Sequence[Sequence[int]], row_moves: list | None = None,
+                 col_moves: list | None = None, units: list | None = None) -> None:
+        self.ring, self.rows, self.cols = ring, rows, cols
+        self.elementary_divisors, self.scale, self.lift = elementary_divisors, scale, lift
+        self.row_moves, self.col_moves, self.units = row_moves, col_moves, units
 
     def _moves(self) -> tuple[list, list, list]:
         if self.units is None:

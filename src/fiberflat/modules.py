@@ -13,9 +13,8 @@ solve_integral (membership in a column span), applied to a map's wall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ContradictionError, InputError
 from .linalg import (
@@ -28,8 +27,7 @@ if TYPE_CHECKING:
     from .complexes import BoundedComplex
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(NamedTuple):
     """Canonical decomposition data: M ~ R^free_rank + sum of R/(d) factors.
 
     The torsion entries are the non-unit, nonzero elementary divisors of the
@@ -361,8 +359,7 @@ def _pure_free_case(f: ModuleMap) -> bool:
     return len(divisors) == rank_src and all(ring.is_unit(d) for d in divisors)
 
 
-@dataclass(frozen=True)
-class PurityReport:
+class PurityReport(NamedTuple):
     """Three provably equivalent purity conditions, all computed."""
 
     injective_with_flat_cokernel: bool
@@ -396,8 +393,7 @@ def purity_report(f: ModuleMap) -> PurityReport:
 
 # -- free resolutions ---------------------------------------------------------
 
-@dataclass
-class Resolution:
+class Resolution(NamedTuple):
     """A free resolution together with the augmentation onto the module.
 
     complex has free terms in degrees [0, length]; augmentation maps the
@@ -471,7 +467,8 @@ def free_resolution(m: FpModule, depth: int) -> Resolution:
     boundaries: list[Matrix] = []
     if torsion:
         boundaries.append(d1)
-        while len(boundaries) < depth:
+        # a nonzero diagonal over a domain is injective: only Z/n goes on
+        while ring.kind == "Zmod" and len(boundaries) < depth:
             nxt = syzygy_matrix(boundaries[-1])
             if nxt.cols == 0:
                 break
@@ -525,8 +522,7 @@ def lift_along(f: ModuleMap, res_m: Resolution, res_n: Resolution) -> list[Matri
 
 # -- prime filtrations ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeFiltration:
+class PrimeFiltration(NamedTuple):
     """0 = M_0 < M_1 < ... < M_r = M with prime cyclic quotients.
 
     Stages are abstract canonical presentations; step k records the stage

@@ -18,7 +18,6 @@ floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -164,19 +163,38 @@ def factor_trial(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-@dataclass(frozen=True, order=False)
+def _read_only(self, name: str, value: object = None) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class Prime:
     """A point of the spectrum: the generic point (0) or a prime (p).
 
     ``p is None`` encodes the generic point.  Constructing ``Prime.at(p)``
-    verifies primality (see is_prime).
+    verifies primality (see is_prime).  Primes are read-only values.
     """
 
-    p: int | None = None
+    __slots__ = ("p",)
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if self.p is not None and not is_prime(self.p):
-            raise InputError(f"{self.p} is not prime")
+    def __init__(self, p: int | None = None) -> None:
+        if p is not None and not is_prime(p):
+            raise InputError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        return self.p == other.p if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
+
+    def __repr__(self) -> str:
+        return f"Prime(p={self.p!r})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return Prime, (self.p,)
 
     @classmethod
     def at(cls, p: int) -> "Prime":
@@ -223,30 +241,48 @@ def parse_prime(text: str) -> Prime:
     return GENERIC if value == 0 else Prime.at(value)
 
 
-@dataclass(frozen=True)
 class BaseRing:
     """A supported base ring, tagged by kind and an optional parameter.
 
     kind is one of "Z", "Zmod", "Zloc", "Fp", "Q"; param is n for Z/n and
     p for Z_(p) and F_p.  Use the module-level constructors (``ZZ``,
-    ``integers_mod``, ...) rather than instantiating directly.
+    ``integers_mod``, ...) rather than instantiating directly.  Rings are
+    read-only values.
     """
 
-    kind: str
-    param: int | None = None
+    __slots__ = ("kind", "param")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("Z", "Zmod", "Zloc", "Fp", "Q"):
-            raise InputError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Zmod":
-            if self.param is None or self.param < 2:
+    def __init__(self, kind: str, param: int | None = None) -> None:
+        if kind not in ("Z", "Zmod", "Zloc", "Fp", "Q"):
+            raise InputError(f"unknown ring kind {kind!r}")
+        if kind == "Zmod":
+            if param is None or param < 2:
                 # n = 1 would be the zero ring; n = 0 would be Z in disguise.
                 raise InputError("Z/n requires n >= 2 (the zero ring is rejected)")
-        elif self.kind in ("Zloc", "Fp"):
-            if self.param is None or not is_prime(self.param):
-                raise InputError(f"{self.kind} requires a prime parameter, got {self.param}")
-        elif self.param is not None:
-            raise InputError(f"ring kind {self.kind} takes no parameter")
+        elif kind in ("Zloc", "Fp"):
+            if param is None or not is_prime(param):
+                raise InputError(f"{kind} requires a prime parameter, got {param}")
+        elif param is not None:
+            raise InputError(f"ring kind {kind} takes no parameter")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.param == other.param
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.param))
+
+    def __repr__(self) -> str:
+        return f"BaseRing(kind={self.kind!r}, param={self.param!r})"
+
+    def __reduce__(self) -> tuple:
+        return BaseRing, (self.kind, self.param)
 
     # -- presentation ----------------------------------------------------
 

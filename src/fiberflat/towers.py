@@ -27,10 +27,9 @@ whose colimit homology is the fraction field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, takewhile
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .complexes import DEFAULT_MAX_STAGE, DEFAULT_WINDOW, BoundedComplex, ChainMap
 from .errors import InputError
@@ -93,8 +92,7 @@ def TowerModule(ring: BaseRing, stage_rule: Callable[[int], FpModule],
     return t
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     """Per-stage values of one quantity along a tower, with the induced
     maps classified and a terminal status.
 
@@ -192,8 +190,7 @@ def tower_tor(t: TowerComplex, q: Prime, i: int,
                    [r.complex for r in res], lifts, window)
 
 
-@dataclass(frozen=True)
-class NotFinitelyGeneratedVerdict:
+class NotFinitelyGeneratedVerdict(NamedTuple):
     """Outcome of the strictly-increasing-union argument.
 
     holds=True means: every checked transition embeds its stage as a
@@ -244,8 +241,7 @@ def tower_complex_homology_fiber(tc: TowerComplex, q: Prime, degree: int,
 
 # -- gallery ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GalleryRow:
+class GalleryRow(NamedTuple):
     label: str
     report: StabilizationReport
     expected: int
@@ -255,8 +251,7 @@ class GalleryRow:
         return self.report.stabilized and self.report.value == self.expected
 
 
-@dataclass(frozen=True)
-class GalleryReport:
+class GalleryReport(NamedTuple):
     """One prebuilt tower, its reports, and expected-value comparisons."""
 
     name: str

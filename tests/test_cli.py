@@ -1,6 +1,5 @@
 """End-to-end command-line checks, run in process through main()."""
 
-import dataclasses
 import io
 import json
 import os
@@ -644,7 +643,7 @@ def test_gallery_rejects_bounds_that_prove_nothing(capsys):
 def test_gallery_mismatch_exits_3(capsys, monkeypatch):
     real = towers.gallery
     monkeypatch.setattr(towers, "gallery",
-                        lambda *a, **kw: dataclasses.replace(real(*a, **kw), ok=False))
+                        lambda *a, **kw: real(*a, **kw)._replace(ok=False))
     code, out, _ = run(capsys, "--format", "json", "gallery", "dvr-fraction-field")
     assert code == 3 and json.loads(out)["ok"] is False
 
@@ -897,6 +896,17 @@ def test_fresh_interpreter_resolves_every_public_name():
     assert proc.returncode == 0, proc.stderr
     count, unlisted, loaded = json.loads(proc.stdout)
     assert count == 80 and unlisted == [] and loaded == []
+
+
+def test_a_fresh_interpreter_loads_neither_dataclasses_nor_inspect():
+    """Every record is a NamedTuple or a slotted class: importing the CLI and
+    the lazily loaded towers and generate pays for neither module."""
+    code = ("import sys, fiberflat.cli, fiberflat.towers, fiberflat.generate\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv, towers_loaded", [

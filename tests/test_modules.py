@@ -7,6 +7,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fiberflat import modules
 from fiberflat.errors import ContradictionError, InputError
 from fiberflat.generate import random_fp_module
 from fiberflat.linalg import Matrix, reduce_matrix
@@ -260,6 +261,30 @@ def test_free_resolution_is_exact_and_augments(ring, seed):
         assert eps.is_surjective()
         if cx.hi >= 1:
             assert m.vanishes(eps.matrix @ cx.boundary(1).matrix)
+
+
+@pytest.mark.parametrize("ring", [ZZ, localized_at(3), QQ, prime_field(5)],
+                         ids=["Z", "Zloc/3", "Q", "F5"])
+def test_resolutions_over_a_domain_stop_at_d1_without_syzygies(monkeypatch, ring):
+    """Over Z, Z_(p) and the fields d1 is a nonzero diagonal over a domain,
+    hence injective: no syzygy is taken.  Over Z/n they still are."""
+    rng = random.Random(61)
+    cases = [FpModule.cyclic(ring, 6), FpModule(ring, 2, Matrix(ring, [[9, 3], [0, 6]]))]
+    cases += [random_fp_module(rng, ring) for _ in range(8)]
+
+    def refused(a):
+        raise AssertionError("syzygy_matrix called")
+
+    monkeypatch.setattr(modules, "syzygy_matrix", refused)
+    resolutions = [free_resolution(m, 3) for m in cases]
+    with pytest.raises(AssertionError):
+        free_resolution(FpModule.cyclic(Z12, 4), 3)
+    monkeypatch.undo()
+    for m, res in zip(cases, resolutions):
+        cx = res.complex
+        assert cx.hi == (1 if m.invariant_factors().torsion else 0)
+        assert cx.homology(0).is_isomorphic_to(m) and cx.is_exact_at(1)
+        assert res.augmentation.is_surjective()
 
 
 def test_resolution_periodicity_over_zmod():

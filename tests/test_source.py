@@ -79,3 +79,19 @@ def test_the_kernel_runs_only_from_a_witness_read():
     linalg._kernel, which records them, runs only when SnfDecomposition
     first replays a witness (its _moves)."""
     assert _mentions("_kernel") == {"linalg.py": ["SnfDecomposition", "_kernel"]}
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples and slotted classes, so a CLI process never
+    loads dataclasses, nor the inspect, ast and dis modules it imports."""
+    sources = sorted((Path(__file__).parent.parent / "src" / "fiberflat").glob("*.py"))
+    assert len(sources) > 1
+    found = {}
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.setdefault(path.name, []).append(node.lineno)
+    assert found == {}

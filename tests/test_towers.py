@@ -525,7 +525,7 @@ def test_tower_reports_reject_empty_window():
 
 @pytest.mark.parametrize("name, kernels, fresh", [
     ("sum-inverse-primes", 425, 851),
-    ("injective-hull", 2583, 2583),
+    ("injective-hull", 2581, 2581),
     ("dvr-fraction-field", 0, None),
 ])
 def test_gallery_work_at_the_caps_is_bounded(monkeypatch, name, kernels, fresh):
